@@ -1,7 +1,9 @@
 """Phonon bath: modes, occupations, broadened deltas, G2 and G4 weights.
 
 The bath enters the rates only through Bose-Einstein occupations and
-energy-conserving delta functions. Deltas are represented by truncated,
+energy-conserving delta functions. The two-phonon channels are one table
+of phonon signs (CHANNEL_SIGNS) from which targets, occupations and the
+amplitude sign pattern all follow. Deltas are represented by truncated,
 renormalized gaussian or lorentzian kernels (density per cm^-1, total mass
 exactly 1 inside the cutoff window); an "exact" kind is also exposed that
 fires only on an on-shell match, which turns rate expressions into the
@@ -17,7 +19,18 @@ from scipy.special import erf
 from .constants import KB_CM1_PER_K
 
 KERNEL_KINDS = ("gaussian", "lorentzian", "exact")
-CHANNELS = ("absorption_emission", "double_absorption", "double_emission")
+# two-phonon channel -> (s_alpha, s_beta); +1 absorbs the mode, -1 emits it.
+# Channel (s_a, s_b) conserves energy at w = s_a w_a + s_b w_b, carries the
+# occupation factor n (absorbed) or n + 1 (emitted) of each mode, and has
+# the amplitude V_a W_b^{-s_b} + V_b W_a^{-s_a} with
+# W_b^{±} = V_b / (E_c - E_b ± w_b + i eta) (both time orderings). Equal
+# signs make a channel pair-exchange symmetric.
+CHANNEL_SIGNS = {
+    "absorption_emission": (+1, -1),
+    "double_absorption": (+1, +1),
+    "double_emission": (-1, -1),
+}
+CHANNELS = tuple(CHANNEL_SIGNS)
 
 DEFAULT_WIDTH_CM1 = 3.0
 DEFAULT_CUTOFF_SIGMAS = 5.0
@@ -142,6 +155,26 @@ def g2(omega_cm1: float, mode: PhononMode, bath: BathConfig) -> float:
     ) * (n + 1.0)
 
 
+def channel_signs(channel: str) -> tuple[int, int]:
+    """(s_alpha, s_beta) of a two-phonon channel; unknown names raise."""
+    try:
+        return CHANNEL_SIGNS[channel]
+    except KeyError:
+        raise ValueError(f"unknown channel {channel!r}; choose from {CHANNELS}") from None
+
+
+def channel_target(s_alpha, s_beta, w_alpha, w_beta):
+    """Energy-conserving frequency s_alpha w_alpha + s_beta w_beta (cm^-1)."""
+    return s_alpha * w_alpha + s_beta * w_beta
+
+
+def channel_occupation(s_alpha, s_beta, n_alpha, n_beta):
+    """Thermal factor: n for an absorbed phonon, n + 1 for an emitted one."""
+    return np.where(np.asarray(s_alpha) > 0, n_alpha, n_alpha + 1.0) * np.where(
+        np.asarray(s_beta) > 0, n_beta, n_beta + 1.0
+    )
+
+
 def g4(
     omega_cm1: float,
     mode_alpha: PhononMode,
@@ -150,15 +183,8 @@ def g4(
     channel: str,
 ) -> float:
     """Two-phonon spectral weight for one ordered mode pair and channel."""
-    if channel not in CHANNELS:
-        raise ValueError(f"unknown channel {channel!r}; choose from {CHANNELS}")
+    s_a, s_b = channel_signs(channel)
     na = occupation(mode_alpha.omega_cm1, bath.temperature_k)
     nb = occupation(mode_beta.omega_cm1, bath.temperature_k)
-    pol = bath.broadening
-    wa, wb = mode_alpha.omega_cm1, mode_beta.omega_cm1
-    if channel == "absorption_emission":
-        # absorb alpha, emit beta
-        return delta(omega_cm1, wa - wb, pol) * na * (nb + 1.0)
-    if channel == "double_absorption":
-        return delta(omega_cm1, wa + wb, pol) * na * nb
-    return delta(omega_cm1, -(wa + wb), pol) * (na + 1.0) * (nb + 1.0)
+    target = channel_target(s_a, s_b, mode_alpha.omega_cm1, mode_beta.omega_cm1)
+    return delta(omega_cm1, target, bath.broadening) * float(channel_occupation(s_a, s_b, na, nb))

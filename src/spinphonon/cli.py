@@ -52,7 +52,7 @@ def _parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run the deck's sweep, write CSV and fit report")
     run.add_argument("deck")
-    run.add_argument("--workers", type=int, default=None, help="override numeric.workers")
+    run.add_argument("--workers", type=int, default=None, help="accepted and ignored")
     run.add_argument("--output-dir", default=".", help="directory for output files")
 
     scan_r = sub.add_parser(
@@ -64,7 +64,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     scan_r.add_argument("--temperature-k", type=float, default=None)
     scan_r.add_argument("--order", type=int, choices=(2, 4), default=None)
-    scan_r.add_argument("--workers", type=int, default=None)
+    scan_r.add_argument("--workers", type=int, default=None, help="accepted and ignored")
     scan_r.add_argument("--output-dir", default=".")
 
     scan_b = sub.add_parser(
@@ -75,7 +75,7 @@ def _parser() -> argparse.ArgumentParser:
     scan_b.add_argument("--kind", choices=("gaussian", "lorentzian"), default=None)
     scan_b.add_argument("--temperature-k", type=float, default=None)
     scan_b.add_argument("--order", type=int, choices=(2, 4), default=None)
-    scan_b.add_argument("--workers", type=int, default=None)
+    scan_b.add_argument("--workers", type=int, default=None, help="accepted and ignored")
     scan_b.add_argument("--output-dir", default=".")
     return p
 
@@ -103,7 +103,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_run(args) -> int:
     config = _load(args.deck)
-    result = run_sweep(config, output_dir=args.output_dir, workers=args.workers)
+    result = run_sweep(config, output_dir=args.output_dir)
     print(f"wrote {result.rates_csv_path}")
     print(f"wrote {result.fit_report_path}")
     return 0
@@ -115,13 +115,12 @@ def _scan(config, values, label, out_name, args) -> int:
     temperature = (
         args.temperature_k if args.temperature_k is not None else config.temperatures_k[0]
     )
-    workers = args.workers if args.workers is not None else config.workers
     lines = _provenance(config)
     lines.append(f"# scan at temperature_K={temperature!r}, order={order}")
     lines.append(",".join((label,) + SCAN_COLUMNS))
     for value, cfg in values:
         engine = PointEngine(cfg)
-        rep = engine.rates(temperature, (order,), workers)[order]
+        rep = engine.rates(temperature, (order,))[order]
         lines.append(
             ",".join(
                 [_fmt(value)]

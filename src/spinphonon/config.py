@@ -7,6 +7,7 @@ a unit suffix (width vs width_cm1) surfaces as a diagnostic rather than
 a silently ignored setting.
 """
 
+import functools
 import hashlib
 import json
 import logging
@@ -72,14 +73,15 @@ class RunConfig:
     broadening: BroadeningPolicy
     channels: tuple[str, ...]
     allow_same_mode: bool
-    workers: int
+    workers: int  # accepted and ignored; the build runs on one thread
     drop_threshold_per_s: float
     align_easy_axis: bool
     fits: tuple[FitRequest, ...]
     resolved: dict
 
-    @property
+    @functools.cached_property
     def config_hash(self) -> str:
+        """Short sha256 of the resolved deck; computed once per config."""
         blob = json.dumps(self.resolved, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -308,7 +310,8 @@ def resolve(raw: dict) -> RunConfig:
 def load_config(path: str) -> RunConfig:
     """Read, validate and resolve a deck file. Raises with all diagnostics."""
     with open(path) as fh:
-        raw = yaml.safe_load(fh)
+        # libyaml parses when PyYAML was built with it; the objects are the same
+        raw = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     if not isinstance(raw, dict):
         raise DeckValidationError(["deck must be a mapping at the top level"])
     return resolve(raw)

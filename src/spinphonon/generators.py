@@ -8,14 +8,16 @@ Conventions used throughout:
 * One-phonon jump operators: for mode alpha and block w,
   L_db = V^alpha_db on the block and gamma = pref * G2(w, w_alpha), with
   G2 = delta(w - w_a) n + delta(w + w_a) (n + 1).
-* Two-phonon jump operators: for an ordered mode pair (alpha, beta) the
-  absorb-alpha / emit-beta amplitude is T^{ab,+} + T^{ba,-} where
-  T^{ab,±}_{db} = sum_c V^a_dc V^b_cb / (E_c - E_b ± w_b + i eta)
-  (the second-listed mode acts first; the sum runs over every c), and
-  gamma = pref * delta(w - w_a + w_b) n_a (n_b + 1). Running over ordered
-  pairs covers both Raman directions. The double-(de)excitation channels
-  are pair-exchange symmetric, enumerate unordered pairs, and are off by
-  default.
+* Two-phonon jump operators: each channel is a pair of phonon signs
+  (s_a, s_b) from bath.CHANNEL_SIGNS, +1 absorbing and -1 emitting. For
+  a mode pair (alpha, beta) the amplitude is V^a W^{b,-s_b} + V^b W^{a,-s_a}
+  with W^{b,±}_cb = V^b_cb / (E_c - E_b ± w_b + i eta) (the sum over the
+  virtual state c runs over every state), and
+  gamma = pref * delta(w - s_a w_a - s_b w_b) times n (absorbed) or n + 1
+  (emitted) for each mode. absorption_emission (+1, -1) runs over ordered
+  pairs and so covers both Raman directions. The double-(de)excitation
+  channels have equal signs, are pair-exchange symmetric, enumerate
+  unordered pairs, and are off by default.
 * pref = 2 pi * CM1_TO_RAD_S converts |L|^2 (cm^-2) times a kernel density
   (per cm^-1) into s^-1, so gamma |L|^2 is an honest rate.
 
@@ -25,20 +27,20 @@ The generator element form is the standard completely positive one,
                                        - 1/2 d_ac (L+L)_db ],
 
 assembled from two accumulators: the Gram matrix M1[(ac),(bd)] of
-sqrt(gamma) vec(L), and K = sum gamma L+L. Work is chunked over mode
-pairs in a fixed order and partial sums are merged in chunk order, so the
-result is identical bit-for-bit at any worker count.
+sqrt(gamma) vec(L), and K = sum gamma L+L. The order-4 build is array
+code on one thread: mode pairs are processed in chunks of PAIR_CHUNK in a
+fixed order and partial sums are merged in chunk order, which bounds
+memory and makes the result deterministic.
 """
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .bath import CHANNELS, BathConfig, delta
+from .bath import BathConfig, channel_occupation, channel_signs, channel_target, delta
 from .constants import CM1_TO_RAD_S
 from .coupling import CouplingOperator
 from .spin_model import Eigensystem
@@ -53,6 +55,7 @@ DEFAULT_REGULARIZER_CM1 = 1.0
 # "vanished" threshold in cm^-1
 SINGULARITY_TOL_CM1 = 1e-12
 
+# mode pairs per chunk of the order-4 build; bounds the amplitude stack
 PAIR_CHUNK = 512
 
 
@@ -198,8 +201,9 @@ def jump_operators_2(
 ) -> Iterator[JumpOperator]:
     """One-phonon jump operators, lazily, one per (mode, block).
 
-    Operators with zero kernel weight or with total rate gamma ||L||_F^2
-    at or below drop_threshold are skipped.
+    Operators with zero kernel weight, or with total rate gamma ||L||_F^2
+    at or below drop_threshold when that is positive, are skipped; as in
+    build_generator, a zero threshold keeps every jump.
     """
     vstack, tag = _aligned_couplings(couplings, bath)
     dim = vstack.shape[1]
@@ -220,7 +224,7 @@ def jump_operators_2(
             l_mat = np.zeros((dim, dim), dtype=complex)
             l_mat[rows, cols] = vstack[i_mode][rows, cols]
             weight = g * float(np.sum(np.abs(l_mat[rows, cols]) ** 2))
-            if weight <= drop_threshold:
+            if drop_threshold > 0.0 and weight <= drop_threshold:
                 continue
             yield JumpOperator(
                 gamma=g,
@@ -231,11 +235,11 @@ def jump_operators_2(
             )
 
 
-def _denominators(
-    energies: NDArray[np.float64], omega: float, sign: int, eta: float
-) -> NDArray[np.complex128]:
-    # D_cb = E_c - E_b + sign*omega + i*eta (column b is the initial state)
-    d_real = energies[:, None] - energies[None, :] + sign * omega
+def _denominators(energies: NDArray[np.float64], omega, sign, eta: float) -> NDArray[np.complex128]:
+    # D_cb = E_c - E_b + sign*omega + i*eta (column b is the initial state);
+    # array omega and sign give one matrix per entry
+    shift = np.multiply(sign, omega)[..., None, None]
+    d_real = energies[:, None] - energies[None, :] + shift
     if eta == 0.0 and np.min(np.abs(d_real)) < SINGULARITY_TOL_CM1:
         raise SingularityError(
             "zero denominator in the virtual-state sum; set a nonzero regularizer"
@@ -280,63 +284,25 @@ def t_matrix(
     return complex(t[b, a])
 
 
-def _channel_target(channel: str, wa: float, wb: float) -> float:
-    if channel == "absorption_emission":
-        return wa - wb
-    if channel == "double_absorption":
-        return wa + wb
-    return -(wa + wb)
+def _mode_pairs(
+    signs: tuple[int, int], n_modes: int, allow_same_mode: bool
+) -> tuple[NDArray[np.int64], NDArray[np.int64]]:
+    """(alpha, beta) index arrays of one channel, alpha-major.
 
-
-def _channel_occupation(channel: str, na: float, nb: float) -> float:
-    if channel == "absorption_emission":
-        return na * (nb + 1.0)
-    if channel == "double_absorption":
-        return na * nb
-    return (na + 1.0) * (nb + 1.0)
-
-
-def _pair_amplitude(
-    channel: str,
-    va: NDArray[np.complex128],
-    vb: NDArray[np.complex128],
-    wa: float,
-    wb: float,
-    energies: NDArray[np.float64],
-    eta: float,
-) -> NDArray[np.complex128]:
-    """Two-event amplitude matrix for one ordered pair and channel."""
-    if channel == "absorption_emission":
-        # beta emitted first (+w_b) or alpha absorbed first (-w_a)
-        return t_matrix_full(va, vb, wb, +1, energies, eta) + t_matrix_full(
-            vb, va, wa, -1, energies, eta
-        )
-    if channel == "double_absorption":
-        return t_matrix_full(va, vb, wb, -1, energies, eta) + t_matrix_full(
-            vb, va, wa, -1, energies, eta
-        )
-    return t_matrix_full(va, vb, wb, +1, energies, eta) + t_matrix_full(
-        vb, va, wa, +1, energies, eta
-    )
-
-
-def _enumerate_pairs(channel: str, n_modes: int, allow_same_mode: bool) -> list[tuple[int, int]]:
-    # absorption_emission distinguishes absorb-alpha/emit-beta from its
-    # mirror, so it runs over ordered pairs; the double channels are
-    # pair-exchange symmetric and take alpha > beta only
-    out = []
-    if channel == "absorption_emission":
-        for a in range(n_modes):
-            for b in range(n_modes):
-                if a != b or allow_same_mode:
-                    out.append((a, b))
-    else:
-        for a in range(n_modes):
-            for b in range(a):
-                out.append((a, b))
-        if allow_same_mode:
-            out.extend((a, a) for a in range(n_modes))
-    return out
+    Mixed signs tell absorb-alpha/emit-beta from its mirror, so they run
+    over ordered pairs; equal signs are pair-exchange symmetric and take
+    alpha > beta, with the same-mode pairs (if allowed) appended.
+    """
+    ia, ib = np.divmod(np.arange(n_modes * n_modes), n_modes)
+    if signs[0] != signs[1]:
+        keep = (ia != ib) | allow_same_mode
+        return ia[keep], ib[keep]
+    keep = ib < ia
+    ia, ib = ia[keep], ib[keep]
+    if allow_same_mode:
+        same = np.arange(n_modes)
+        ia, ib = np.concatenate([ia, same]), np.concatenate([ib, same])
+    return ia, ib
 
 
 def block_energies(blocks: Sequence[SecularBlock], dim: int) -> NDArray[np.float64]:
@@ -369,11 +335,7 @@ def jump_operators_4(
     of some block are touched (pair prefilter). Energies are taken from
     the eigensystem when given, else recovered from the block partition.
     """
-    for channel in channels:
-        if channel not in CHANNELS:
-            raise ValueError(f"unknown channel {channel!r}; choose from {CHANNELS}")
-    if len(bath.modes) < 2 and not allow_same_mode:
-        return
+    signs = [channel_signs(c) for c in channels]
     vstack, tag = _aligned_couplings(couplings, bath)
     dim = vstack.shape[1]
     energies = (
@@ -386,19 +348,19 @@ def jump_operators_4(
     ) * bath.broadening.width_cm1
     pol = bath.broadening
 
-    for channel in channels:
-        for ia, ib in _enumerate_pairs(channel, len(bath.modes), allow_same_mode):
+    for channel, (s_a, s_b) in zip(channels, signs):
+        for ia, ib in zip(*_mode_pairs((s_a, s_b), len(bath.modes), allow_same_mode)):
             wa, wb = float(w_modes[ia]), float(w_modes[ib])
-            target = _channel_target(channel, wa, wb)
-            occ = _channel_occupation(channel, float(n_bar[ia]), float(n_bar[ib]))
+            target = channel_target(s_a, s_b, wa, wb)
+            occ = float(channel_occupation(s_a, s_b, n_bar[ia], n_bar[ib]))
             if occ == 0.0:
                 continue
             hits = [b for b in blocks if abs(b.frequency_cm1 - target) <= window]
             if not hits:
                 continue
-            amp = _pair_amplitude(
-                channel, vstack[ia], vstack[ib], wa, wb, energies, regularizer_cm1
-            )
+            amp = t_matrix_full(
+                vstack[ia], vstack[ib], wb, -s_b, energies, regularizer_cm1
+            ) + t_matrix_full(vstack[ib], vstack[ia], wa, -s_a, energies, regularizer_cm1)
             for block in hits:
                 g = RATE_PREFACTOR * float(delta(block.frequency_cm1, target, pol)) * occ
                 if g <= 0.0:
@@ -408,7 +370,7 @@ def jump_operators_4(
                 l_mat = np.zeros((dim, dim), dtype=complex)
                 l_mat[rows, cols] = amp[rows, cols]
                 weight = g * float(np.sum(np.abs(l_mat[rows, cols]) ** 2))
-                if weight <= drop_threshold:
+                if drop_threshold > 0.0 and weight <= drop_threshold:
                     continue
                 yield JumpOperator(
                     gamma=g,
@@ -508,13 +470,14 @@ class _BlockMeta:
         cols = np.array([q for _, q in block.pairs])
         self.rows = rows
         self.cols = cols
-        self.flat = rows * dim + cols
+        flat = rows * dim + cols
+        self.m1_index = np.ix_(flat, flat)
         self.frequency = block.frequency_cm1
         # positions sharing a row feed K_(b_i b_j) += conj(G_ij)
         self.row_groups = []
         for r in np.unique(rows):
             pos = np.nonzero(rows == r)[0]
-            self.row_groups.append((pos, cols[pos]))
+            self.row_groups.append((np.ix_(pos, pos), np.ix_(cols[pos], cols[pos])))
         # jump-level rate sums: which G entries feed T1 / T2* of each pair
         self.t1_positions = {}
         self.deph_positions = {}
@@ -538,13 +501,34 @@ class _Accumulator:
         self.deph = {p: 0.0 for p in rate_pairs}
         self.jumps = 0
 
-    def add(self, meta: _BlockMeta, gammas: NDArray[np.float64], y: NDArray[np.complex128]):
+    def add(
+        self,
+        meta: _BlockMeta,
+        gammas: NDArray[np.float64],
+        mats: NDArray[np.complex128],
+        drop_threshold: float,
+    ):
+        """Accumulate the jumps gamma_p, mats_p (restricted to the block).
+
+        Jumps with zero weight, or with total rate at or below
+        drop_threshold when that is positive, are skipped.
+        """
+        live = np.flatnonzero(gammas > 0.0)
+        if live.size == 0:
+            return
+        y = mats[live[:, None], meta.rows, meta.cols]
+        gammas = gammas[live]
+        if drop_threshold > 0.0:
+            keep = gammas * (np.abs(y) ** 2).sum(axis=1) > drop_threshold
+            y, gammas = y[keep], gammas[keep]
+            if gammas.size == 0:
+                return
         # G_ij = sum_p gamma_p y_pi conj(y_pj): the gamma-weighted Gram of
         # the block elements across all jumps in this batch
         g = (gammas[:, None] * y).T @ y.conj()
-        self.m1[np.ix_(meta.flat, meta.flat)] += g
-        for pos, cols in meta.row_groups:
-            self.k[np.ix_(cols, cols)] += np.conj(g[np.ix_(pos, pos)])
+        self.m1[meta.m1_index] += g
+        for g_index, k_index in meta.row_groups:
+            self.k[k_index] += np.conj(g[g_index])
         diag = np.real(np.diag(g))
         for pair, pos in meta.t1_positions.items():
             self.t1[pair] += 0.5 * float(diag[pos].sum())
@@ -580,11 +564,14 @@ def build_generator(
     """Assemble R^(order) without materializing jump operators.
 
     Equivalent to assemble_generator over the lazy producers but organized
-    for throughput: amplitudes are built by batched matrix products, each
-    secular block is accumulated with one small Gram product per pair
-    chunk, and per-pair T1/T2* jump sums are read off the same Grams.
-    Chunks are merged in index order, so any worker count gives
-    bit-identical results.
+    for throughput: the virtual-state factors W are built once per mode
+    and sign, amplitudes by batched matrix products per chunk of mode
+    pairs, kernel weights by one array delta call per (chunk, block), and
+    each secular block is accumulated with one small Gram product per
+    chunk; per-pair T1/T2* jump sums are read off the same Grams.
+
+    workers is accepted for compatibility and ignored: the array build on
+    one thread is faster than any thread pool over it.
     """
     if order not in (2, 4):
         raise ValueError("order must be 2 or 4")
@@ -609,90 +596,52 @@ def build_generator(
             gam = RATE_PREFACTOR * (
                 delta(w, w_modes, pol) * n_bar + delta(w, -w_modes, pol) * (n_bar + 1.0)
             )
-            live = np.nonzero(gam > 0.0)[0]
-            if live.size == 0:
-                continue
-            y = vstack[live][:, meta.rows, meta.cols]
-            gam = gam[live]
-            if drop_threshold > 0.0:
-                keep = gam * (np.abs(y) ** 2).sum(axis=1) > drop_threshold
-                y, gam = y[keep], gam[keep]
-                if gam.size == 0:
-                    continue
-            acc.add(meta, gam, y)
+            acc.add(meta, gam, vstack, drop_threshold)
         return _result_from(acc, order, tag, dim, rate_pairs)
 
     window = (
         pair_cutoff_sigmas if pair_cutoff_sigmas is not None else pol.cutoff_sigmas
     ) * pol.width_cm1
+    # every (channel, alpha, beta) task in a fixed order, which defines the
+    # reduction order; keep those whose target hits some block window
+    tasks = [np.zeros((4, 0), dtype=int)]
     for channel in channels:
-        if channel not in CHANNELS:
-            raise ValueError(f"unknown channel {channel!r}; choose from {CHANNELS}")
+        signs = channel_signs(channel)
+        ia, ib = _mode_pairs(signs, len(bath.modes), allow_same_mode)
+        tasks.append(np.stack([np.full(ia.size, signs[0]), np.full(ia.size, signs[1]), ia, ib]))
+    s_a, s_b, ia, ib = np.concatenate(tasks, axis=1)
+    target = channel_target(s_a, s_b, w_modes[ia], w_modes[ib])
+    lo = np.searchsorted(block_freqs, target - window, side="left")
+    hi = np.searchsorted(block_freqs, target + window, side="right")
+    hit = hi > lo
+    s_a, s_b, ia, ib, target, lo, hi = (x[hit] for x in (s_a, s_b, ia, ib, target, lo, hi))
+    occ = channel_occupation(s_a, s_b, n_bar[ia], n_bar[ib])
 
-    # enumerate surviving (channel, alpha, beta, block range) up front;
-    # fixed order defines the reduction order
-    tasks: list[tuple[str, int, int, int, int]] = []
-    for channel in channels:
-        for ia, ib in _enumerate_pairs(channel, len(bath.modes), allow_same_mode):
-            target = _channel_target(channel, float(w_modes[ia]), float(w_modes[ib]))
-            lo = int(np.searchsorted(block_freqs, target - window, side="left"))
-            hi = int(np.searchsorted(block_freqs, target + window, side="right"))
-            if hi > lo:
-                tasks.append((channel, ia, ib, lo, hi))
-
-    energies = es.energies_cm1
-    chunks = [tasks[i : i + PAIR_CHUNK] for i in range(0, len(tasks), PAIR_CHUNK)]
-
-    def run_chunk(chunk) -> _Accumulator:
-        acc = _Accumulator(dim, rate_pairs)
-        if not chunk:
-            return acc
-        amps = np.empty((len(chunk), dim, dim), dtype=complex)
-        for i, (channel, ia, ib, _, _) in enumerate(chunk):
-            amps[i] = _pair_amplitude(
-                channel,
-                vstack[ia],
-                vstack[ib],
-                float(w_modes[ia]),
-                float(w_modes[ib]),
-                energies,
-                regularizer_cm1,
-            )
-        # invert pair->blocks into block->pairs for batched accumulation
-        per_block: dict[int, list[int]] = {}
-        for i, (_, _, _, lo, hi) in enumerate(chunk):
-            for bidx in range(lo, hi):
-                per_block.setdefault(bidx, []).append(i)
-        for bidx in sorted(per_block):
-            meta = metas[bidx]
-            sel = per_block[bidx]
-            gam = np.empty(len(sel))
-            for n, i in enumerate(sel):
-                channel, ia, ib, _, _ = chunk[i]
-                target = _channel_target(channel, float(w_modes[ia]), float(w_modes[ib]))
-                occ = _channel_occupation(channel, float(n_bar[ia]), float(n_bar[ib]))
-                gam[n] = RATE_PREFACTOR * float(delta(meta.frequency, target, pol)) * occ
-            live = np.nonzero(gam > 0.0)[0]
-            if live.size == 0:
-                continue
-            y = amps[[sel[i] for i in live]][:, meta.rows, meta.cols]
-            gam = gam[live]
-            if drop_threshold > 0.0:
-                keep = gam * (np.abs(y) ** 2).sum(axis=1) > drop_threshold
-                y, gam = y[keep], gam[keep]
-                if gam.size == 0:
-                    continue
-            acc.add(meta, gam, y)
-        return acc
+    # virt[m, k] = W^{m,s} with s = +1 (k = 0) or -1 (k = 1), built only for
+    # the (mode, sign) pairs in use: task amplitude V_a W_b^{-s_b} + V_b W_a^{-s_a}
+    k_a, k_b = (1 + s_a) // 2, (1 + s_b) // 2
+    used = np.zeros((len(bath.modes), 2), dtype=bool)
+    used[ia, k_a] = used[ib, k_b] = True
+    m_used, k_used = np.nonzero(used)
+    virt = np.zeros((len(bath.modes), 2, dim, dim), dtype=complex)
+    if m_used.size:
+        virt[m_used, k_used] = vstack[m_used] / _denominators(
+            es.energies_cm1, w_modes[m_used], 1 - 2 * k_used, regularizer_cm1
+        )
 
     total = _Accumulator(dim, rate_pairs)
-    if workers <= 1 or len(chunks) <= 1:
-        for chunk in chunks:
-            total.merge(run_chunk(chunk))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(run_chunk, chunks):
-                total.merge(part)
+    for start in range(0, ia.size, PAIR_CHUNK):
+        c = slice(start, start + PAIR_CHUNK)
+        amps = vstack[ia[c]] @ virt[ib[c], k_b[c]] + vstack[ib[c]] @ virt[ia[c], k_a[c]]
+        lo_c, hi_c, target_c, occ_c = lo[c], hi[c], target[c], occ[c]
+        acc = _Accumulator(dim, rate_pairs)
+        for bidx in range(lo_c.min(), hi_c.max()):
+            sel = np.flatnonzero((lo_c <= bidx) & (bidx < hi_c))
+            if sel.size:
+                meta = metas[bidx]
+                gam = RATE_PREFACTOR * delta(meta.frequency, target_c[sel], pol) * occ_c[sel]
+                acc.add(meta, gam, amps[sel], drop_threshold)
+        total.merge(acc)
     return _result_from(total, order, tag, dim, rate_pairs)
 
 

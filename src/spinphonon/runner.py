@@ -118,7 +118,8 @@ class PointEngine:
             matrix, spec.matrix_basis, self.es, mode_index=spec.mode_index
         )
 
-    def rates(self, temperature_k: float, orders, workers: int) -> dict[int, RateReport]:
+    def rates(self, temperature_k: float, orders, workers: int = 1) -> dict[int, RateReport]:
+        """Rate reports per order at one temperature; workers is ignored."""
         cfg = self.config
         bath = BathConfig(
             modes=cfg.modes, temperature_k=temperature_k, broadening=cfg.broadening
@@ -129,7 +130,6 @@ class PointEngine:
             regularizer_cm1=cfg.regularizer_cm1,
             channels=cfg.channels,
             allow_same_mode=cfg.allow_same_mode,
-            workers=workers,
             rate_pairs=[self.pair.indices],
             drop_threshold=cfg.drop_threshold_per_s,
         )
@@ -251,8 +251,10 @@ def _write_fit_report(path: str, fits, config: RunConfig, field_note: str):
 
 
 def run_sweep(config: RunConfig, *, output_dir: str = ".", workers: int | None = None) -> SweepResult:
-    """Execute the deck's sweep and write the rates CSV and fit report."""
-    workers = config.workers if workers is None else workers
+    """Execute the deck's sweep and write the rates CSV and fit report.
+
+    workers is accepted and ignored, like the deck's numeric.workers.
+    """
     fields = config.fields_t if config.fields_t is not None else (config.model.field_t,)
     sweeping_fields = config.fields_t is not None
 
@@ -269,7 +271,7 @@ def run_sweep(config: RunConfig, *, output_dir: str = ".", workers: int | None =
         timers["prepare_s"] += time.perf_counter() - t0
         for temperature in config.temperatures_k:
             try:
-                reports = engine.rates(temperature, config.orders, workers)
+                reports = engine.rates(temperature, config.orders)
             except Exception as exc:
                 raise SweepPointError(
                     f"at temperature_K={temperature}, field_T={list(field)}: {exc}"

@@ -146,24 +146,47 @@ def test_all_two_phonon_channels_against_oracle(four_level_engine, four_level_co
     assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
-def test_lazy_jumps_equal_fused_build(four_level_engine, four_level_config):
+@pytest.mark.parametrize(
+    "channels, allow_same_mode",
+    [
+        (("absorption_emission",), False),
+        (("absorption_emission", "double_absorption", "double_emission"), True),
+    ],
+    ids=["absorption_emission", "all_channels_same_mode"],
+)
+def test_lazy_jumps_equal_fused_build(
+    four_level_engine, four_level_config, channels, allow_same_mode
+):
+    from spinphonon.dynamics import pair_t1, pair_t2star
+
     cfg = four_level_config
     es = four_level_engine.es
+    pair = four_level_engine.pair
     bath = bath_for(cfg, 4.0)
     blocks = secular_partition(es, tol_cm1=cfg.secular_tol_cm1)
     jumps = list(jump_operators_4(
         four_level_engine.couplings, bath, blocks, eigensystem=es,
         regularizer_cm1=cfg.regularizer_cm1,
-        channels=cfg.channels, allow_same_mode=cfg.allow_same_mode,
+        channels=channels, allow_same_mode=allow_same_mode,
     ))
     by_jumps = assemble_generator(jumps, order=4, dim=es.dim, basis=jumps[0].basis)
     fused = build_generator(
         4, four_level_engine.couplings, bath, es,
         secular_tol_cm1=cfg.secular_tol_cm1, regularizer_cm1=cfg.regularizer_cm1,
-        channels=cfg.channels, allow_same_mode=cfg.allow_same_mode,
+        channels=channels, allow_same_mode=allow_same_mode,
+        rate_pairs=(pair.indices,),
     )
     scale = np.abs(fused.superoperator.matrix).max()
     assert np.abs(by_jumps.matrix - fused.superoperator.matrix).max() <= 1e-12 * scale
+    assert fused.jump_count == len(jumps)
+    a, b = pair.indices
+    sums = fused.pair_sums[pair.indices]
+    assert sums.half_t1_rate == pytest.approx(0.5 / pair_t1(jumps, a, b), rel=1e-12)
+    t2star = pair_t2star(jumps, a, b)
+    if np.isinf(t2star):
+        assert sums.dephasing_rate == 0.0
+    else:
+        assert sums.dephasing_rate == pytest.approx(1.0 / t2star, rel=1e-12)
 
 
 def test_t_matrix_full_matches_loop():
@@ -192,6 +215,17 @@ def test_singularity_raises_without_regularizer(spin_half_engine, spin_half_conf
             4, spin_half_engine.couplings, bath, spin_half_engine.es,
             regularizer_cm1=0.0,
         )
+
+
+def test_unused_vanishing_denominator_does_not_raise(spin_half_engine, spin_half_config):
+    # the on-gap mode pairs only with a far mode whose targets miss every
+    # block, so its singular denominators are never used
+    modes = (PhononMode(0, 0.93372), PhononMode(1, 40.0))
+    bath = BathConfig(modes=modes, temperature_k=2.0, broadening=spin_half_config.broadening)
+    res = build_generator(
+        4, spin_half_engine.couplings, bath, spin_half_engine.es, regularizer_cm1=0.0,
+    )
+    assert res.jump_count == 0
 
 
 def test_drop_threshold_prunes_and_zero_keeps_all(four_level_engine, four_level_config):
