@@ -1,9 +1,10 @@
 """Regenerate the golden reference outputs bundled with the test suite.
 
-The four-level deck is swept end to end and every temperature is
-cross-checked against the brute-force golden-rule oracle before anything
-is written: a golden file only freezes numbers the slow reference path
-reproduces to 1e-10.  Outputs land in tests/golden/.
+The four-level deck is swept end to end and, at every temperature, the
+full order-2 and order-4 generators (coherences included) are
+cross-checked against the brute-force oracle's jump operators before
+anything is written: a golden file only freezes numbers the slow
+reference path reproduces to 1e-10.  Outputs land in tests/golden/.
 
 Run from anywhere:  python scripts/make_golden.py
 """
@@ -25,7 +26,6 @@ import oracles
 
 from spinphonon.bath import BathConfig
 from spinphonon.config import load_config
-from spinphonon.dynamics import pair_sums_to_times
 from spinphonon.generators import build_generator
 from spinphonon.runner import PointEngine, run_sweep
 
@@ -36,48 +36,45 @@ DOMINANCE_TEMPS = (1.0, 1.41)
 
 
 def verify_against_oracle(cfg) -> None:
+    """Compare every generator element, coherences included, with the oracle.
+
+    t2_s in the golden CSV is read off a coherence element, so population
+    blocks alone would not cover it. Orders 2 and 4 are checked separately
+    (the CSV's order-4 rows are their sum).
+    """
     eng = PointEngine(cfg)
-    vmats = [c.matrix for c in eng.couplings]
     energies = eng.es.energies_cm1
+    tol = cfg.secular_tol_cm1
     for t in cfg.temperatures_k:
         bath = BathConfig(modes=cfg.modes, temperature_k=t, broadening=cfg.broadening)
+        vmats = oracles.coupling_matrices(eng.couplings, bath)
         kw = dict(
-            secular_tol_cm1=cfg.secular_tol_cm1,
+            secular_tol_cm1=tol,
             regularizer_cm1=cfg.regularizer_cm1,
-        )
-        res2 = build_generator(2, eng.couplings, bath, eng.es, **kw)
-        ref2 = oracles.rates_to_population_block(
-            oracles.population_rates_2(vmats, energies, bath)
-        )
-        res4 = build_generator(
-            4,
-            eng.couplings,
-            bath,
-            eng.es,
             channels=cfg.channels,
             allow_same_mode=cfg.allow_same_mode,
-            **kw,
         )
-        ref4 = oracles.rates_to_population_block(
-            oracles.population_rates_4(
+        jumps = {
+            2: oracles.jumps_2(vmats, energies, bath, tol),
+            4: oracles.jumps_4(
                 vmats,
                 energies,
                 bath,
+                tol,
                 channels=cfg.channels,
                 allow_same_mode=cfg.allow_same_mode,
                 eta_cm1=cfg.regularizer_cm1,
-            )
-        )
-        for label, got, ref in (
-            ("order 2", res2.superoperator.population_block(), ref2),
-            ("order 4", res4.superoperator.population_block(), ref4),
-        ):
+            ),
+        }
+        for order, order_jumps in jumps.items():
+            got = build_generator(order, eng.couplings, bath, eng.es, **kw).superoperator.matrix
+            ref = oracles.lindblad_from_jumps(order_jumps, eng.es.dim)
             err = np.abs(got - ref).max() / np.abs(ref).max()
             if err > ORACLE_TOL:
                 raise SystemExit(
-                    f"oracle mismatch at T={t} K ({label}): rel err {err:.3e}"
+                    f"oracle mismatch at T={t} K (order {order}): rel err {err:.3e}"
                 )
-            print(f"  T={t:>5} K {label}: oracle rel err {err:.3e}")
+            print(f"  T={t:>5} K order {order}: oracle rel err {err:.3e}")
 
 
 def dominance_factors(cfg) -> dict:

@@ -7,7 +7,7 @@ magnetization relaxation time tau and the pairwise T1 / T2* / T2 times.
 
 from ._version import __version__
 from .angular import AngularMomentum
-from .bath import BathConfig, BroadeningPolicy, PhononMode, delta, g2, g4, occupation
+from .bath import BathConfig, BroadeningPolicy, PhononMode, delta, g2, occupation
 from .config import DeckValidationError, RunConfig, load_config, validate_deck
 from .constants import CM1_TO_RAD_S, KB_CM1_PER_K, MU_B_CM1_PER_T
 from .coupling import CouplingOperator, from_raw_matrix, from_stevens_derivatives
@@ -19,23 +19,16 @@ from .dynamics import (
     TauResult,
     extract_tau,
     fit_regimes,
-    pair_t1,
     pair_t2,
-    pair_t2star,
     propagate,
 )
 from .generators import (
     GeneratorResult,
-    JumpOperator,
     SecularBlock,
     SingularityError,
     Superoperator,
-    assemble_generator,
     build_generator,
-    jump_operators_2,
-    jump_operators_4,
     secular_partition,
-    t_matrix,
 )
 from .runner import run_sweep
 from .spin_model import (
@@ -48,7 +41,6 @@ from .spin_model import (
     fundamental_pair,
     identify_kramers_pairs,
     rotate_model,
-    rotate_to_easy_axis,
 )
 from .stevens import build_stevens_operator
 
@@ -63,7 +55,6 @@ __all__ = [
     "Eigensystem",
     "FitResult",
     "GeneratorResult",
-    "JumpOperator",
     "KB_CM1_PER_K",
     "KramersPair",
     "MU_B_CM1_PER_T",
@@ -77,7 +68,6 @@ __all__ = [
     "StevensTerm",
     "Superoperator",
     "TauResult",
-    "assemble_generator",
     "build_generator",
     "build_stevens_operator",
     "delta",
@@ -89,20 +79,13 @@ __all__ = [
     "from_stevens_derivatives",
     "fundamental_pair",
     "g2",
-    "g4",
     "identify_kramers_pairs",
-    "jump_operators_2",
-    "jump_operators_4",
     "load_config",
     "occupation",
-    "pair_t1",
     "pair_t2",
-    "pair_t2star",
     "propagate",
     "rotate_model",
-    "rotate_to_easy_axis",
     "run_sweep",
     "secular_partition",
-    "t_matrix",
     "validate_deck",
 ]

@@ -1,4 +1,4 @@
-"""Phonon bath: modes, occupations, broadened deltas, G2 and G4 weights.
+"""Phonon bath: modes, occupations, broadened deltas and the two-phonon channels.
 
 The bath enters the rates only through Bose-Einstein occupations and
 energy-conserving delta functions. The two-phonon channels are one table
@@ -146,13 +146,17 @@ def delta(omega_cm1, center_cm1, policy: BroadeningPolicy):
     return out
 
 
-def g2(omega_cm1: float, mode: PhononMode, bath: BathConfig) -> float:
-    """One-phonon spectral weight: absorption at +w_a, emission at -w_a."""
-    n = occupation(mode.omega_cm1, bath.temperature_k)
+def g2(omega_cm1, bath: BathConfig) -> NDArray[np.float64]:
+    """One-phonon spectral weight of every mode: absorption at +w_a, emission at -w_a.
+
+    delta(w - w_a) n_a + delta(w + w_a) (n_a + 1), shaped
+    np.shape(omega_cm1) + (len(bath.modes),), modes in bath order.
+    """
+    w = np.asarray(omega_cm1, dtype=float)[..., None]
+    w_modes = bath.frequencies_cm1
+    n = bath.occupations()
     pol = bath.broadening
-    return delta(omega_cm1, mode.omega_cm1, pol) * n + delta(
-        omega_cm1, -mode.omega_cm1, pol
-    ) * (n + 1.0)
+    return delta(w, w_modes, pol) * n + delta(w, -w_modes, pol) * (n + 1.0)
 
 
 def channel_signs(channel: str) -> tuple[int, int]:
@@ -173,18 +177,3 @@ def channel_occupation(s_alpha, s_beta, n_alpha, n_beta):
     return np.where(np.asarray(s_alpha) > 0, n_alpha, n_alpha + 1.0) * np.where(
         np.asarray(s_beta) > 0, n_beta, n_beta + 1.0
     )
-
-
-def g4(
-    omega_cm1: float,
-    mode_alpha: PhononMode,
-    mode_beta: PhononMode,
-    bath: BathConfig,
-    channel: str,
-) -> float:
-    """Two-phonon spectral weight for one ordered mode pair and channel."""
-    s_a, s_b = channel_signs(channel)
-    na = occupation(mode_alpha.omega_cm1, bath.temperature_k)
-    nb = occupation(mode_beta.omega_cm1, bath.temperature_k)
-    target = channel_target(s_a, s_b, mode_alpha.omega_cm1, mode_beta.omega_cm1)
-    return delta(omega_cm1, target, bath.broadening) * float(channel_occupation(s_a, s_b, na, nb))

@@ -4,7 +4,8 @@ tau is read off the generator spectrum: the autocorrelation of the
 fundamental-doublet population difference decomposes over biorthogonal
 eigenmode amplitudes, and the dominant-amplitude eigenvalue gives
 tau = -1/Re(lambda). T1 and T2* come
-from jump-level element sums (Lindblad channel weights), T2 from the
+from the jump-level element sums that the generator build accumulates
+(PairRateSums), T2 from the
 coherence diagonal element of the assembled generator, which makes the
 decomposition 1/T2 = 1/(2 T1) + 1/T2* a nontrivial cross-check of the
 assembly rather than an identity of one code path.
@@ -12,7 +13,7 @@ assembly rather than an identity of one code path.
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -20,7 +21,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import eig, expm
 
 from .constants import KB_CM1_PER_K
-from .generators import JumpOperator, PairRateSums, Superoperator
+from .generators import PairRateSums, Superoperator
 from .spin_model import Eigensystem, KramersPair
 
 log = logging.getLogger(__name__)
@@ -157,25 +158,6 @@ def extract_tau(sup: Superoperator, es: Eigensystem, pair: KramersPair) -> TauRe
             f"best magnetization-mode amplitude {score:.3f} < {OVERLAP_THRESHOLD}", table
         )
     return TauResult(tau_s=tau, overlap_score=score, eigenvalue_per_s=lam)
-
-
-def pair_t1(jumps: Iterable[JumpOperator], a: int, b: int) -> float:
-    """T1 from jump-level sums: 1/(2T1) = sum_k gamma_k (out-rates)/2."""
-    acc = 0.0
-    for jump in jumps:
-        l_mat = jump.matrix
-        col_a = np.abs(l_mat[:, a]) ** 2
-        col_b = np.abs(l_mat[:, b]) ** 2
-        acc += jump.gamma * 0.5 * (col_a.sum() - col_a[a] + col_b.sum() - col_b[b])
-    return _safe_inv(2.0 * acc)
-
-
-def pair_t2star(jumps: Iterable[JumpOperator], a: int, b: int) -> float:
-    """Pure dephasing from diagonal elements: 1/T2* = sum gamma |L_aa - L_bb|^2 / 2."""
-    acc = 0.0
-    for jump in jumps:
-        acc += jump.gamma * 0.5 * abs(jump.matrix[a, a] - jump.matrix[b, b]) ** 2
-    return _safe_inv(acc)
 
 
 def pair_sums_to_times(sums: PairRateSums) -> tuple[float, float]:

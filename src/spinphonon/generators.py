@@ -33,19 +33,16 @@ fixed order and partial sums are merged in chunk order, which bounds
 memory and makes the result deterministic.
 """
 
-import logging
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .bath import BathConfig, channel_occupation, channel_signs, channel_target, delta
+from .bath import BathConfig, channel_occupation, channel_signs, channel_target, delta, g2
 from .constants import CM1_TO_RAD_S
 from .coupling import CouplingOperator
 from .spin_model import Eigensystem
-
-log = logging.getLogger(__name__)
 
 RATE_PREFACTOR = 2.0 * np.pi * CM1_TO_RAD_S
 
@@ -73,21 +70,6 @@ class SecularBlock:
 
     frequency_cm1: float
     pairs: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
-class JumpOperator:
-    """One Lindblad channel: weight gamma, block-supported matrix L."""
-
-    gamma: float
-    matrix: NDArray[np.complex128]
-    frequency_cm1: float
-    label: tuple
-    basis: str
-
-    def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError(f"negative weight {self.gamma} for {self.label}")
 
 
 @dataclass(frozen=True)
@@ -185,56 +167,6 @@ def _aligned_couplings(
     return stack, tags.pop()
 
 
-def _coupling_for_mode(couplings: Sequence[CouplingOperator], mode_index: int) -> CouplingOperator:
-    for c in couplings:
-        if c.mode_index == mode_index:
-            return c
-    raise KeyError(f"no coupling operator for mode {mode_index}")
-
-
-def jump_operators_2(
-    couplings: Sequence[CouplingOperator],
-    bath: BathConfig,
-    blocks: Sequence[SecularBlock],
-    *,
-    drop_threshold: float = 0.0,
-) -> Iterator[JumpOperator]:
-    """One-phonon jump operators, lazily, one per (mode, block).
-
-    Operators with zero kernel weight, or with total rate gamma ||L||_F^2
-    at or below drop_threshold when that is positive, are skipped; as in
-    build_generator, a zero threshold keeps every jump.
-    """
-    vstack, tag = _aligned_couplings(couplings, bath)
-    dim = vstack.shape[1]
-    n_bar = bath.occupations()
-    w_modes = bath.frequencies_cm1
-    pol = bath.broadening
-    for block in blocks:
-        w = block.frequency_cm1
-        gammas = RATE_PREFACTOR * (
-            delta(w, w_modes, pol) * n_bar + delta(w, -w_modes, pol) * (n_bar + 1.0)
-        )
-        rows = np.array([p for p, _ in block.pairs])
-        cols = np.array([q for _, q in block.pairs])
-        for i_mode, mode in enumerate(bath.modes):
-            g = float(gammas[i_mode])
-            if g <= 0.0:
-                continue
-            l_mat = np.zeros((dim, dim), dtype=complex)
-            l_mat[rows, cols] = vstack[i_mode][rows, cols]
-            weight = g * float(np.sum(np.abs(l_mat[rows, cols]) ** 2))
-            if drop_threshold > 0.0 and weight <= drop_threshold:
-                continue
-            yield JumpOperator(
-                gamma=g,
-                matrix=l_mat,
-                frequency_cm1=w,
-                label=("g2", mode.index, w),
-                basis=tag,
-            )
-
-
 def _denominators(energies: NDArray[np.float64], omega, sign, eta: float) -> NDArray[np.complex128]:
     # D_cb = E_c - E_b + sign*omega + i*eta (column b is the initial state);
     # array omega and sign give one matrix per entry
@@ -245,43 +177,6 @@ def _denominators(energies: NDArray[np.float64], omega, sign, eta: float) -> NDA
             "zero denominator in the virtual-state sum; set a nonzero regularizer"
         )
     return d_real + 1j * eta
-
-
-def t_matrix_full(
-    v_alpha: NDArray[np.complex128],
-    v_beta: NDArray[np.complex128],
-    omega_beta: float,
-    sign: int,
-    energies: NDArray[np.float64],
-    regularizer_cm1: float,
-) -> NDArray[np.complex128]:
-    """T^{alpha beta, ±} as a full matrix, T = V^alpha @ W^{beta,±}."""
-    w = v_beta / _denominators(energies, omega_beta, sign, regularizer_cm1)
-    return v_alpha @ w
-
-
-def t_matrix(
-    a: int,
-    b: int,
-    alpha,
-    beta,
-    sign: int,
-    couplings: Sequence[CouplingOperator],
-    es: Eigensystem,
-    regularizer_cm1: float = DEFAULT_REGULARIZER_CM1,
-) -> complex:
-    """Single virtual-transition amplitude T^{alpha beta, ±}_{ba}.
-
-    alpha and beta are PhononMode instances; beta acts first and its
-    frequency enters the denominators with the given sign (+1 or -1). The
-    intermediate sum runs over every state, a and b included.
-    """
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    v_a = _coupling_for_mode(couplings, alpha.index).matrix
-    v_b = _coupling_for_mode(couplings, beta.index).matrix
-    t = t_matrix_full(v_a, v_b, beta.omega_cm1, sign, es.energies_cm1, regularizer_cm1)
-    return complex(t[b, a])
 
 
 def _mode_pairs(
@@ -305,88 +200,6 @@ def _mode_pairs(
     return ia, ib
 
 
-def block_energies(blocks: Sequence[SecularBlock], dim: int) -> NDArray[np.float64]:
-    """Recover shifted eigenenergies from a partition via the (d, 0) pairs."""
-    e = np.full(dim, np.nan)
-    for block in blocks:
-        for d_idx, b_idx in block.pairs:
-            if b_idx == 0:
-                e[d_idx] = block.frequency_cm1
-    if np.any(np.isnan(e)):
-        raise ValueError("block partition does not cover all (d, 0) pairs")
-    return e
-
-
-def jump_operators_4(
-    couplings: Sequence[CouplingOperator],
-    bath: BathConfig,
-    blocks: Sequence[SecularBlock],
-    regularizer_cm1: float = DEFAULT_REGULARIZER_CM1,
-    pair_cutoff_sigmas: float | None = None,
-    *,
-    eigensystem: Eigensystem | None = None,
-    channels: tuple[str, ...] = ("absorption_emission",),
-    allow_same_mode: bool = False,
-    drop_threshold: float = 0.0,
-) -> Iterator[JumpOperator]:
-    """Two-phonon jump operators, lazily, one per (pair, channel, block).
-
-    Only mode pairs whose target frequency lands inside the kernel window
-    of some block are touched (pair prefilter). Energies are taken from
-    the eigensystem when given, else recovered from the block partition.
-    """
-    signs = [channel_signs(c) for c in channels]
-    vstack, tag = _aligned_couplings(couplings, bath)
-    dim = vstack.shape[1]
-    energies = (
-        eigensystem.energies_cm1 if eigensystem is not None else block_energies(blocks, dim)
-    )
-    w_modes = bath.frequencies_cm1
-    n_bar = bath.occupations()
-    window = (
-        pair_cutoff_sigmas if pair_cutoff_sigmas is not None else bath.broadening.cutoff_sigmas
-    ) * bath.broadening.width_cm1
-    pol = bath.broadening
-
-    for channel, (s_a, s_b) in zip(channels, signs):
-        for ia, ib in zip(*_mode_pairs((s_a, s_b), len(bath.modes), allow_same_mode)):
-            wa, wb = float(w_modes[ia]), float(w_modes[ib])
-            target = channel_target(s_a, s_b, wa, wb)
-            occ = float(channel_occupation(s_a, s_b, n_bar[ia], n_bar[ib]))
-            if occ == 0.0:
-                continue
-            hits = [b for b in blocks if abs(b.frequency_cm1 - target) <= window]
-            if not hits:
-                continue
-            amp = t_matrix_full(
-                vstack[ia], vstack[ib], wb, -s_b, energies, regularizer_cm1
-            ) + t_matrix_full(vstack[ib], vstack[ia], wa, -s_a, energies, regularizer_cm1)
-            for block in hits:
-                g = RATE_PREFACTOR * float(delta(block.frequency_cm1, target, pol)) * occ
-                if g <= 0.0:
-                    continue
-                rows = np.array([p for p, _ in block.pairs])
-                cols = np.array([q for _, q in block.pairs])
-                l_mat = np.zeros((dim, dim), dtype=complex)
-                l_mat[rows, cols] = amp[rows, cols]
-                weight = g * float(np.sum(np.abs(l_mat[rows, cols]) ** 2))
-                if drop_threshold > 0.0 and weight <= drop_threshold:
-                    continue
-                yield JumpOperator(
-                    gamma=g,
-                    matrix=l_mat,
-                    frequency_cm1=block.frequency_cm1,
-                    label=(
-                        "g4",
-                        channel,
-                        bath.modes[ia].index,
-                        bath.modes[ib].index,
-                        block.frequency_cm1,
-                    ),
-                    basis=tag,
-                )
-
-
 def _finalize(m1: NDArray[np.complex128], k: NDArray[np.complex128], dim: int) -> NDArray[np.complex128]:
     # R[a,b,c,d] = M1[(a,c),(b,d)] - 1/2 d_bd K[a,c] - 1/2 d_ac K[d,b]
     r4 = m1.reshape(dim, dim, dim, dim).transpose(0, 2, 1, 3).copy()
@@ -395,71 +208,6 @@ def _finalize(m1: NDArray[np.complex128], k: NDArray[np.complex128], dim: int) -
     for a in range(dim):
         r4[a, :, a, :] -= 0.5 * k.T
     return r4.reshape(dim * dim, dim * dim)
-
-
-def assemble_generator(
-    jumps: Iterable[JumpOperator],
-    *,
-    order: int = 2,
-    dim: int | None = None,
-    basis: str | None = None,
-    buffer_size: int = 256,
-) -> Superoperator:
-    """Fold jump operators into the vectorized generator.
-
-    Accepts any iterable (the lazy producers included) and accumulates in
-    arrival order through a fixed-size buffer, so the result is
-    deterministic for a deterministic input order. Mixing eigenbases is a
-    hard error. For an empty jump list pass dim to size the zero
-    generator.
-    """
-    m1 = None
-    k = None
-    tag = basis
-    buf_vecs: list[NDArray[np.complex128]] = []
-    buf_gammas: list[float] = []
-
-    def flush():
-        nonlocal m1
-        if not buf_vecs:
-            return
-        x = np.stack(buf_vecs)
-        g = np.asarray(buf_gammas)
-        m1 += (g[:, None] * x).T @ x.conj()
-        buf_vecs.clear()
-        buf_gammas.clear()
-
-    n_jumps = 0
-    for jump in jumps:
-        if tag is None:
-            tag = jump.basis
-        elif jump.basis != tag:
-            raise BasisMismatchError(
-                f"jump {jump.label} built in basis {jump.basis}, expected {tag}"
-            )
-        if m1 is None:
-            d = jump.matrix.shape[0]
-            m1 = np.zeros((d * d, d * d), dtype=complex)
-            k = np.zeros((d, d), dtype=complex)
-        buf_vecs.append(jump.matrix.ravel())
-        buf_gammas.append(jump.gamma)
-        k += jump.gamma * (jump.matrix.conj().T @ jump.matrix)
-        n_jumps += 1
-        if len(buf_vecs) >= buffer_size:
-            flush()
-    if m1 is None:
-        if dim is None:
-            raise ValueError("no jumps and no dim given; cannot size the generator")
-        m1 = np.zeros((dim * dim, dim * dim), dtype=complex)
-        k = np.zeros((dim, dim), dtype=complex)
-    flush()
-    d = int(round(np.sqrt(m1.shape[0])))
-    sup = Superoperator(order=order, matrix=_finalize(m1, k, d), basis=tag or "", dim=d)
-    defect = sup.trace_defect()
-    if defect > 1e-10:
-        raise RuntimeError(f"assembled generator violates trace preservation: {defect:.3e}")
-    log.debug("assembled order-%d generator from %d jumps, defect %.2e", order, n_jumps, defect)
-    return sup
 
 
 class _BlockMeta:
@@ -510,16 +258,13 @@ class _Accumulator:
     ):
         """Accumulate the jumps gamma_p, mats_p (restricted to the block).
 
-        Jumps with zero weight, or with total rate at or below
-        drop_threshold when that is positive, are skipped.
+        A jump is kept only when its total rate gamma_p ||L_p||_F^2 on the
+        block exceeds drop_threshold (>= 0), so every counted jump carries
+        rate.
         """
-        live = np.flatnonzero(gammas > 0.0)
-        if live.size == 0:
-            return
-        y = mats[live[:, None], meta.rows, meta.cols]
-        gammas = gammas[live]
-        if drop_threshold > 0.0:
-            keep = gammas * (np.abs(y) ** 2).sum(axis=1) > drop_threshold
+        y = mats[:, meta.rows, meta.cols]
+        keep = gammas * (y.real**2 + y.imag**2).sum(axis=1) > drop_threshold
+        if not keep.all():
             y, gammas = y[keep], gammas[keep]
             if gammas.size == 0:
                 return
@@ -556,19 +301,19 @@ def build_generator(
     regularizer_cm1: float = DEFAULT_REGULARIZER_CM1,
     channels: tuple[str, ...] = ("absorption_emission",),
     allow_same_mode: bool = False,
-    pair_cutoff_sigmas: float | None = None,
     workers: int = 1,
     rate_pairs: Sequence[tuple[int, int]] = (),
     drop_threshold: float = 0.0,
 ) -> GeneratorResult:
     """Assemble R^(order) without materializing jump operators.
 
-    Equivalent to assemble_generator over the lazy producers but organized
-    for throughput: the virtual-state factors W are built once per mode
-    and sign, amplitudes by batched matrix products per chunk of mode
-    pairs, kernel weights by one array delta call per (chunk, block), and
-    each secular block is accumulated with one small Gram product per
+    Organized for throughput: the virtual-state factors W are built once
+    per mode and sign, amplitudes by batched matrix products per chunk of
+    mode pairs, kernel weights by one array delta call per (chunk, block),
+    and each secular block is accumulated with one small Gram product per
     chunk; per-pair T1/T2* jump sums are read off the same Grams.
+    jump_count counts the jumps whose rate gamma ||L||^2 exceeds
+    drop_threshold.
 
     workers is accepted for compatibility and ignored: the array build on
     one thread is faster than any thread pool over it.
@@ -591,17 +336,14 @@ def build_generator(
 
     if order == 2:
         acc = _Accumulator(dim, rate_pairs)
-        for meta in metas:
-            w = meta.frequency
-            gam = RATE_PREFACTOR * (
-                delta(w, w_modes, pol) * n_bar + delta(w, -w_modes, pol) * (n_bar + 1.0)
-            )
-            acc.add(meta, gam, vstack, drop_threshold)
+        gam = RATE_PREFACTOR * g2(block_freqs, bath)
+        for meta, gam_block in zip(metas, gam):
+            acc.add(meta, gam_block, vstack, drop_threshold)
         return _result_from(acc, order, tag, dim, rate_pairs)
 
-    window = (
-        pair_cutoff_sigmas if pair_cutoff_sigmas is not None else pol.cutoff_sigmas
-    ) * pol.width_cm1
+    # the kernel is exactly zero outside this window, so the prefilter
+    # drops only tasks that carry no weight
+    window = pol.window_cm1
     # every (channel, alpha, beta) task in a fixed order, which defines the
     # reduction order; keep those whose target hits some block window
     tasks = [np.zeros((4, 0), dtype=int)]

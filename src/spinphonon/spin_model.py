@@ -10,7 +10,6 @@ sub-diagonalizing Jz inside degenerate clusters; Kramers doublets are
 paired up by energy adjacency and labeled by their Jz moments.
 """
 
-import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,8 +19,6 @@ from scipy.linalg import eigh, expm, lstsq
 from .angular import AngularMomentum
 from .constants import MU_B_CM1_PER_T
 from .stevens import SUPPORTED_RANKS, InvalidTermError, build_stevens_operator
-
-log = logging.getLogger(__name__)
 
 HERMITICITY_TOL = 1e-10
 # Eigenvalue clustering window for gauge fixing; well below any physical
@@ -389,20 +386,3 @@ def rotate_model(model: SpinModel, r: NDArray[np.float64]) -> SpinModel:
     new_terms = rotate_stevens_terms(model.stevens_terms, r, model.angular_momentum)
     new_field = tuple(float(x) for x in (np.asarray(r, dtype=float) @ np.asarray(model.field_t)))
     return replace(model, stevens_terms=new_terms, field_t=new_field)
-
-
-def rotate_to_easy_axis(model: SpinModel) -> SpinModel:
-    """Equivalent model re-expressed with the fundamental doublet axis on z.
-
-    Spectrum is invariant by construction (unitary conjugation). Models
-    with no preferred direction at all come back untouched with a notice.
-    """
-    es = eigensystem_for(model)
-    axis, quality = easy_axis_of(es, model)
-    if quality == "none":
-        log.info("no unique magnetic axis; returning model unrotated")
-        return model
-    r = rotation_taking_to_z(axis)
-    if np.allclose(r, np.eye(3), atol=1e-12):
-        return model
-    return rotate_model(model, r)

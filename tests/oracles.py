@@ -9,12 +9,21 @@ the energies and the physical constants.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 import numpy as np
 from scipy.special import erf
 
 from spinphonon.constants import CM1_TO_RAD_S, KB_CM1_PER_K
 
 PREFACTOR = 2.0 * np.pi * CM1_TO_RAD_S
+
+
+def coupling_matrices(couplings, bath):
+    """Coupling matrices in bath.modes order (frequency-sorted), the order
+    in which every function here pairs matrices with modes."""
+    by_index = {c.mode_index: c.matrix for c in couplings}
+    return [by_index[m.index] for m in bath.modes]
 
 
 def occupation(omega_cm1, temperature_k):
@@ -91,6 +100,56 @@ def _second_order_amplitude(p, q, va, vb, omega_first, sign_first, energies_cm1,
     return amp
 
 
+def _two_phonon_processes(ia, ib, bath, channels, allow_same_mode):
+    """Two-phonon processes open to the ordered mode pair (ia, ib).
+
+    Each is (orderings, target, thermal weight). An ordering
+    (second, first, sign_first) is one time order of the amplitude, with
+    mode indices and sign_first as in _second_order_amplitude:
+
+    absorption_emission: ordered pairs (a, b), a absorbed / b emitted,
+        target w_a - w_b, thermal weight nbar_a (nbar_b + 1);
+    double_absorption: unordered pairs, target w_a + w_b, nbar_a nbar_b;
+    double_emission: unordered pairs, target -(w_a + w_b),
+        (nbar_a + 1)(nbar_b + 1).
+    Both time orderings enter each amplitude.
+    """
+    ma, mb = bath.modes[ia], bath.modes[ib]
+    na = occupation(ma.omega_cm1, bath.temperature_k)
+    nb = occupation(mb.omega_cm1, bath.temperature_k)
+    same = ia == ib
+    out = []
+    if "absorption_emission" in channels and (not same or allow_same_mode):
+        # emit b first, then absorb a; plus absorb a first
+        out.append(
+            (((ia, ib, +1), (ib, ia, -1)), ma.omega_cm1 - mb.omega_cm1, na * (nb + 1.0))
+        )
+    if ib < ia or (same and allow_same_mode):
+        if "double_absorption" in channels:
+            out.append(
+                (((ia, ib, -1), (ib, ia, -1)), ma.omega_cm1 + mb.omega_cm1, na * nb)
+            )
+        if "double_emission" in channels:
+            out.append(
+                (
+                    ((ia, ib, +1), (ib, ia, +1)),
+                    -(ma.omega_cm1 + mb.omega_cm1),
+                    (na + 1.0) * (nb + 1.0),
+                )
+            )
+    return out
+
+
+def _two_phonon_amplitude(p, q, orderings, vmats, energies_cm1, bath, eta_cm1):
+    amp = 0.0 + 0.0j
+    for second, first, sign_first in orderings:
+        amp += _second_order_amplitude(
+            p, q, vmats[second], vmats[first],
+            bath.modes[first].omega_cm1, sign_first, energies_cm1, eta_cm1,
+        )
+    return amp
+
+
 def population_rates_4(
     vmats,
     energies_cm1,
@@ -100,64 +159,26 @@ def population_rates_4(
     allow_same_mode=False,
     eta_cm1=1.0,
 ):
-    """Two-phonon rate matrix from channel-resolved T-matrix amplitudes.
-
-    absorption_emission: ordered pairs (a, b), a absorbed / b emitted,
-        target w_a - w_b, thermal weight nbar_a (nbar_b + 1);
-    double_absorption: unordered pairs, target w_a + w_b, nbar_a nbar_b;
-    double_emission: unordered pairs, target -(w_a + w_b),
-        (nbar_a + 1)(nbar_b + 1).
-    Both time orderings enter each amplitude.
-    """
+    """Two-phonon rate matrix from channel-resolved T-matrix amplitudes
+    (channels as in _two_phonon_processes)."""
     dlt = _kernel_of(bath)
     d = len(energies_cm1)
     n = len(bath.modes)
     w = np.zeros((d, d))
-    temps = bath.temperature_k
-
-    def add(p, q, amp, target, occ):
-        w_pq = energies_cm1[p] - energies_cm1[q]
-        w[p, q] += PREFACTOR * occ * dlt(w_pq - target) * abs(amp) ** 2
-
     for p in range(d):
         for q in range(d):
             if p == q:
                 continue
+            w_pq = energies_cm1[p] - energies_cm1[q]
             for ia in range(n):
-                ma = bath.modes[ia]
-                va = vmats[ia]
-                na = occupation(ma.omega_cm1, temps)
                 for ib in range(n):
-                    mb = bath.modes[ib]
-                    vb = vmats[ib]
-                    nb = occupation(mb.omega_cm1, temps)
-                    same = ia == ib
-                    if "absorption_emission" in channels and (not same or allow_same_mode):
-                        # emit b first, then absorb a; plus absorb a first
-                        amp = _second_order_amplitude(
-                            p, q, va, vb, mb.omega_cm1, +1, energies_cm1, eta_cm1
+                    for orderings, target, occ in _two_phonon_processes(
+                        ia, ib, bath, channels, allow_same_mode
+                    ):
+                        amp = _two_phonon_amplitude(
+                            p, q, orderings, vmats, energies_cm1, bath, eta_cm1
                         )
-                        amp += _second_order_amplitude(
-                            p, q, vb, va, ma.omega_cm1, -1, energies_cm1, eta_cm1
-                        )
-                        add(p, q, amp, ma.omega_cm1 - mb.omega_cm1, na * (nb + 1.0))
-                    if ib < ia or (same and allow_same_mode):
-                        if "double_absorption" in channels:
-                            amp = _second_order_amplitude(
-                                p, q, va, vb, mb.omega_cm1, -1, energies_cm1, eta_cm1
-                            )
-                            amp += _second_order_amplitude(
-                                p, q, vb, va, ma.omega_cm1, -1, energies_cm1, eta_cm1
-                            )
-                            add(p, q, amp, ma.omega_cm1 + mb.omega_cm1, na * nb)
-                        if "double_emission" in channels:
-                            amp = _second_order_amplitude(
-                                p, q, va, vb, mb.omega_cm1, +1, energies_cm1, eta_cm1
-                            )
-                            amp += _second_order_amplitude(
-                                p, q, vb, va, ma.omega_cm1, +1, energies_cm1, eta_cm1
-                            )
-                            add(p, q, amp, -(ma.omega_cm1 + mb.omega_cm1), (na + 1.0) * (nb + 1.0))
+                        w[p, q] += PREFACTOR * occ * dlt(w_pq - target) * abs(amp) ** 2
     return w
 
 
@@ -194,6 +215,114 @@ def lindblad_from_jumps(jumps, dim):
                             val -= 0.5 * g * np.conj(k[j, b])
                         r[i, j, a, b] += val
     return r.reshape(dim * dim, dim * dim)
+
+
+Jump = namedtuple("Jump", "gamma matrix")
+
+
+def secular_groups(energies_cm1, tol_cm1):
+    """Ordered pairs (p, q) grouped by Bohr frequency E_p - E_q.
+
+    The pairs are walked in order of frequency and a new group starts
+    wherever the step from the previous pair exceeds tol_cm1. Returns
+    (mean frequency, [(p, q), ...]) per group.
+    """
+    d = len(energies_cm1)
+    walk = sorted(
+        (energies_cm1[p] - energies_cm1[q], p, q) for p in range(d) for q in range(d)
+    )
+    groups = []
+    for w, p, q in walk:
+        if groups and w - groups[-1][-1][0] <= tol_cm1:
+            groups[-1].append((w, p, q))
+        else:
+            groups.append([(w, p, q)])
+    return [(float(np.mean([w for w, _, _ in g])), [(p, q) for _, p, q in g]) for g in groups]
+
+
+def _keep_if_rated(jumps, gamma, mat):
+    if gamma * np.sum(np.abs(mat) ** 2) > 0.0:
+        jumps.append(Jump(gamma=gamma, matrix=mat))
+
+
+def jumps_2(vmats, energies_cm1, bath, tol_cm1):
+    """One-phonon jumps carrying rate: one per (secular group, mode).
+
+    L is V^alpha restricted to the group's elements and
+    gamma = pref * [ delta(w - w_a) nbar_a + delta(w + w_a) (nbar_a + 1) ]
+    at the group frequency w.
+    """
+    dlt = _kernel_of(bath)
+    d = len(energies_cm1)
+    jumps = []
+    for w, pairs in secular_groups(energies_cm1, tol_cm1):
+        for mode, v in zip(bath.modes, vmats):
+            nbar = occupation(mode.omega_cm1, bath.temperature_k)
+            gamma = PREFACTOR * (
+                dlt(w - mode.omega_cm1) * nbar + dlt(w + mode.omega_cm1) * (nbar + 1.0)
+            )
+            mat = np.zeros((d, d), dtype=np.complex128)
+            for p, q in pairs:
+                mat[p, q] = v[p, q]
+            _keep_if_rated(jumps, gamma, mat)
+    return jumps
+
+
+def jumps_4(
+    vmats,
+    energies_cm1,
+    bath,
+    tol_cm1,
+    *,
+    channels=("absorption_emission",),
+    allow_same_mode=False,
+    eta_cm1=1.0,
+):
+    """Two-phonon jumps carrying rate: one per (secular group, process).
+
+    The processes of each mode pair are those of _two_phonon_processes;
+    L holds their T-matrix amplitudes on the group's elements and
+    gamma = pref * nbar factor * delta(w - target).
+    """
+    dlt = _kernel_of(bath)
+    d = len(energies_cm1)
+    n = len(bath.modes)
+    jumps = []
+    for w, pairs in secular_groups(energies_cm1, tol_cm1):
+        for ia in range(n):
+            for ib in range(n):
+                for orderings, target, occ in _two_phonon_processes(
+                    ia, ib, bath, channels, allow_same_mode
+                ):
+                    gamma = PREFACTOR * occ * dlt(w - target)
+                    if gamma == 0.0:
+                        continue
+                    mat = np.zeros((d, d), dtype=np.complex128)
+                    for p, q in pairs:
+                        mat[p, q] = _two_phonon_amplitude(
+                            p, q, orderings, vmats, energies_cm1, bath, eta_cm1
+                        )
+                    _keep_if_rated(jumps, gamma, mat)
+    return jumps
+
+
+def pair_rate_sums(jumps, a, b):
+    """(1/(2 T1), 1/T2*) of the state pair (a, b) from jump elements, in 1/s.
+
+    1/(2 T1) = sum gamma (sum_{p != a} |L_pa|^2 + sum_{p != b} |L_pb|^2) / 2
+    1/T2*    = sum gamma |L_aa - L_bb|^2 / 2
+    """
+    half_t1 = 0.0
+    dephasing = 0.0
+    for jump in jumps:
+        mat = jump.matrix
+        for p in range(mat.shape[0]):
+            if p != a:
+                half_t1 += 0.5 * jump.gamma * abs(mat[p, a]) ** 2
+            if p != b:
+                half_t1 += 0.5 * jump.gamma * abs(mat[p, b]) ** 2
+        dephasing += 0.5 * jump.gamma * abs(mat[a, a] - mat[b, b]) ** 2
+    return half_t1, dephasing
 
 
 def gibbs_populations(energies_cm1, temperature_k):

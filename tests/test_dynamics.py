@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import oracles
+
 from spinphonon.angular import AngularMomentum
 from spinphonon.dynamics import (
     AmbiguousEigenvectorError,
@@ -9,13 +11,11 @@ from spinphonon.dynamics import (
     extract_tau,
     fit_regimes,
     pair_sums_to_times,
-    pair_t1,
     pair_t2,
-    pair_t2star,
     propagate,
 )
 from spinphonon.constants import KB_CM1_PER_K
-from spinphonon.generators import JumpOperator, PairRateSums, Superoperator, assemble_generator
+from spinphonon.generators import PairRateSums, Superoperator
 from spinphonon.spin_model import KramersPair, SpinModel, eigensystem_for
 
 PAIR01 = KramersPair(a=0, b=1, jz_a=0.5, jz_b=-0.5)
@@ -26,13 +26,19 @@ ES4 = eigensystem_for(SpinModel(angular_momentum=AngularMomentum(3)))
 def hop(p, q, rate, dim):
     m = np.zeros((dim, dim), dtype=complex)
     m[p, q] = 1.0
-    return JumpOperator(gamma=rate, matrix=m, frequency_cm1=0.0, label=("hop", p, q), basis="x")
+    return oracles.Jump(gamma=rate, matrix=m)
+
+
+def superoperator(jumps, dim):
+    return Superoperator(
+        order=2, matrix=oracles.lindblad_from_jumps(jumps, dim), basis="x", dim=dim
+    )
 
 
 def two_state_superoperator(up, down):
     """Classical 0 <-> 1 exchange embedded as a Lindblad generator."""
     jumps = [hop(1, 0, up, 2), hop(0, 1, down, 2)]
-    return assemble_generator(jumps, order=2, dim=2, basis="x"), jumps
+    return superoperator(jumps, 2), jumps
 
 
 def test_extract_tau_two_state_exchange():
@@ -54,8 +60,7 @@ def test_extract_tau_zero_generator_is_blocked():
 def test_extract_tau_untouched_pair_is_blocked():
     # dynamics lives entirely on 2 <-> 3; the probe difference on (0,1)
     # never decays and must be reported as blocked, not picked from noise
-    jumps = [hop(3, 2, 1.0, 4), hop(2, 3, 2.0, 4)]
-    sup = assemble_generator(jumps, order=2, dim=4, basis="x")
+    sup = superoperator([hop(3, 2, 1.0, 4), hop(2, 3, 2.0, 4)], 4)
     res = extract_tau(sup, ES4, PAIR01)
     assert res.tau_s == np.inf
     assert res.overlap_score == pytest.approx(1.0, abs=1e-9)
@@ -66,8 +71,7 @@ def test_extract_tau_ambiguous_raises_with_table():
     a, b, c, d = 4.0, 1.0, 1.0, 0.6
     rates = [(2, 0, a), (0, 2, a), (3, 1, b), (1, 3, b),
              (1, 0, c), (0, 1, c), (3, 2, d), (2, 3, d)]
-    jumps = [hop(p, q, r, 4) for p, q, r in rates]
-    sup = assemble_generator(jumps, order=2, dim=4, basis="x")
+    sup = superoperator([hop(p, q, r, 4) for p, q, r in rates], 4)
     with pytest.raises(AmbiguousEigenvectorError) as err:
         extract_tau(sup, ES4, PAIR01)
     table = err.value.table
@@ -77,21 +81,23 @@ def test_extract_tau_ambiguous_raises_with_table():
     assert amps == sorted(amps, reverse=True)
 
 
+# the oracle's jump-level pair sums are the reference for the generator
+# build's PairRateSums, so they are pinned in closed form here
+
+
 def test_pair_t1_closed_form():
     l_mat = np.zeros((3, 3), dtype=complex)
     l_mat[2, 0] = 0.6  # leak out of a
     l_mat[2, 1] = 0.8  # leak out of b
     l_mat[0, 0] = 9.9  # diagonal does not count as loss
-    jump = JumpOperator(gamma=2.0, matrix=l_mat, frequency_cm1=0.0, label=("x",), basis="x")
-    expected_half = 2.0 * 0.5 * (0.6**2 + 0.8**2)
-    assert pair_t1([jump], 0, 1) == pytest.approx(1.0 / (2.0 * expected_half), rel=1e-12)
+    half_t1, _ = oracles.pair_rate_sums([oracles.Jump(gamma=2.0, matrix=l_mat)], 0, 1)
+    assert half_t1 == pytest.approx(2.0 * 0.5 * (0.6**2 + 0.8**2), rel=1e-12)
 
 
 def test_pair_t2star_closed_form():
     l_mat = np.diag([0.3, -0.1, 0.0]).astype(complex)
-    jump = JumpOperator(gamma=4.0, matrix=l_mat, frequency_cm1=0.0, label=("x",), basis="x")
-    rate = 4.0 * 0.5 * abs(0.3 - (-0.1)) ** 2
-    assert pair_t2star([jump], 0, 1) == pytest.approx(1.0 / rate, rel=1e-12)
+    _, dephasing = oracles.pair_rate_sums([oracles.Jump(gamma=4.0, matrix=l_mat)], 0, 1)
+    assert dephasing == pytest.approx(4.0 * 0.5 * abs(0.3 - (-0.1)) ** 2, rel=1e-12)
 
 
 def test_pair_sums_to_times_inverts_and_handles_zero():

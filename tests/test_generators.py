@@ -1,5 +1,7 @@
 """Generator assembly against brute-force references and structural checks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,29 +12,22 @@ from spinphonon.bath import BathConfig, BroadeningPolicy, PhononMode
 from spinphonon.coupling import from_raw_matrix
 from spinphonon.generators import (
     BasisMismatchError,
-    JumpOperator,
     SingularityError,
-    assemble_generator,
-    block_energies,
     build_generator,
-    jump_operators_2,
-    jump_operators_4,
     secular_partition,
-    t_matrix_full,
 )
 from spinphonon.angular import AngularMomentum
 from spinphonon.spin_model import SpinModel, StevensTerm, eigensystem_for
 
-RNG = np.random.default_rng(73)
+ALL_CHANNELS = ("absorption_emission", "double_absorption", "double_emission")
 
 
 def random_jumps(dim, count, seed=0):
     rng = np.random.default_rng(seed)
     jumps = []
-    for k in range(count):
+    for _ in range(count):
         mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        jumps.append(JumpOperator(gamma=float(rng.uniform(0.1, 2.0)), matrix=mat,
-                                  frequency_cm1=float(k), label=("test", k), basis="x"))
+        jumps.append(oracles.Jump(gamma=float(rng.uniform(0.1, 2.0)), matrix=mat))
     return jumps
 
 
@@ -64,47 +59,30 @@ def test_secular_partition_groups_kramers_degenerate_frequencies():
     assert {(0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (1, 0), (2, 3), (3, 2)} <= pairs
 
 
-def test_block_energies_roundtrip(four_level_engine):
-    es = four_level_engine.es
-    blocks = secular_partition(es, tol_cm1=1e-6)
-    assert np.allclose(block_energies(blocks, es.dim), es.energies_cm1, atol=1e-9)
-
-
-def test_jump_gamma_must_be_nonnegative():
-    with pytest.raises(ValueError):
-        JumpOperator(gamma=-1.0, matrix=np.eye(2, dtype=complex),
-                     frequency_cm1=0.0, label=("bad",), basis="x")
-
-
-def test_assemble_matches_explicit_lindblad_loops():
-    dim = 3
-    jumps = random_jumps(dim, 4, seed=11)
-    sup = assemble_generator(jumps, order=2, dim=dim, basis="x")
-    ref = oracles.lindblad_from_jumps(jumps, dim)
-    assert np.abs(sup.matrix - ref).max() <= 1e-12 * np.abs(ref).max()
-    assert sup.trace_defect() <= 1e-10
-
-
 def test_lindblad_spectrum_in_left_half_plane():
     dim = 4
     jumps = random_jumps(dim, 6, seed=5)
-    sup = assemble_generator(jumps, order=2, dim=dim, basis="x")
-    lam = np.linalg.eigvals(sup.matrix)
+    lam = np.linalg.eigvals(oracles.lindblad_from_jumps(jumps, dim))
     assert lam.real.max() <= 1e-10 * np.abs(lam).max()
 
 
-def test_order2_brute_force_population_block(spin_half_engine, spin_half_config):
-    bath = bath_for(spin_half_config, 3.0)
-    res = build_generator(2, spin_half_engine.couplings, bath, spin_half_engine.es)
-    ref = oracles.rates_to_population_block(
-        oracles.population_rates_2(
-            [c.matrix for c in spin_half_engine.couplings],
-            spin_half_engine.es.energies_cm1,
-            bath,
+def test_order2_brute_force_population_block(
+    spin_half_engine, spin_half_config, j15_2_engine, j15_2_config
+):
+    # j15_2 lists its modes out of frequency order in the deck
+    for eng, cfg, t_k in (
+        (spin_half_engine, spin_half_config, 3.0),
+        (j15_2_engine, j15_2_config, 20.0),
+    ):
+        bath = bath_for(cfg, t_k)
+        res = build_generator(2, eng.couplings, bath, eng.es)
+        ref = oracles.rates_to_population_block(
+            oracles.population_rates_2(
+                oracles.coupling_matrices(eng.couplings, bath), eng.es.energies_cm1, bath
+            )
         )
-    )
-    got = res.superoperator.population_block()
-    assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+        got = res.superoperator.population_block()
+        assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 def test_order4_brute_force_population_block(four_level_engine, four_level_config):
@@ -117,7 +95,7 @@ def test_order4_brute_force_population_block(four_level_engine, four_level_confi
     )
     ref = oracles.rates_to_population_block(
         oracles.population_rates_4(
-            [c.matrix for c in four_level_engine.couplings],
+            oracles.coupling_matrices(four_level_engine.couplings, bath),
             four_level_engine.es.energies_cm1, bath,
             channels=cfg.channels, allow_same_mode=cfg.allow_same_mode,
             eta_cm1=cfg.regularizer_cm1,
@@ -128,83 +106,71 @@ def test_order4_brute_force_population_block(four_level_engine, four_level_confi
 
 
 def test_all_two_phonon_channels_against_oracle(four_level_engine, four_level_config):
-    channels = ("absorption_emission", "double_absorption", "double_emission")
     cfg = four_level_config
     bath = bath_for(cfg, 6.0)
     res = build_generator(
         4, four_level_engine.couplings, bath, four_level_engine.es,
-        regularizer_cm1=cfg.regularizer_cm1, channels=channels, allow_same_mode=True,
+        regularizer_cm1=cfg.regularizer_cm1, channels=ALL_CHANNELS, allow_same_mode=True,
     )
     ref = oracles.rates_to_population_block(
         oracles.population_rates_4(
-            [c.matrix for c in four_level_engine.couplings],
+            oracles.coupling_matrices(four_level_engine.couplings, bath),
             four_level_engine.es.energies_cm1, bath,
-            channels=channels, allow_same_mode=True, eta_cm1=cfg.regularizer_cm1,
+            channels=ALL_CHANNELS, allow_same_mode=True, eta_cm1=cfg.regularizer_cm1,
         )
     )
     got = res.superoperator.population_block()
     assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize(
-    "channels, allow_same_mode",
-    [
-        (("absorption_emission",), False),
-        (("absorption_emission", "double_absorption", "double_emission"), True),
-    ],
-    ids=["absorption_emission", "all_channels_same_mode"],
-)
-def test_lazy_jumps_equal_fused_build(
-    four_level_engine, four_level_config, channels, allow_same_mode
-):
-    from spinphonon.dynamics import pair_t1, pair_t2star
-
-    cfg = four_level_config
-    es = four_level_engine.es
-    pair = four_level_engine.pair
-    bath = bath_for(cfg, 4.0)
-    blocks = secular_partition(es, tol_cm1=cfg.secular_tol_cm1)
-    jumps = list(jump_operators_4(
-        four_level_engine.couplings, bath, blocks, eigensystem=es,
-        regularizer_cm1=cfg.regularizer_cm1,
-        channels=channels, allow_same_mode=allow_same_mode,
-    ))
-    by_jumps = assemble_generator(jumps, order=4, dim=es.dim, basis=jumps[0].basis)
-    fused = build_generator(
-        4, four_level_engine.couplings, bath, es,
-        secular_tol_cm1=cfg.secular_tol_cm1, regularizer_cm1=cfg.regularizer_cm1,
-        channels=channels, allow_same_mode=allow_same_mode,
-        rate_pairs=(pair.indices,),
+def _oracle_jumps(order, eng, bath, channels=("absorption_emission",), allow_same_mode=False):
+    cfg = eng.config
+    vmats = oracles.coupling_matrices(eng.couplings, bath)
+    energies = eng.es.energies_cm1
+    if order == 2:
+        return oracles.jumps_2(vmats, energies, bath, cfg.secular_tol_cm1)
+    return oracles.jumps_4(
+        vmats, energies, bath, cfg.secular_tol_cm1,
+        channels=channels, allow_same_mode=allow_same_mode, eta_cm1=cfg.regularizer_cm1,
     )
-    scale = np.abs(fused.superoperator.matrix).max()
-    assert np.abs(by_jumps.matrix - fused.superoperator.matrix).max() <= 1e-12 * scale
-    assert fused.jump_count == len(jumps)
-    a, b = pair.indices
-    sums = fused.pair_sums[pair.indices]
-    assert sums.half_t1_rate == pytest.approx(0.5 / pair_t1(jumps, a, b), rel=1e-12)
-    t2star = pair_t2star(jumps, a, b)
-    if np.isinf(t2star):
-        assert sums.dephasing_rate == 0.0
-    else:
-        assert sums.dephasing_rate == pytest.approx(1.0 / t2star, rel=1e-12)
 
 
-def test_t_matrix_full_matches_loop():
-    rng = np.random.default_rng(2)
-    d = 5
-    energies = np.sort(rng.uniform(0.0, 30.0, size=d))
-    va = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    vb = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    va = (va + va.conj().T) / 2
-    vb = (vb + vb.conj().T) / 2
-    omega, eta = 7.3, 0.8
-    got = t_matrix_full(va, vb, omega, +1, energies, eta)
-    ref = np.zeros((d, d), dtype=complex)
-    for p in range(d):
-        for q in range(d):
-            for c in range(d):
-                ref[p, q] += va[p, c] * vb[c, q] / (energies[c] - energies[q] + omega + 1j * eta)
-    assert np.allclose(got, ref, atol=1e-12)
+def _assert_pair_sums_match(res, jumps, pair):
+    half_t1, dephasing = oracles.pair_rate_sums(jumps, *pair)
+    sums = res.pair_sums[pair]
+    tol = 1e-12 * (half_t1 + dephasing)
+    assert sums.half_t1_rate == pytest.approx(half_t1, rel=1e-12, abs=tol)
+    assert sums.dephasing_rate == pytest.approx(dephasing, rel=1e-12, abs=tol)
+
+
+@pytest.mark.parametrize("deck", ["four_level", "spin_half"])
+@pytest.mark.parametrize(
+    "order, channels, allow_same_mode",
+    [
+        (2, ("absorption_emission",), False),
+        (4, ("absorption_emission",), False),
+        (4, ALL_CHANNELS, True),
+    ],
+    ids=["order2", "order4", "order4_all_channels_same_mode"],
+)
+def test_full_generator_matches_oracle_jumps(request, deck, order, channels, allow_same_mode):
+    # every element of R, coherences included, plus the jump count and the
+    # pair T1/T2* sums, against the oracle's materialized jumps
+    eng = request.getfixturevalue(f"{deck}_engine")
+    cfg = eng.config
+    pair = eng.pair.indices
+    for t_k in (1.0, 2.0, 8.0):
+        bath = bath_for(cfg, t_k)
+        res = build_generator(
+            order, eng.couplings, bath, eng.es,
+            secular_tol_cm1=cfg.secular_tol_cm1, regularizer_cm1=cfg.regularizer_cm1,
+            channels=channels, allow_same_mode=allow_same_mode, rate_pairs=(pair,),
+        )
+        jumps = _oracle_jumps(order, eng, bath, channels, allow_same_mode)
+        ref = oracles.lindblad_from_jumps(jumps, eng.es.dim)
+        assert np.abs(res.superoperator.matrix - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert res.jump_count == len(jumps)
+        _assert_pair_sums_match(res, jumps, pair)
 
 
 def test_singularity_raises_without_regularizer(spin_half_engine, spin_half_config):
@@ -256,32 +222,19 @@ def test_worker_counts_agree_bitwise(four_level_engine, four_level_config):
 
 
 def test_rate_pair_sums_match_materialized_jumps(four_level_engine, four_level_config):
-    from spinphonon.dynamics import pair_t1, pair_t2star
-
-    cfg = four_level_config
-    es = four_level_engine.es
-    pair = four_level_engine.pair
-    bath = bath_for(cfg, 2.0)
-    res = build_generator(
-        2, four_level_engine.couplings, bath, es,
-        rate_pairs=(pair.indices,),
-    )
-    blocks = secular_partition(es, tol_cm1=cfg.secular_tol_cm1)
-    jumps = list(jump_operators_2(four_level_engine.couplings, bath, blocks))
-    a, b = pair.indices
-    sums = res.pair_sums[pair.indices]
-    # the jump-level helpers return times; the fused path accumulates rates
-    assert sums.half_t1_rate == pytest.approx(0.5 / pair_t1(jumps, a, b), rel=1e-12)
-    t2star = pair_t2star(jumps, a, b)
-    if np.isinf(t2star):
-        assert sums.dephasing_rate == 0.0
-    else:
-        assert sums.dephasing_rate == pytest.approx(1.0 / t2star, rel=1e-12)
+    eng = four_level_engine
+    pair = eng.pair.indices
+    bath = bath_for(four_level_config, 2.0)
+    res = build_generator(2, eng.couplings, bath, eng.es, rate_pairs=(pair,))
+    _assert_pair_sums_match(res, _oracle_jumps(2, eng, bath), pair)
 
 
-def test_mixed_basis_jumps_rejected():
-    jumps = random_jumps(2, 2, seed=3)
-    jumps[1] = JumpOperator(gamma=1.0, matrix=jumps[1].matrix,
-                            frequency_cm1=0.0, label=("other",), basis="y")
+def test_mixed_basis_jumps_rejected(four_level_engine, four_level_config):
+    # one coupling expressed in the eigenbasis of a different field
+    eng = four_level_engine
+    other_es = eigensystem_for(replace(eng.model, field_t=(0.0, 0.0, 0.1)))
+    odd = eng.couplings[1]
+    foreign = from_raw_matrix(odd.matrix, "eigen", other_es, mode_index=odd.mode_index)
+    couplings = (eng.couplings[0], foreign, *eng.couplings[2:])
     with pytest.raises(BasisMismatchError):
-        assemble_generator(jumps, order=2, dim=2, basis="x")
+        build_generator(2, couplings, bath_for(four_level_config, 2.0), eng.es)
