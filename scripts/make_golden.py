@@ -4,7 +4,9 @@ The four-level deck is swept end to end and, at every temperature, the
 full order-2 and order-4 generators (coherences included) are
 cross-checked against the brute-force oracle's jump operators before
 anything is written: a golden file only freezes numbers the slow
-reference path reproduces to 1e-10.  Outputs land in tests/golden/.
+reference path reproduces to 1e-10.  Outputs land in tests/golden/; the
+largest relative shift of each column (and of the dominance factors)
+against the file being overwritten is printed, for the change log.
 
 Run from anywhere:  python scripts/make_golden.py
 """
@@ -12,6 +14,7 @@ Run from anywhere:  python scripts/make_golden.py
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 import shutil
 import sys
@@ -82,13 +85,41 @@ def dominance_factors(cfg) -> dict:
     eng = PointEngine(cfg)
     out = {"deck": DECK.name, "temperatures_K": [], "dephasing_over_t1": []}
     for t in DOMINANCE_TEMPS:
-        reports = eng.rates(t, orders=(2, 4), workers=1)
+        reports = eng.rates(t, orders=(2, 4))
         rep = reports[4]
         factor = (2.0 * rep.t1_s) / rep.t2star_s
         out["temperatures_K"].append(t)
         out["dephasing_over_t1"].append(factor)
         print(f"  T={t} K: (1/T2*) / (1/(2 T1)) = {factor:.6f}")
     return out
+
+
+def _csv_columns(text: str) -> dict[str, list[float]]:
+    rows = [line.split(",") for line in text.splitlines() if line and not line.startswith("#")]
+    return {name: [float(r[i]) for r in rows[1:]] for i, name in enumerate(rows[0])}
+
+
+def _largest_shift(old: list[float], new: list[float]) -> float:
+    """max |new - old| / max(|old|, |new|); equal values (inf included) shift 0."""
+    if len(old) != len(new):
+        return math.inf
+    worst = 0.0
+    for x, y in zip(old, new):
+        if x != y:
+            scale = max(abs(x), abs(y))
+            worst = max(worst, abs(y - x) / scale if math.isfinite(scale) else math.inf)
+    return worst
+
+
+def report_shifts(path: pathlib.Path, new: dict[str, list[float]], old_of) -> None:
+    """Print each column's largest relative shift against the file at path."""
+    if not path.exists():
+        print(f"  {path.name}: no previous file")
+        return
+    old = old_of(path.read_text())
+    for name, values in new.items():
+        shift = _largest_shift(old.get(name, []), values)
+        print(f"  {path.name} {name}: largest relative shift {shift:.3e}")
 
 
 def main() -> None:
@@ -101,12 +132,16 @@ def main() -> None:
     print("sweeping deck")
     with tempfile.TemporaryDirectory() as tmp:
         result = run_sweep(cfg, output_dir=tmp)
+        fresh = pathlib.Path(result.rates_csv_path).read_text()
+        report_shifts(GOLDEN / "four_level_rates.csv", _csv_columns(fresh), _csv_columns)
         shutil.copy(result.rates_csv_path, GOLDEN / "four_level_rates.csv")
     print(f"wrote {GOLDEN / 'four_level_rates.csv'}")
 
     print("recording low-temperature dephasing dominance")
     data = dominance_factors(cfg)
     path = GOLDEN / "dominance.json"
+    key = "dephasing_over_t1"
+    report_shifts(path, {key: data[key]}, lambda text: {key: json.loads(text)[key]})
     path.write_text(json.dumps(data, indent=2) + "\n")
     print(f"wrote {path}")
 

@@ -73,7 +73,6 @@ class RunConfig:
     broadening: BroadeningPolicy
     channels: tuple[str, ...]
     allow_same_mode: bool
-    workers: int  # accepted and ignored; the build runs on one thread
     drop_threshold_per_s: float
     align_easy_axis: bool
     fits: tuple[FitRequest, ...]
@@ -200,6 +199,7 @@ def _resolved_echo(raw: dict) -> dict:
     numeric["broadening"] = broadening
     numeric.setdefault("channels", ["absorption_emission"])
     numeric.setdefault("allow_same_mode", False)
+    # accepted and echoed (so it is part of config_hash) but read by nothing
     numeric.setdefault("workers", 1)
     numeric.setdefault("drop_threshold_per_s", 0.0)
     numeric.setdefault("align_easy_axis", True)
@@ -291,7 +291,6 @@ def resolve(raw: dict) -> RunConfig:
         broadening=broadening,
         channels=tuple(num["channels"]),
         allow_same_mode=bool(num["allow_same_mode"]),
-        workers=int(num["workers"]),
         drop_threshold_per_s=float(num["drop_threshold_per_s"]),
         align_easy_axis=bool(num["align_easy_axis"]),
         fits=tuple(

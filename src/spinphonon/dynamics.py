@@ -4,11 +4,11 @@ tau is read off the generator spectrum: the autocorrelation of the
 fundamental-doublet population difference decomposes over biorthogonal
 eigenmode amplitudes, and the dominant-amplitude eigenvalue gives
 tau = -1/Re(lambda). T1 and T2* come
-from the jump-level element sums that the generator build accumulates
-(PairRateSums), T2 from the
-coherence diagonal element of the assembled generator, which makes the
-decomposition 1/T2 = 1/(2 T1) + 1/T2* a nontrivial cross-check of the
-assembly rather than an identity of one code path.
+from the jump-level element sums (GeneratorResult.pair_sums), T2 from the
+coherence diagonal element of the assembled generator. Both are read off
+the one Gram matrix in generators._finalize, so the decomposition
+1/T2 = 1/(2 T1) + 1/T2* checks _finalize's index map (K against the
+sums); the oracle tests check the sums and K independently.
 """
 
 import logging

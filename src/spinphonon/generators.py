@@ -26,14 +26,16 @@ The generator element form is the standard completely positive one,
   R_ab,cd = sum_k gamma_k [ L_ac L*_bd - 1/2 d_bd (L+L)_ac
                                        - 1/2 d_ac (L+L)_db ],
 
-assembled from two accumulators: the Gram matrix M1[(ac),(bd)] of
-sqrt(gamma) vec(L), and K = sum gamma L+L. The order-4 build is array
-code on one thread: mode pairs are processed in chunks of PAIR_CHUNK in a
-fixed order and partial sums are merged in chunk order, which bounds
-memory and makes the result deterministic.
+and the build keeps one accumulator: the Gram matrix M1[(ac),(bd)] of
+sqrt(gamma) vec(L). K = sum gamma L+L and the jump-level T1/T2* sums of
+every state pair are functions of M1 and are read off it in _finalize.
+The order-4 build is array code on one thread: mode pairs are processed
+in chunks of PAIR_CHUNK in a fixed order and each chunk's block Grams are
+added to M1 in that order, which bounds memory and makes the result
+deterministic.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -42,7 +44,7 @@ from numpy.typing import NDArray
 from .bath import BathConfig, channel_occupation, channel_signs, channel_target, delta, g2
 from .constants import CM1_TO_RAD_S
 from .coupling import CouplingOperator
-from .spin_model import Eigensystem
+from .spin_model import Eigensystem, split_at_gaps
 
 RATE_PREFACTOR = 2.0 * np.pi * CM1_TO_RAD_S
 
@@ -66,10 +68,17 @@ class BasisMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class SecularBlock:
-    """All ordered index pairs sharing one Bohr frequency."""
+    """All ordered index pairs (d, b) sharing one Bohr frequency.
+
+    rows and cols hold the pairs' d and b, and m1_index the block's entries
+    of the Gram matrix M1; secular_partition builds them once per block.
+    """
 
     frequency_cm1: float
     pairs: tuple[tuple[int, int], ...]
+    rows: NDArray[np.int64] = field(repr=False, compare=False)
+    cols: NDArray[np.int64] = field(repr=False, compare=False)
+    m1_index: tuple = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -110,11 +119,28 @@ class PairRateSums:
 
 @dataclass(frozen=True)
 class GeneratorResult:
-    """Fast-path build output: the generator plus per-pair rate sums."""
+    """Build output: the generator plus what the pair rate sums need.
+
+    weights[r, a] = sum_k gamma_k |L_k,ra|^2 (s^-1) and diagonal_gram[a, b]
+    = sum_k gamma_k L_k,aa conj(L_k,bb) are entries of the Gram matrix M1.
+    """
 
     superoperator: Superoperator
-    pair_sums: dict[tuple[int, int], PairRateSums]
     jump_count: int
+    weights: NDArray[np.float64]
+    diagonal_gram: NDArray[np.complex128]
+
+    def pair_sums(self, a: int, b: int) -> PairRateSums:
+        """Jump-level 1/(2 T1) and 1/T2* of the state pair (a, b).
+
+        1/(2 T1) = 1/2 (sum_{r != a} W_ra + sum_{r != b} W_rb) and
+        1/T2* = 1/2 (W_aa + W_bb - 2 Re P_ab), i.e. 1/2 sum_k gamma_k
+        |L_k,aa - L_k,bb|^2.
+        """
+        w = self.weights
+        half_t1 = 0.5 * (np.delete(w[:, a], a).sum() + np.delete(w[:, b], b).sum())
+        dephasing = 0.5 * (w[a, a] + w[b, b] - 2.0 * np.real(self.diagonal_gram[a, b]))
+        return PairRateSums(half_t1_rate=float(half_t1), dephasing_rate=float(dephasing))
 
 
 def secular_partition(
@@ -135,18 +161,19 @@ def secular_partition(
     freqs, pairs = freqs[order], pairs[order]
 
     blocks = []
-    start = 0
-    for i in range(1, freqs.size + 1):
-        if i == freqs.size or freqs[i] - freqs[i - 1] > tol_cm1:
-            members = pairs[start:i]
-            key = np.lexsort((members[:, 1], members[:, 0]))
-            blocks.append(
-                SecularBlock(
-                    frequency_cm1=float(freqs[start:i].mean()),
-                    pairs=tuple((int(p), int(q)) for p, q in members[key]),
-                )
+    for cluster in split_at_gaps(freqs, tol_cm1):
+        members = pairs[cluster]
+        rows, cols = members[np.lexsort((members[:, 1], members[:, 0]))].T
+        flat = rows * d + cols
+        blocks.append(
+            SecularBlock(
+                frequency_cm1=float(freqs[cluster].mean()),
+                pairs=tuple(zip(rows.tolist(), cols.tolist())),
+                rows=rows,
+                cols=cols,
+                m1_index=np.ix_(flat, flat),
             )
-            start = i
+        )
     return blocks
 
 
@@ -200,94 +227,38 @@ def _mode_pairs(
     return ia, ib
 
 
-def _finalize(m1: NDArray[np.complex128], k: NDArray[np.complex128], dim: int) -> NDArray[np.complex128]:
-    # R[a,b,c,d] = M1[(a,c),(b,d)] - 1/2 d_bd K[a,c] - 1/2 d_ac K[d,b]
-    r4 = m1.reshape(dim, dim, dim, dim).transpose(0, 2, 1, 3).copy()
-    for b in range(dim):
-        r4[:, b, :, b] -= 0.5 * k
-    for a in range(dim):
-        r4[a, :, a, :] -= 0.5 * k.T
-    return r4.reshape(dim * dim, dim * dim)
+def _finalize(m1: NDArray[np.complex128], dim: int):
+    """R, W and P, all read off the Gram matrix M1 here and nowhere else.
+
+    With m[a, c, b, d] = M1[(a,c),(b,d)] = sum_k gamma_k L_ac conj(L_bd):
+    K[c, d] = sum_a conj m[a, c, a, d], R[a,b,c,d] = m[a,c,b,d]
+    - 1/2 d_bd K[a,c] - 1/2 d_ac K[d,b], W[r, a] = m[r, a, r, a] and
+    P[a, b] = m[a, a, b, b].
+    """
+    m = m1.reshape(dim, dim, dim, dim)
+    diag = np.arange(dim)
+    k = np.conj(m[diag, :, diag, :]).sum(axis=0, initial=0.0)
+    r4 = m.transpose(0, 2, 1, 3).copy()
+    r4[:, diag, :, diag] -= 0.5 * k
+    r4[diag, :, diag, :] -= 0.5 * k.T
+    weights = np.real(np.diagonal(m1)).reshape(dim, dim)
+    pops = diag * (dim + 1)
+    return r4.reshape(dim * dim, dim * dim), weights, m1[np.ix_(pops, pops)]
 
 
-class _BlockMeta:
-    """Precomputed index arrays for fast per-block accumulation."""
+def _add_block(m1, block: SecularBlock, gammas, mats, drop_threshold: float) -> int:
+    """Add the Gram of the jumps gamma_p, mats_p on block into M1.
 
-    def __init__(self, block: SecularBlock, dim: int, rate_pairs: Sequence[tuple[int, int]]):
-        rows = np.array([p for p, _ in block.pairs])
-        cols = np.array([q for _, q in block.pairs])
-        self.rows = rows
-        self.cols = cols
-        flat = rows * dim + cols
-        self.m1_index = np.ix_(flat, flat)
-        self.frequency = block.frequency_cm1
-        # positions sharing a row feed K_(b_i b_j) += conj(G_ij)
-        self.row_groups = []
-        for r in np.unique(rows):
-            pos = np.nonzero(rows == r)[0]
-            self.row_groups.append((np.ix_(pos, pos), np.ix_(cols[pos], cols[pos])))
-        # jump-level rate sums: which G entries feed T1 / T2* of each pair
-        self.t1_positions = {}
-        self.deph_positions = {}
-        for a, b in rate_pairs:
-            t1 = np.nonzero(((cols == a) & (rows != a)) | ((cols == b) & (rows != b)))[0]
-            if t1.size:
-                self.t1_positions[(a, b)] = t1
-            ia = np.nonzero((rows == a) & (cols == a))[0]
-            ib = np.nonzero((rows == b) & (cols == b))[0]
-            if ia.size and ib.size:
-                self.deph_positions[(a, b)] = (int(ia[0]), int(ib[0]))
-
-
-class _Accumulator:
-    """Chunk-local M1/K plus jump-level pair rate sums."""
-
-    def __init__(self, dim: int, rate_pairs: Sequence[tuple[int, int]]):
-        self.m1 = np.zeros((dim * dim, dim * dim), dtype=complex)
-        self.k = np.zeros((dim, dim), dtype=complex)
-        self.t1 = {p: 0.0 for p in rate_pairs}
-        self.deph = {p: 0.0 for p in rate_pairs}
-        self.jumps = 0
-
-    def add(
-        self,
-        meta: _BlockMeta,
-        gammas: NDArray[np.float64],
-        mats: NDArray[np.complex128],
-        drop_threshold: float,
-    ):
-        """Accumulate the jumps gamma_p, mats_p (restricted to the block).
-
-        A jump is kept only when its total rate gamma_p ||L_p||_F^2 on the
-        block exceeds drop_threshold (>= 0), so every counted jump carries
-        rate.
-        """
-        y = mats[:, meta.rows, meta.cols]
-        keep = gammas * (y.real**2 + y.imag**2).sum(axis=1) > drop_threshold
-        if not keep.all():
-            y, gammas = y[keep], gammas[keep]
-            if gammas.size == 0:
-                return
-        # G_ij = sum_p gamma_p y_pi conj(y_pj): the gamma-weighted Gram of
-        # the block elements across all jumps in this batch
-        g = (gammas[:, None] * y).T @ y.conj()
-        self.m1[meta.m1_index] += g
-        for g_index, k_index in meta.row_groups:
-            self.k[k_index] += np.conj(g[g_index])
-        diag = np.real(np.diag(g))
-        for pair, pos in meta.t1_positions.items():
-            self.t1[pair] += 0.5 * float(diag[pos].sum())
-        for pair, (ia, ib) in meta.deph_positions.items():
-            self.deph[pair] += 0.5 * float(diag[ia] + diag[ib] - 2.0 * np.real(g[ia, ib]))
-        self.jumps += gammas.size
-
-    def merge(self, other: "_Accumulator"):
-        self.m1 += other.m1
-        self.k += other.k
-        for p in self.t1:
-            self.t1[p] += other.t1[p]
-            self.deph[p] += other.deph[p]
-        self.jumps += other.jumps
+    A jump is kept only when its total rate gamma_p ||L_p||_F^2 on the
+    block exceeds drop_threshold (>= 0), so every counted jump carries
+    rate. Returns the number kept.
+    """
+    y = mats[:, block.rows, block.cols]
+    keep = gammas * (y.real**2 + y.imag**2).sum(axis=1) > drop_threshold
+    y, gammas = y[keep], gammas[keep]
+    # G_ij = sum_p gamma_p y_pi conj(y_pj); blocks own disjoint M1 entries
+    m1[block.m1_index] += (gammas[:, None] * y).T @ y.conj()
+    return gammas.size
 
 
 def build_generator(
@@ -302,7 +273,6 @@ def build_generator(
     channels: tuple[str, ...] = ("absorption_emission",),
     allow_same_mode: bool = False,
     workers: int = 1,
-    rate_pairs: Sequence[tuple[int, int]] = (),
     drop_threshold: float = 0.0,
 ) -> GeneratorResult:
     """Assemble R^(order) without materializing jump operators.
@@ -311,7 +281,8 @@ def build_generator(
     per mode and sign, amplitudes by batched matrix products per chunk of
     mode pairs, kernel weights by one array delta call per (chunk, block),
     and each secular block is accumulated with one small Gram product per
-    chunk; per-pair T1/T2* jump sums are read off the same Grams.
+    chunk into the Gram matrix M1, which R, K and the pair T1/T2* sums
+    (GeneratorResult.pair_sums) are all read off.
     jump_count counts the jumps whose rate gamma ||L||^2 exceeds
     drop_threshold.
 
@@ -326,20 +297,20 @@ def build_generator(
         blocks = secular_partition(es, secular_tol_cm1)
     # the prefilter bisects on block frequencies, so keep them sorted
     blocks = sorted(blocks, key=lambda b: b.frequency_cm1)
-    rate_pairs = [tuple(p) for p in rate_pairs]
-    metas = [_BlockMeta(b, dim, rate_pairs) for b in blocks]
     block_freqs = np.array([b.frequency_cm1 for b in blocks])
 
     w_modes = bath.frequencies_cm1
     n_bar = bath.occupations()
     pol = bath.broadening
 
+    m1 = np.zeros((dim * dim, dim * dim), dtype=complex)
     if order == 2:
-        acc = _Accumulator(dim, rate_pairs)
         gam = RATE_PREFACTOR * g2(block_freqs, bath)
-        for meta, gam_block in zip(metas, gam):
-            acc.add(meta, gam_block, vstack, drop_threshold)
-        return _result_from(acc, order, tag, dim, rate_pairs)
+        jumps = sum(
+            _add_block(m1, block, gam_block, vstack, drop_threshold)
+            for block, gam_block in zip(blocks, gam)
+        )
+        return _result_from(m1, jumps, order, tag, dim)
 
     # the kernel is exactly zero outside this window, so the prefilter
     # drops only tasks that carry no weight
@@ -371,28 +342,26 @@ def build_generator(
             es.energies_cm1, w_modes[m_used], 1 - 2 * k_used, regularizer_cm1
         )
 
-    total = _Accumulator(dim, rate_pairs)
+    jumps = 0
     for start in range(0, ia.size, PAIR_CHUNK):
         c = slice(start, start + PAIR_CHUNK)
         amps = vstack[ia[c]] @ virt[ib[c], k_b[c]] + vstack[ib[c]] @ virt[ia[c], k_a[c]]
         lo_c, hi_c, target_c, occ_c = lo[c], hi[c], target[c], occ[c]
-        acc = _Accumulator(dim, rate_pairs)
         for bidx in range(lo_c.min(), hi_c.max()):
             sel = np.flatnonzero((lo_c <= bidx) & (bidx < hi_c))
             if sel.size:
-                meta = metas[bidx]
-                gam = RATE_PREFACTOR * delta(meta.frequency, target_c[sel], pol) * occ_c[sel]
-                acc.add(meta, gam, amps[sel], drop_threshold)
-        total.merge(acc)
-    return _result_from(total, order, tag, dim, rate_pairs)
+                block = blocks[bidx]
+                gam = RATE_PREFACTOR * delta(block.frequency_cm1, target_c[sel], pol) * occ_c[sel]
+                jumps += _add_block(m1, block, gam, amps[sel], drop_threshold)
+    return _result_from(m1, jumps, order, tag, dim)
 
 
-def _result_from(acc: _Accumulator, order, tag, dim, rate_pairs) -> GeneratorResult:
-    sup = Superoperator(order=order, matrix=_finalize(acc.m1, acc.k, dim), basis=tag, dim=dim)
+def _result_from(m1, jumps: int, order: int, tag: str, dim: int) -> GeneratorResult:
+    matrix, weights, diagonal_gram = _finalize(m1, dim)
+    sup = Superoperator(order=order, matrix=matrix, basis=tag, dim=dim)
     defect = sup.trace_defect()
     if defect > 1e-10:
         raise RuntimeError(f"generator violates trace preservation: {defect:.3e}")
-    sums = {
-        p: PairRateSums(half_t1_rate=acc.t1[p], dephasing_rate=acc.deph[p]) for p in rate_pairs
-    }
-    return GeneratorResult(superoperator=sup, pair_sums=sums, jump_count=acc.jumps)
+    return GeneratorResult(
+        superoperator=sup, jump_count=jumps, weights=weights, diagonal_gram=diagonal_gram
+    )

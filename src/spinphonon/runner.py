@@ -45,7 +45,7 @@ _RATE_OF = {
 
 
 class SweepPointError(RuntimeError):
-    """A sweep point failed; message carries the temperature/field."""
+    """A sweep point or fit failed; the message names the point or fits[i]."""
 
 
 @dataclass(frozen=True)
@@ -97,6 +97,12 @@ class PointEngine:
         self.rotation = rot
         self.es = eigensystem_for(model)
         self.pair = fundamental_pair(self.es.kramers_pairs)
+        if self.pair.ambiguous:
+            raise SweepPointError(
+                f"fundamental doublet {self.pair.indices} at field_T={list(model.field_t)} is "
+                f"ambiguous: its members' <Jz> = {self.pair.jz_a:.6g}, {self.pair.jz_b:.6g} "
+                "are too small or do not oppose"
+            )
         self.blocks = secular_partition(self.es, config.secular_tol_cm1)
         d_rot = spin_rotation_matrix(rot, j)
         self.couplings = tuple(self._coupling(spec, rot, d_rot) for spec in config.coupling_specs)
@@ -118,8 +124,8 @@ class PointEngine:
             matrix, spec.matrix_basis, self.es, mode_index=spec.mode_index
         )
 
-    def rates(self, temperature_k: float, orders, workers: int = 1) -> dict[int, RateReport]:
-        """Rate reports per order at one temperature; workers is ignored."""
+    def rates(self, temperature_k: float, orders) -> dict[int, RateReport]:
+        """Rate reports per order at one temperature."""
         cfg = self.config
         bath = BathConfig(
             modes=cfg.modes, temperature_k=temperature_k, broadening=cfg.broadening
@@ -130,7 +136,6 @@ class PointEngine:
             regularizer_cm1=cfg.regularizer_cm1,
             channels=cfg.channels,
             allow_same_mode=cfg.allow_same_mode,
-            rate_pairs=[self.pair.indices],
             drop_threshold=cfg.drop_threshold_per_s,
         )
         t0 = time.perf_counter()
@@ -142,13 +147,13 @@ class PointEngine:
         out: dict[int, RateReport] = {}
         key = self.pair.indices
         if 2 in orders:
-            out[2] = self._report(res2.superoperator, res2.pair_sums[key], temperature_k, 2)
+            out[2] = self._report(res2.superoperator, res2.pair_sums(*key), temperature_k, 2)
         if 4 in orders:
             sup2, sup4 = res2.superoperator, res4.superoperator
             cumulative = Superoperator(
                 order=4, matrix=sup2.matrix + sup4.matrix, basis=sup4.basis, dim=sup4.dim
             )
-            s2, s4 = res2.pair_sums[key], res4.pair_sums[key]
+            s2, s4 = res2.pair_sums(*key), res4.pair_sums(*key)
             sums = PairRateSums(
                 half_t1_rate=s2.half_t1_rate + s4.half_t1_rate,
                 dephasing_rate=s2.dephasing_rate + s4.dephasing_rate,
@@ -217,7 +222,7 @@ def _run_fits(config: RunConfig, rows) -> list[tuple[FitRequest, FitResult]]:
         return []
     base_field = rows[0].field_t if rows else None
     out = []
-    for req in config.fits:
+    for i, req in enumerate(config.fits):
         pts = [
             (r.report.temperature_k, _RATE_OF[req.quantity](r.report))
             for r in rows
@@ -226,7 +231,12 @@ def _run_fits(config: RunConfig, rows) -> list[tuple[FitRequest, FitResult]]:
         if req.window_k is not None:
             lo, hi = req.window_k
             pts = [(t, v) for t, v in pts if lo <= t <= hi]
-        out.append((req, fit_regimes(pts, req.fit_model)))
+        try:
+            out.append((req, fit_regimes(pts, req.fit_model)))
+        except ValueError as exc:
+            raise SweepPointError(
+                f"fits[{i}] ({req.quantity}, {req.fit_model}, order {req.order}): {exc}"
+            ) from exc
     return out
 
 

@@ -99,15 +99,13 @@ class KramersPair:
 class Eigensystem:
     """Sorted spectrum (ground state at zero) and gauge-fixed eigenvectors.
 
-    eigenvectors holds states as columns; kramers_pairs and easy_axis are
-    filled by identify_kramers_pairs / easy-axis analysis and stay empty
-    when only the bare spectrum is needed.
+    eigenvectors holds states as columns; kramers_pairs is filled by
+    identify_kramers_pairs and stays empty for the bare spectrum.
     """
 
     energies_cm1: NDArray[np.float64]
     eigenvectors: NDArray[np.complex128]
     kramers_pairs: tuple[KramersPair, ...] = ()
-    easy_axis: NDArray[np.float64] | None = None
 
     @property
     def dim(self) -> int:
@@ -143,7 +141,8 @@ def _fix_column_phases(u: NDArray[np.complex128]) -> NDArray[np.complex128]:
     return out
 
 
-def _degenerate_clusters(w: NDArray[np.float64], tol: float) -> list[slice]:
+def split_at_gaps(w: NDArray[np.float64], tol: float) -> list[slice]:
+    """Slices of the sorted values w, split where a consecutive gap exceeds tol."""
     clusters = []
     start = 0
     for i in range(1, w.size + 1):
@@ -175,7 +174,7 @@ def diagonalize(
         raise DiagonalizationError(f"eigh failed on matrix with norm {norm:.3e}") from exc
 
     jz = AngularMomentum(h.shape[0] - 1).jz
-    for cluster in _degenerate_clusters(w, degeneracy_tol_cm1):
+    for cluster in split_at_gaps(w, degeneracy_tol_cm1):
         if cluster.stop - cluster.start < 2:
             continue
         sub = u[:, cluster]
@@ -277,13 +276,10 @@ def easy_axis_of(
 
 
 def eigensystem_for(model: SpinModel) -> Eigensystem:
-    """Assemble, diagonalize and annotate doublets plus easy axis."""
+    """Assemble, diagonalize and annotate the Kramers doublets."""
     es = diagonalize(assemble_hamiltonian(model))
     if model.angular_momentum.two_j % 2 == 1:
-        pairs = identify_kramers_pairs(es, model)
-        es = replace(es, kramers_pairs=pairs)
-        axis, _ = easy_axis_of(es, model)
-        es = replace(es, easy_axis=axis)
+        es = replace(es, kramers_pairs=identify_kramers_pairs(es, model))
     return es
 
 

@@ -186,7 +186,7 @@ def test_rate_decomposition_identity_everywhere(
 ):
     for eng in (spin_half_engine, four_level_engine, j15_2_engine):
         for t_k in eng.config.temperatures_k:
-            for rep in eng.rates(t_k, (2, 4), workers=1).values():
+            for rep in eng.rates(t_k, (2, 4)).values():
                 assert rep.identity_residual() <= 1e-9
 
 
@@ -194,9 +194,7 @@ def test_second_order_dephasing_vanishes_on_exact_resonance(
     exact_spin_half, exact_four_level
 ):
     for eng in (exact_spin_half, exact_four_level):
-        pair = (eng.pair.a, eng.pair.b)
-        res = _build(2, eng, 4.0, rate_pairs=(pair,))
-        sums = res.pair_sums[pair]
+        sums = _build(2, eng, 4.0).pair_sums(*eng.pair.indices)
         assert sums.dephasing_rate == 0.0
         assert sums.half_t1_rate > 0.0
 
@@ -204,7 +202,7 @@ def test_second_order_dephasing_vanishes_on_exact_resonance(
 def test_fourth_order_dephasing_dominates_at_low_temperature(four_level_engine):
     golden = json.loads((GOLDEN / "dominance.json").read_text())
     for t_k, expected in zip(golden["temperatures_K"], golden["dephasing_over_t1"]):
-        rep = four_level_engine.rates(t_k, (2, 4), workers=1)[4]
+        rep = four_level_engine.rates(t_k, (2, 4))[4]
         factor = (2.0 * rep.t1_s) / rep.t2star_s
         assert factor > 10.0
         assert _rel(factor, expected) <= 1e-9
@@ -230,8 +228,8 @@ def test_rates_invariant_under_global_rotation(four_level_config, four_level_eng
         ]
     rotated = PointEngine(resolve(deck))
 
-    base = four_level_engine.rates(2.0, (2, 4), workers=1)
-    moved = rotated.rates(2.0, (2, 4), workers=1)
+    base = four_level_engine.rates(2.0, (2, 4))
+    moved = rotated.rates(2.0, (2, 4))
     for order in (2, 4):
         for field in ("tau_s", "t1_s", "t2star_s"):
             x = _rate(getattr(base[order], field))
@@ -247,7 +245,7 @@ def test_arrhenius_fit_recovers_first_excited_gap(j15_2_engine):
     curve = []
     for t_k in eng.config.temperatures_k:
         if 6.0 <= t_k <= 13.0:
-            rep = eng.rates(t_k, (2,), workers=1)[2]
+            rep = eng.rates(t_k, (2,))[2]
             curve.append((t_k, 1.0 / rep.t1_s))
     fit = fit_regimes(curve, "arrhenius")
     assert abs(fit.u_cm1 - gap) <= 0.05 * gap

@@ -100,3 +100,30 @@ def test_scan_broadening(tmp_path):
     data = [l for l in lines if not l.startswith("#")]
     assert data[0].startswith("width_cm1,")
     assert len(data) == 3
+
+
+def test_run_ambiguous_doublet_exits_3(tmp_path, capsys):
+    # B = 10 T along z reorders the four_level levels: the doublet with the
+    # largest moment pairs -3/2 with -1/2, which is no Kramers doublet
+    deck = yaml.safe_load(DECK_PATHS["four_level"].read_text())
+    deck["model"]["field_t"] = [0.0, 0.0, 10.0]
+    path = tmp_path / "ambiguous.yaml"
+    path.write_text(yaml.safe_dump(deck))
+    assert main(["run", str(path), "--output-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "fundamental doublet (0, 1)" in err
+    assert "ambiguous" in err and "-1.5, -0.5" in err
+    assert not (tmp_path / "four_level_rates.csv").exists()
+
+
+def test_run_fit_failure_exits_3(tmp_path, capsys):
+    # tau is blocked (inf) at 6-8 K, so a tau_rate fit over 6-9 K keeps no point
+    deck = yaml.safe_load(DECK_PATHS["j15_2"].read_text())
+    deck["fits"].append(
+        {"quantity": "tau_rate", "fit_model": "arrhenius", "order": 2, "window_k": [6, 9]}
+    )
+    path = tmp_path / "blocked_fit.yaml"
+    path.write_text(yaml.safe_dump(deck))
+    assert main(["run", str(path), "--output-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert f"fits[{len(deck['fits']) - 1}] (tau_rate, arrhenius, order 2)" in err

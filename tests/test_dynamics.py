@@ -191,7 +191,7 @@ def test_two_phonon_tau_window_shows_cubic_trend(four_level_engine):
     curve = []
     for t_k in eng.config.temperatures_k:
         if 2.83 <= t_k <= 11.3:
-            rep = eng.rates(t_k, (2, 4), workers=1)[4]
+            rep = eng.rates(t_k, (2, 4))[4]
             curve.append((t_k, 1.0 / rep.tau_s))
     fit = fit_regimes(curve, "power_law")
     assert abs(fit.exponent - 3.0) <= 0.5

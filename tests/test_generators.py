@@ -1,6 +1,7 @@
 """Generator assembly against brute-force references and structural checks."""
 
 from dataclasses import replace
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -135,12 +136,14 @@ def _oracle_jumps(order, eng, bath, channels=("absorption_emission",), allow_sam
     )
 
 
-def _assert_pair_sums_match(res, jumps, pair):
-    half_t1, dephasing = oracles.pair_rate_sums(jumps, *pair)
-    sums = res.pair_sums[pair]
-    tol = 1e-12 * (half_t1 + dephasing)
-    assert sums.half_t1_rate == pytest.approx(half_t1, rel=1e-12, abs=tol)
-    assert sums.dephasing_rate == pytest.approx(dephasing, rel=1e-12, abs=tol)
+def _assert_pair_sums_match(res, jumps, dim):
+    # every ordered pair a != b
+    for a, b in permutations(range(dim), 2):
+        half_t1, dephasing = oracles.pair_rate_sums(jumps, a, b)
+        sums = res.pair_sums(a, b)
+        tol = 1e-12 * (half_t1 + dephasing)
+        assert sums.half_t1_rate == pytest.approx(half_t1, rel=1e-12, abs=tol), (a, b)
+        assert sums.dephasing_rate == pytest.approx(dephasing, rel=1e-12, abs=tol), (a, b)
 
 
 @pytest.mark.parametrize("deck", ["four_level", "spin_half"])
@@ -158,19 +161,18 @@ def test_full_generator_matches_oracle_jumps(request, deck, order, channels, all
     # pair T1/T2* sums, against the oracle's materialized jumps
     eng = request.getfixturevalue(f"{deck}_engine")
     cfg = eng.config
-    pair = eng.pair.indices
     for t_k in (1.0, 2.0, 8.0):
         bath = bath_for(cfg, t_k)
         res = build_generator(
             order, eng.couplings, bath, eng.es,
             secular_tol_cm1=cfg.secular_tol_cm1, regularizer_cm1=cfg.regularizer_cm1,
-            channels=channels, allow_same_mode=allow_same_mode, rate_pairs=(pair,),
+            channels=channels, allow_same_mode=allow_same_mode,
         )
         jumps = _oracle_jumps(order, eng, bath, channels, allow_same_mode)
         ref = oracles.lindblad_from_jumps(jumps, eng.es.dim)
         assert np.abs(res.superoperator.matrix - ref).max() <= 1e-12 * np.abs(ref).max()
         assert res.jump_count == len(jumps)
-        _assert_pair_sums_match(res, jumps, pair)
+        _assert_pair_sums_match(res, jumps, eng.es.dim)
 
 
 def test_singularity_raises_without_regularizer(spin_half_engine, spin_half_config):
@@ -223,10 +225,9 @@ def test_worker_counts_agree_bitwise(four_level_engine, four_level_config):
 
 def test_rate_pair_sums_match_materialized_jumps(four_level_engine, four_level_config):
     eng = four_level_engine
-    pair = eng.pair.indices
     bath = bath_for(four_level_config, 2.0)
-    res = build_generator(2, eng.couplings, bath, eng.es, rate_pairs=(pair,))
-    _assert_pair_sums_match(res, _oracle_jumps(2, eng, bath), pair)
+    res = build_generator(2, eng.couplings, bath, eng.es)
+    _assert_pair_sums_match(res, _oracle_jumps(2, eng, bath), eng.es.dim)
 
 
 def test_mixed_basis_jumps_rejected(four_level_engine, four_level_config):

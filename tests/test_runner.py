@@ -63,7 +63,7 @@ def test_sweep_is_reproducible_byte_for_byte(tmp_path, spin_half_config):
 def test_order4_rows_are_cumulative(four_level_config, four_level_engine):
     eng = four_level_engine
     t = 2.0
-    reports = eng.rates(t, (2, 4), workers=1)
+    reports = eng.rates(t, (2, 4))
     kw = dict(
         secular_tol_cm1=four_level_config.secular_tol_cm1,
         regularizer_cm1=four_level_config.regularizer_cm1,
@@ -134,7 +134,7 @@ def test_tilted_field_engine_aligns_and_runs(spin_half_config):
     straight = PointEngine(spin_half_config)
     assert np.allclose(eng.es.energies_cm1, straight.es.energies_cm1, atol=1e-9)
     assert eng.pair.indices == (0, 1)
-    rep = eng.rates(2.0, (2,), workers=1)[2]
+    rep = eng.rates(2.0, (2,))[2]
     assert np.isfinite(rep.t1_s) and rep.t1_s > 0.0
 
 
