@@ -5,7 +5,7 @@ end to end (CSV + fit report land next to each other in --out) and
 prints tau, T1, T2 and T2* per temperature and order, then any
 activation fits the deck requested.
 
-Run from anywhere:  python scripts/sweep_decks.py [--out DIR] [--workers N]
+Run from anywhere:  python scripts/sweep_decks.py [--out DIR] [--decks NAME ...]
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ def fmt(seconds: float) -> str:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default="sweep_out", help="output directory")
-    ap.add_argument("--workers", type=int, default=None)
     ap.add_argument(
         "--decks", nargs="*", default=None,
         help="deck file names to run (default: all bundled)",
@@ -47,7 +46,7 @@ def main() -> int:
     for deck in decks:
         cfg = load_config(deck)
         t0 = time.perf_counter()
-        result = run_sweep(cfg, output_dir=str(out), workers=args.workers)
+        result = run_sweep(cfg, output_dir=str(out))
         elapsed = time.perf_counter() - t0
         print(f"\n== {deck.name}  ({len(result.rows)} rows, {elapsed:.1f} s)")
         print(f"   {'T/K':>6} {'order':>5} {'tau/s':>11} {'T1/s':>11} "

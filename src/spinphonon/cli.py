@@ -52,7 +52,6 @@ def _parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run the deck's sweep, write CSV and fit report")
     run.add_argument("deck")
-    run.add_argument("--workers", type=int, default=None, help="accepted and ignored")
     run.add_argument("--output-dir", default=".", help="directory for output files")
 
     scan_r = sub.add_parser(
@@ -64,7 +63,6 @@ def _parser() -> argparse.ArgumentParser:
     )
     scan_r.add_argument("--temperature-k", type=float, default=None)
     scan_r.add_argument("--order", type=int, choices=(2, 4), default=None)
-    scan_r.add_argument("--workers", type=int, default=None, help="accepted and ignored")
     scan_r.add_argument("--output-dir", default=".")
 
     scan_b = sub.add_parser(
@@ -75,7 +73,6 @@ def _parser() -> argparse.ArgumentParser:
     scan_b.add_argument("--kind", choices=("gaussian", "lorentzian"), default=None)
     scan_b.add_argument("--temperature-k", type=float, default=None)
     scan_b.add_argument("--order", type=int, choices=(2, 4), default=None)
-    scan_b.add_argument("--workers", type=int, default=None, help="accepted and ignored")
     scan_b.add_argument("--output-dir", default=".")
     return p
 
@@ -115,12 +112,19 @@ def _scan(config, values, label, out_name, args) -> int:
     temperature = (
         args.temperature_k if args.temperature_k is not None else config.temperatures_k[0]
     )
+    if not temperature > 0:
+        print(f"--temperature-k must be positive, got {temperature!r}", file=sys.stderr)
+        return 2
     lines = _provenance(config)
     lines.append(f"# scan at temperature_K={temperature!r}, order={order}")
     lines.append(",".join((label,) + SCAN_COLUMNS))
     for value, cfg in values:
-        engine = PointEngine(cfg)
-        rep = engine.rates(temperature, (order,))[order]
+        try:
+            rep = PointEngine(cfg).rates(temperature, (order,))[order]
+        except Exception as exc:
+            raise SweepPointError(
+                f"at {label}={value!r}, temperature_K={temperature!r}: {exc}"
+            ) from exc
         lines.append(
             ",".join(
                 [_fmt(value)]
@@ -143,8 +147,8 @@ def _cmd_scan_regularizer(args) -> int:
     except ValueError:
         print(f"--values must be comma separated numbers, got {args.values!r}", file=sys.stderr)
         return 2
-    if not values:
-        print("--values is empty", file=sys.stderr)
+    if not values or not all(v >= 0 for v in values):
+        print("--values needs numbers >= 0", file=sys.stderr)
         return 2
     cases = [(v, replace(config, regularizer_cm1=v)) for v in values]
     return _scan(config, cases, "regularizer_cm1", "scan_regularizer.csv", args)
@@ -157,7 +161,7 @@ def _cmd_scan_broadening(args) -> int:
     except ValueError:
         print(f"--widths must be comma separated numbers, got {args.widths!r}", file=sys.stderr)
         return 2
-    if not widths or any(w <= 0 for w in widths):
+    if not widths or not all(w > 0 for w in widths):
         print("--widths needs positive numbers", file=sys.stderr)
         return 2
     kind = args.kind if args.kind is not None else config.broadening.kind

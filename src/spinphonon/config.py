@@ -20,7 +20,14 @@ from jsonschema import Draft202012Validator
 from numpy.typing import NDArray
 
 from .angular import AngularMomentum
-from .bath import BroadeningPolicy, PhononMode
+from .bath import (
+    DEFAULT_CUTOFF_SIGMAS,
+    DEFAULT_WIDTH_CM1,
+    EXACT_MATCH_TOL_CM1,
+    BroadeningPolicy,
+    PhononMode,
+)
+from .generators import DEFAULT_REGULARIZER_CM1, DEFAULT_SECULAR_TOL_CM1
 from .spin_model import SpinModel, StevensTerm
 
 log = logging.getLogger(__name__)
@@ -73,8 +80,6 @@ class RunConfig:
     broadening: BroadeningPolicy
     channels: tuple[str, ...]
     allow_same_mode: bool
-    drop_threshold_per_s: float
-    align_easy_axis: bool
     fits: tuple[FitRequest, ...]
     resolved: dict
 
@@ -189,20 +194,18 @@ def _resolved_echo(raw: dict) -> dict:
     outputs.setdefault("fit_report", DEFAULT_FIT_REPORT)
 
     numeric = dict(raw.get("numeric") or {})
-    numeric.setdefault("secular_tol_cm1", 1e-6)
-    numeric.setdefault("regularizer_cm1", 1.0)
+    numeric.setdefault("secular_tol_cm1", DEFAULT_SECULAR_TOL_CM1)
+    numeric.setdefault("regularizer_cm1", DEFAULT_REGULARIZER_CM1)
     broadening = dict(numeric.get("broadening") or {})
     broadening.setdefault("kind", "gaussian")
     if broadening["kind"] != "exact":
-        broadening.setdefault("width_cm1", 3.0)
-        broadening.setdefault("cutoff_sigmas", 5.0)
+        broadening.setdefault("width_cm1", DEFAULT_WIDTH_CM1)
+        broadening.setdefault("cutoff_sigmas", DEFAULT_CUTOFF_SIGMAS)
     numeric["broadening"] = broadening
     numeric.setdefault("channels", ["absorption_emission"])
     numeric.setdefault("allow_same_mode", False)
     # accepted and echoed (so it is part of config_hash) but read by nothing
     numeric.setdefault("workers", 1)
-    numeric.setdefault("drop_threshold_per_s", 0.0)
-    numeric.setdefault("align_easy_axis", True)
 
     fits = []
     for fit in raw.get("fits") or []:
@@ -268,7 +271,7 @@ def resolve(raw: dict) -> RunConfig:
 
     b = echo["numeric"]["broadening"]
     if b["kind"] == "exact":
-        broadening = BroadeningPolicy.exact(b.get("width_cm1", 1e-9))
+        broadening = BroadeningPolicy.exact(b.get("width_cm1", EXACT_MATCH_TOL_CM1))
     else:
         broadening = BroadeningPolicy(
             kind=b["kind"], width_cm1=b["width_cm1"], cutoff_sigmas=b["cutoff_sigmas"]
@@ -291,8 +294,6 @@ def resolve(raw: dict) -> RunConfig:
         broadening=broadening,
         channels=tuple(num["channels"]),
         allow_same_mode=bool(num["allow_same_mode"]),
-        drop_threshold_per_s=float(num["drop_threshold_per_s"]),
-        align_easy_axis=bool(num["align_easy_axis"]),
         fits=tuple(
             FitRequest(
                 quantity=f["quantity"],

@@ -87,13 +87,12 @@ def from_raw_matrix(
     es: Eigensystem,
     *,
     mode_index: int = 0,
-    accept_tol: float = SYMMETRIZE_ACCEPT,
-    reject_tol: float = SYMMETRIZE_REJECT,
 ) -> CouplingOperator:
     """Ingest a raw coupling matrix given in the "mj" or "eigen" basis.
 
-    Deviations from Hermiticity up to accept_tol are symmetrized silently,
-    up to reject_tol symmetrized with a warning, beyond that rejected.
+    Deviations from Hermiticity up to SYMMETRIZE_ACCEPT are symmetrized
+    silently, up to SYMMETRIZE_REJECT symmetrized with a warning, beyond
+    that rejected.
     """
     if basis not in RAW_BASES:
         raise ValueError(f"unknown basis {basis!r}; choose from {RAW_BASES}")
@@ -101,9 +100,11 @@ def from_raw_matrix(
     if m.shape != (es.dim, es.dim):
         raise ValueError(f"matrix shape {m.shape} does not match dimension {es.dim}")
     dev = np.max(np.abs(m - m.conj().T))
-    if dev > reject_tol:
-        raise ValueError(f"matrix deviates from Hermitian by {dev:.3e} (limit {reject_tol:.0e})")
-    if dev > accept_tol:
+    if dev > SYMMETRIZE_REJECT:
+        raise ValueError(
+            f"matrix deviates from Hermitian by {dev:.3e} (limit {SYMMETRIZE_REJECT:.0e})"
+        )
+    if dev > SYMMETRIZE_ACCEPT:
         log.warning("coupling matrix symmetrized; Hermiticity deviation %.3e", dev)
     m = 0.5 * (m + m.conj().T)
     if basis == "mj":

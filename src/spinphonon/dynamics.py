@@ -17,21 +17,21 @@ from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.integrate import solve_ivp
 from scipy.linalg import eig, expm
 
 from .constants import KB_CM1_PER_K
 from .generators import PairRateSums, Superoperator
-from .spin_model import Eigensystem, KramersPair
+from .spin_model import KramersPair
 
 log = logging.getLogger(__name__)
 
-# matrix exponential up to this many vec components, adaptive RK beyond
-EXPM_MAX_DIM2 = 1024
 OVERLAP_THRESHOLD = 0.5
 # decay rates below this fraction of the fastest eigenvalue are not
 # resolvable in double precision eig; report them as non-decaying
 RATE_RESOLUTION_REL = 1e-12
+# generator entries below this fraction of ||R|| do not couple a coherence
+# to the rest of its secular block in pair_t2
+T2_COUPLING_TOL = 1e-12
 
 
 class AmbiguousEigenvectorError(RuntimeError):
@@ -114,7 +114,7 @@ def _population_difference_vec(dim: int, pair: KramersPair) -> NDArray[np.float6
     return v
 
 
-def extract_tau(sup: Superoperator, es: Eigensystem, pair: KramersPair) -> TauResult:
+def extract_tau(sup: Superoperator, pair: KramersPair) -> TauResult:
     """Magnetization relaxation time of the fundamental doublet.
 
     Expands the autocorrelation of m = (|a><a| - |b><b|)/sqrt(2) over the
@@ -165,7 +165,7 @@ def pair_sums_to_times(sums: PairRateSums) -> tuple[float, float]:
     return _safe_inv(2.0 * sums.half_t1_rate), _safe_inv(sums.dephasing_rate)
 
 
-def pair_t2(sup: Superoperator, a: int, b: int, *, coupling_tol: float = 1e-12) -> T2Result:
+def pair_t2(sup: Superoperator, a: int, b: int) -> T2Result:
     """Coherence time from the (a,b) diagonal element of the generator.
 
     If the element row/column couples to other elements of its secular
@@ -177,7 +177,7 @@ def pair_t2(sup: Superoperator, a: int, b: int, *, coupling_tol: float = 1e-12) 
     idx = a * d + b
     r = sup.matrix
     scale = np.linalg.norm(r)
-    tol = coupling_tol * max(scale, 1e-300)
+    tol = T2_COUPLING_TOL * max(scale, 1e-300)
     support = np.nonzero((np.abs(r[idx, :]) > tol) | (np.abs(r[:, idx]) > tol))[0]
     support = np.unique(np.concatenate([support, [idx]]))
     rate = -float(np.real(r[idx, idx]))
@@ -211,9 +211,9 @@ def propagate(
 ) -> NDArray[np.complex128]:
     """Density-matrix trajectory rho(t) for drho/dt = R rho.
 
-    Uses the scaled-and-squared matrix exponential at desk scale and
-    adaptive Runge-Kutta beyond. Trace drift above 1e-9 or an eigenvalue
-    below -1e-8 flags a generator bug (Lindblad form forbids both).
+    Steps with the scaled-and-squared matrix exponential, one per distinct
+    time step. Trace drift above 1e-9 or an eigenvalue below -1e-8 flags a
+    generator bug (Lindblad form forbids both).
     """
     rho0 = np.asarray(rho0, dtype=complex)
     _check_density_matrix(rho0)
@@ -223,31 +223,17 @@ def propagate(
         raise ValueError("t_grid must be non-decreasing")
     out = np.empty((t_grid.size, d, d), dtype=complex)
 
-    if d * d <= EXPM_MAX_DIM2:
-        vec = rho0.ravel()
-        t_prev = 0.0
-        step_cache: dict[float, NDArray[np.complex128]] = {}
-        for i, t in enumerate(t_grid):
-            dt = t - t_prev
-            if dt > 0:
-                if dt not in step_cache:
-                    step_cache[dt] = expm(sup.matrix * dt)
-                vec = step_cache[dt] @ vec
-            t_prev = t
-            out[i] = vec.reshape(d, d)
-    else:  # pragma: no cover - exercised only for very large models
-        sol = solve_ivp(
-            lambda _, y: sup.matrix @ y,
-            (0.0, float(t_grid[-1]) if t_grid.size else 0.0),
-            rho0.ravel(),
-            t_eval=t_grid,
-            method="RK45",
-            rtol=1e-10,
-            atol=1e-12,
-        )
-        if not sol.success:
-            raise RuntimeError(f"adaptive integration failed: {sol.message}")
-        out = sol.y.T.reshape(t_grid.size, d, d)
+    vec = rho0.ravel()
+    t_prev = 0.0
+    step_cache: dict[float, NDArray[np.complex128]] = {}
+    for i, t in enumerate(t_grid):
+        dt = t - t_prev
+        if dt > 0:
+            if dt not in step_cache:
+                step_cache[dt] = expm(sup.matrix * dt)
+            vec = step_cache[dt] @ vec
+        t_prev = t
+        out[i] = vec.reshape(d, d)
 
     traces = np.einsum("tii->t", out)
     if np.max(np.abs(traces - 1.0)) > 1e-9:

@@ -246,15 +246,15 @@ def _finalize(m1: NDArray[np.complex128], dim: int):
     return r4.reshape(dim * dim, dim * dim), weights, m1[np.ix_(pops, pops)]
 
 
-def _add_block(m1, block: SecularBlock, gammas, mats, drop_threshold: float) -> int:
+def _add_block(m1, block: SecularBlock, gammas, mats) -> int:
     """Add the Gram of the jumps gamma_p, mats_p on block into M1.
 
     A jump is kept only when its total rate gamma_p ||L_p||_F^2 on the
-    block exceeds drop_threshold (>= 0), so every counted jump carries
-    rate. Returns the number kept.
+    block is positive, so every counted jump carries rate. Returns the
+    number kept.
     """
     y = mats[:, block.rows, block.cols]
-    keep = gammas * (y.real**2 + y.imag**2).sum(axis=1) > drop_threshold
+    keep = gammas * (y.real**2 + y.imag**2).sum(axis=1) > 0.0
     y, gammas = y[keep], gammas[keep]
     # G_ij = sum_p gamma_p y_pi conj(y_pj); blocks own disjoint M1 entries
     m1[block.m1_index] += (gammas[:, None] * y).T @ y.conj()
@@ -273,7 +273,6 @@ def build_generator(
     channels: tuple[str, ...] = ("absorption_emission",),
     allow_same_mode: bool = False,
     workers: int = 1,
-    drop_threshold: float = 0.0,
 ) -> GeneratorResult:
     """Assemble R^(order) without materializing jump operators.
 
@@ -283,8 +282,7 @@ def build_generator(
     and each secular block is accumulated with one small Gram product per
     chunk into the Gram matrix M1, which R, K and the pair T1/T2* sums
     (GeneratorResult.pair_sums) are all read off.
-    jump_count counts the jumps whose rate gamma ||L||^2 exceeds
-    drop_threshold.
+    jump_count counts the jumps whose rate gamma ||L||^2 is positive.
 
     workers is accepted for compatibility and ignored: the array build on
     one thread is faster than any thread pool over it.
@@ -307,7 +305,7 @@ def build_generator(
     if order == 2:
         gam = RATE_PREFACTOR * g2(block_freqs, bath)
         jumps = sum(
-            _add_block(m1, block, gam_block, vstack, drop_threshold)
+            _add_block(m1, block, gam_block, vstack)
             for block, gam_block in zip(blocks, gam)
         )
         return _result_from(m1, jumps, order, tag, dim)
@@ -352,7 +350,7 @@ def build_generator(
             if sel.size:
                 block = blocks[bidx]
                 gam = RATE_PREFACTOR * delta(block.frequency_cm1, target_c[sel], pol) * occ_c[sel]
-                jumps += _add_block(m1, block, gam, amps[sel], drop_threshold)
+                jumps += _add_block(m1, block, gam, amps[sel])
     return _result_from(m1, jumps, order, tag, dim)
 
 

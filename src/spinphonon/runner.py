@@ -66,10 +66,11 @@ class PointEngine:
     """Eigensystem, couplings and secular blocks prepared for one field.
 
     Models are re-expressed in the easy-axis frame before any rates are
-    computed (align_easy_axis), with the coupling operators carried
-    through the same rotation: Stevens derivative sets are re-expanded in
-    the rotated frame, raw M_J matrices are conjugated by the spin-space
-    rotation, and eigenbasis matrices ride along with the basis itself.
+    computed, so tau, T1 and T2* do not depend on the frame the deck was
+    written in. The coupling operators are carried through the same
+    rotation: Stevens derivative sets are re-expanded in the rotated frame,
+    raw M_J matrices are conjugated by the spin-space rotation, and
+    eigenbasis matrices ride along with the basis itself.
     """
 
     def __init__(self, config: RunConfig, field_t=None):
@@ -82,20 +83,19 @@ class PointEngine:
                 "rate sweeps need a Kramers system (half-integer J); "
                 f"got two_j = {j.two_j}"
             )
+        es = eigensystem_for(model)
         rot = np.eye(3)
-        if config.align_easy_axis:
-            es0 = eigensystem_for(model)
-            axis, quality = easy_axis_of(es0, model)
-            if quality != "none":
-                r = rotation_taking_to_z(axis)
-                if not np.allclose(r, np.eye(3), atol=1e-12):
-                    model = rotate_model(model, r)
-                    rot = r
-                    log.info("aligned easy axis %s onto z (%s quality)", axis, quality)
+        axis, quality = easy_axis_of(es, model)
+        if quality != "none":
+            r = rotation_taking_to_z(axis)
+            if not np.allclose(r, np.eye(3), atol=1e-12):
+                model = rotate_model(model, r)
+                rot = r
+                es = eigensystem_for(model)
+                log.info("aligned easy axis %s onto z (%s quality)", axis, quality)
         self.config = config
         self.model = model
-        self.rotation = rot
-        self.es = eigensystem_for(model)
+        self.es = es
         self.pair = fundamental_pair(self.es.kramers_pairs)
         if self.pair.ambiguous:
             raise SweepPointError(
@@ -136,7 +136,6 @@ class PointEngine:
             regularizer_cm1=cfg.regularizer_cm1,
             channels=cfg.channels,
             allow_same_mode=cfg.allow_same_mode,
-            drop_threshold=cfg.drop_threshold_per_s,
         )
         t0 = time.perf_counter()
         res2 = build_generator(2, self.couplings, bath, self.es, **common)
@@ -163,7 +162,7 @@ class PointEngine:
         return out
 
     def _report(self, sup, sums, temperature_k: float, order: int) -> RateReport:
-        tau = extract_tau(sup, self.es, self.pair)
+        tau = extract_tau(sup, self.pair)
         t1_s, t2star_s = pair_sums_to_times(sums)
         t2 = pair_t2(sup, *self.pair.indices)
         return RateReport(
@@ -290,12 +289,12 @@ def run_sweep(config: RunConfig, *, output_dir: str = ".", workers: int | None =
         timers["generate_s"] += engine.timers["generate_s"]
         timers["extract_s"] += engine.timers["extract_s"]
 
-    fits = _run_fits(config, rows)
-
     os.makedirs(output_dir, exist_ok=True)
     csv_path = os.path.join(output_dir, config.rates_csv)
     report_path = os.path.join(output_dir, config.fit_report)
+    # the rows are all valid here, so they reach disk even if a fit fails
     _write_rates_csv(csv_path, rows, config, sweeping_fields)
+    fits = _run_fits(config, rows)
     field_note = (
         f"fits use the first swept field value only: field_T={list(fields[0])}"
         if sweeping_fields and config.fits

@@ -24,6 +24,11 @@ HERMITICITY_TOL = 1e-10
 # Eigenvalue clustering window for gauge fixing; well below any physical
 # splitting but above eigh noise for H of a few thousand cm^-1.
 DEGENERACY_TOL_CM1 = 1e-7
+# a doublet whose members both carry |<Jz>| below this is flagged ambiguous
+KRAMERS_MOMENT_THRESHOLD = 0.1
+# relative gap between the two largest doublet-moment eigenvalues below
+# which the doublet counts as isotropic
+ANISOTROPY_TOL = 1e-6
 
 
 class InternalConsistencyError(RuntimeError):
@@ -111,9 +116,6 @@ class Eigensystem:
     def dim(self) -> int:
         return self.energies_cm1.size
 
-    def gaps_from_ground(self) -> NDArray[np.float64]:
-        return self.energies_cm1 - self.energies_cm1[0]
-
 
 def assemble_hamiltonian(model: SpinModel) -> NDArray[np.complex128]:
     """Crystal-field plus Zeeman Hamiltonian in the M_J product basis, cm^-1."""
@@ -152,11 +154,7 @@ def split_at_gaps(w: NDArray[np.float64], tol: float) -> list[slice]:
     return clusters
 
 
-def diagonalize(
-    h: NDArray[np.complex128],
-    *,
-    degeneracy_tol_cm1: float = DEGENERACY_TOL_CM1,
-) -> Eigensystem:
+def diagonalize(h: NDArray[np.complex128]) -> Eigensystem:
     """Eigensystem with deterministic gauge.
 
     Within every degenerate cluster Jz is sub-diagonalized and members are
@@ -174,7 +172,7 @@ def diagonalize(
         raise DiagonalizationError(f"eigh failed on matrix with norm {norm:.3e}") from exc
 
     jz = AngularMomentum(h.shape[0] - 1).jz
-    for cluster in split_at_gaps(w, degeneracy_tol_cm1):
+    for cluster in split_at_gaps(w, DEGENERACY_TOL_CM1):
         if cluster.stop - cluster.start < 2:
             continue
         sub = u[:, cluster]
@@ -194,18 +192,13 @@ def jz_expectations(es: Eigensystem) -> NDArray[np.float64]:
     return np.real(np.einsum("ia,ij,ja->a", es.eigenvectors.conj(), jz, es.eigenvectors))
 
 
-def identify_kramers_pairs(
-    es: Eigensystem,
-    model: SpinModel,
-    *,
-    moment_threshold: float = 0.1,
-) -> tuple[KramersPair, ...]:
+def identify_kramers_pairs(es: Eigensystem, model: SpinModel) -> tuple[KramersPair, ...]:
     """Pair eigenstates into doublets by energy adjacency.
 
     Valid for zero or weak field (Zeeman splitting well below crystal-field
     gaps), where Kramers partners stay adjacent in the sorted spectrum. A
-    pair whose members both carry |<Jz>| below moment_threshold, or whose
-    moments fail to oppose, is flagged ambiguous instead of rejected.
+    pair whose members both carry |<Jz>| below KRAMERS_MOMENT_THRESHOLD,
+    or whose moments fail to oppose, is flagged ambiguous, not rejected.
     """
     if model.angular_momentum.two_j % 2 == 0:
         raise ValueError("Kramers pairing needs half-integer J (odd two_j)")
@@ -217,7 +210,7 @@ def identify_kramers_pairs(
     for a in range(0, es.dim, 2):
         b = a + 1
         scale = max(abs(jz[a]), abs(jz[b]))
-        small = scale < moment_threshold
+        small = scale < KRAMERS_MOMENT_THRESHOLD
         opposed = jz[a] * jz[b] <= 0 and abs(jz[a] + jz[b]) < max(1e-6, 0.05 * scale)
         pairs.append(KramersPair(a=a, b=b, jz_a=jz[a], jz_b=jz[b], ambiguous=small or not opposed))
     return tuple(pairs)
@@ -244,21 +237,18 @@ def _doublet_moment_matrix(
     return 0.5 * (a + a.T)
 
 
-def easy_axis_of(
-    es: Eigensystem, model: SpinModel, *, anisotropy_tol: float = 1e-6
-) -> tuple[NDArray[np.float64], str]:
-    """Magnetic axis of the fundamental doublet.
+def easy_axis_of(es: Eigensystem, model: SpinModel) -> tuple[NDArray[np.float64], str]:
+    """Magnetic axis of the fundamental doublet of es (an eigensystem_for result).
 
     Returns (unit axis, quality) with quality one of:
       "doublet" - principal axis of the doublet moment matrix (anisotropic)
       "moment"  - isotropic doublet, axis taken from the ground-state moment
       "none"    - no preferred direction at all; axis defaults to +z
     """
-    pairs = es.kramers_pairs or identify_kramers_pairs(es, model)
-    pair = fundamental_pair(pairs)
+    pair = fundamental_pair(es.kramers_pairs)
     a = _doublet_moment_matrix(es, pair, model.angular_momentum)
     w, v = eigh(a)
-    if (w[-1] - w[-2]) > anisotropy_tol * max(w[-1], 1e-30):
+    if (w[-1] - w[-2]) > ANISOTROPY_TOL * max(w[-1], 1e-30):
         axis, quality = v[:, -1], "doublet"
     else:
         g = es.eigenvectors[:, 0]

@@ -152,7 +152,7 @@ def test_population_blocks_and_decay_match_brute_force(
     # decay constant read off a propagated trajectory vs the generator
     seng = spin_half_engine
     sup = _build(2, seng, 2.0).superoperator
-    res = extract_tau(sup, seng.es, seng.pair)
+    res = extract_tau(sup, seng.pair)
     a, b = seng.pair.a, seng.pair.b
     rho0 = np.zeros((2, 2), dtype=complex)
     rho0[a, a] = 1.0

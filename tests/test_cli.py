@@ -1,3 +1,4 @@
+import pytest
 import yaml
 
 from conftest import DECK_PATHS
@@ -83,6 +84,32 @@ def test_scan_regularizer_rejects_garbage_values(capsys):
     ) == 2
 
 
+def test_scan_regularizer_rejects_nonpositive_temperature(tmp_path, capsys):
+    args = ["scan-regularizer", str(DECK_PATHS["spin_half"]), "--values", "1.0"]
+    assert main(args + ["--temperature-k", "0", "--output-dir", str(tmp_path)]) == 2
+    assert "--temperature-k" in capsys.readouterr().err
+    assert not (tmp_path / "scan_regularizer.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, values",
+    [("scan-regularizer", "--values", "1.0,-1"), ("scan-broadening", "--widths", "1.0,nan")],
+)
+def test_scan_rejects_out_of_range_knob_values(tmp_path, capsys, command, flag, values):
+    args = [command, str(DECK_PATHS["spin_half"]), flag, values]
+    assert main(args + ["--output-dir", str(tmp_path)]) == 2
+    assert flag in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_scan_point_failure_names_the_value(tmp_path, capsys):
+    # eta = 0 leaves a vanishing order-4 denominator on the spin_half deck
+    args = ["scan-regularizer", str(DECK_PATHS["spin_half"]), "--values", "1.0,0"]
+    assert main(args + ["--order", "4", "--output-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "regularizer_cm1=0.0" in err and "zero denominator" in err
+
+
 def test_scan_broadening(tmp_path):
     code = main(
         [
@@ -127,3 +154,6 @@ def test_run_fit_failure_exits_3(tmp_path, capsys):
     assert main(["run", str(path), "--output-dir", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert f"fits[{len(deck['fits']) - 1}] (tau_rate, arrhenius, order 2)" in err
+    # the sweep's rows were all valid, so the CSV is on disk anyway
+    lines = (tmp_path / deck["outputs"]["rates_csv"]).read_text().splitlines()
+    assert len([l for l in lines if not l.startswith("#")]) == 1 + 20

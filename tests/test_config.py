@@ -34,8 +34,11 @@ def test_minimal_deck_resolves_with_documented_defaults():
     assert n["channels"] == ["absorption_emission"]
     assert n["allow_same_mode"] is False
     assert n["workers"] == 1
-    assert n["align_easy_axis"] is True
     assert cfg.fits == ()
+    for key, value in (("align_easy_axis", False), ("drop_threshold_per_s", 1.0)):
+        deck = deep(MINIMAL)
+        deck["numeric"] = {key: value}
+        assert any(key in d for d in validate_deck(deck))
 
 
 def test_validation_collects_all_diagnostics_not_just_first():

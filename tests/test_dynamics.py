@@ -3,7 +3,6 @@ import pytest
 
 import oracles
 
-from spinphonon.angular import AngularMomentum
 from spinphonon.dynamics import (
     AmbiguousEigenvectorError,
     PositivityError,
@@ -16,11 +15,9 @@ from spinphonon.dynamics import (
 )
 from spinphonon.constants import KB_CM1_PER_K
 from spinphonon.generators import PairRateSums, Superoperator
-from spinphonon.spin_model import KramersPair, SpinModel, eigensystem_for
+from spinphonon.spin_model import KramersPair
 
 PAIR01 = KramersPair(a=0, b=1, jz_a=0.5, jz_b=-0.5)
-ES2 = eigensystem_for(SpinModel(angular_momentum=AngularMomentum(1)))
-ES4 = eigensystem_for(SpinModel(angular_momentum=AngularMomentum(3)))
 
 
 def hop(p, q, rate, dim):
@@ -44,7 +41,7 @@ def two_state_superoperator(up, down):
 def test_extract_tau_two_state_exchange():
     up, down = 3.0, 5.0
     sup, _ = two_state_superoperator(up, down)
-    res = extract_tau(sup, ES2, PAIR01)
+    res = extract_tau(sup, PAIR01)
     assert res.tau_s == pytest.approx(1.0 / (up + down), rel=1e-12)
     assert res.overlap_score == pytest.approx(1.0, abs=1e-9)
     assert res.eigenvalue_per_s.real == pytest.approx(-(up + down), rel=1e-12)
@@ -52,7 +49,7 @@ def test_extract_tau_two_state_exchange():
 
 def test_extract_tau_zero_generator_is_blocked():
     sup = Superoperator(order=2, matrix=np.zeros((4, 4), dtype=complex), basis="x", dim=2)
-    res = extract_tau(sup, ES2, PAIR01)
+    res = extract_tau(sup, PAIR01)
     assert res.tau_s == np.inf
     assert res.overlap_score == pytest.approx(1.0, abs=1e-12)
 
@@ -61,7 +58,7 @@ def test_extract_tau_untouched_pair_is_blocked():
     # dynamics lives entirely on 2 <-> 3; the probe difference on (0,1)
     # never decays and must be reported as blocked, not picked from noise
     sup = superoperator([hop(3, 2, 1.0, 4), hop(2, 3, 2.0, 4)], 4)
-    res = extract_tau(sup, ES4, PAIR01)
+    res = extract_tau(sup, PAIR01)
     assert res.tau_s == np.inf
     assert res.overlap_score == pytest.approx(1.0, abs=1e-9)
 
@@ -73,7 +70,7 @@ def test_extract_tau_ambiguous_raises_with_table():
              (1, 0, c), (0, 1, c), (3, 2, d), (2, 3, d)]
     sup = superoperator([hop(p, q, r, 4) for p, q, r in rates], 4)
     with pytest.raises(AmbiguousEigenvectorError) as err:
-        extract_tau(sup, ES4, PAIR01)
+        extract_tau(sup, PAIR01)
     table = err.value.table
     assert len(table) == 16
     amps = [amp for _, amp in table]

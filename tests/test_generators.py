@@ -196,19 +196,6 @@ def test_unused_vanishing_denominator_does_not_raise(spin_half_engine, spin_half
     assert res.jump_count == 0
 
 
-def test_drop_threshold_prunes_and_zero_keeps_all(four_level_engine, four_level_config):
-    cfg = four_level_config
-    bath = bath_for(cfg, 4.0)
-    full = build_generator(2, four_level_engine.couplings, bath, four_level_engine.es)
-    pruned = build_generator(
-        2, four_level_engine.couplings, bath, four_level_engine.es,
-        drop_threshold=1e30,
-    )
-    assert np.abs(pruned.superoperator.matrix).max() == 0.0
-    assert pruned.jump_count == 0
-    assert full.jump_count > 0
-
-
 def test_worker_counts_agree_bitwise(four_level_engine, four_level_config):
     cfg = four_level_config
     bath = bath_for(cfg, 8.0)

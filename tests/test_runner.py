@@ -6,6 +6,7 @@ import yaml
 
 from conftest import DECK_PATHS, GOLDEN, bath_for
 
+from spinphonon import runner
 from spinphonon.config import load_config, resolve
 from spinphonon.generators import Superoperator, build_generator
 from spinphonon.runner import CSV_COLUMNS, PointEngine, SweepPointError, run_sweep
@@ -81,10 +82,10 @@ def test_order4_rows_are_cumulative(four_level_config, four_level_engine):
     )
     from spinphonon.dynamics import extract_tau
 
-    tau = extract_tau(cumulative, eng.es, eng.pair)
+    tau = extract_tau(cumulative, eng.pair)
     assert reports[4].tau_s == pytest.approx(tau.tau_s, rel=1e-12)
     # and the order-2 row is untouched by the order-4 contribution
-    tau2 = extract_tau(r2.superoperator, eng.es, eng.pair)
+    tau2 = extract_tau(r2.superoperator, eng.pair)
     assert reports[2].tau_s == pytest.approx(tau2.tau_s, rel=1e-12)
 
 
@@ -136,6 +137,23 @@ def test_tilted_field_engine_aligns_and_runs(spin_half_config):
     assert eng.pair.indices == (0, 1)
     rep = eng.rates(2.0, (2,))[2]
     assert np.isfinite(rep.t1_s) and rep.t1_s > 0.0
+
+
+@pytest.mark.parametrize(
+    "name, field_t, calls",
+    [("spin_half", None, 1), ("four_level", None, 1), ("j15_2", None, 1),
+     ("spin_half", (1.0, 0.0, 0.0), 2)],
+)
+def test_engine_diagonalizes_again_only_after_rotating(monkeypatch, name, field_t, calls):
+    models = []
+
+    def counting(model, original=runner.eigensystem_for):
+        models.append(model)
+        return original(model)
+
+    monkeypatch.setattr(runner, "eigensystem_for", counting)
+    PointEngine(load_config(DECK_PATHS[name]), field_t)
+    assert len(models) == calls
 
 
 def test_four_level_sweep_reproduces_golden_and_rates_are_monotone(
