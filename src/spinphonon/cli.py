@@ -7,6 +7,7 @@ temperature/field point is named in the message).
 
 import argparse
 import logging
+import math
 import os
 import sys
 from dataclasses import replace
@@ -112,8 +113,8 @@ def _scan(config, values, label, out_name, args) -> int:
     temperature = (
         args.temperature_k if args.temperature_k is not None else config.temperatures_k[0]
     )
-    if not temperature > 0:
-        print(f"--temperature-k must be positive, got {temperature!r}", file=sys.stderr)
+    if not (math.isfinite(temperature) and temperature > 0):
+        print(f"--temperature-k must be finite and positive, got {temperature!r}", file=sys.stderr)
         return 2
     lines = _provenance(config)
     lines.append(f"# scan at temperature_K={temperature!r}, order={order}")
@@ -147,8 +148,8 @@ def _cmd_scan_regularizer(args) -> int:
     except ValueError:
         print(f"--values must be comma separated numbers, got {args.values!r}", file=sys.stderr)
         return 2
-    if not values or not all(v >= 0 for v in values):
-        print("--values needs numbers >= 0", file=sys.stderr)
+    if not values or not all(math.isfinite(v) and v >= 0 for v in values):
+        print("--values needs finite numbers >= 0", file=sys.stderr)
         return 2
     cases = [(v, replace(config, regularizer_cm1=v)) for v in values]
     return _scan(config, cases, "regularizer_cm1", "scan_regularizer.csv", args)
@@ -161,8 +162,8 @@ def _cmd_scan_broadening(args) -> int:
     except ValueError:
         print(f"--widths must be comma separated numbers, got {args.widths!r}", file=sys.stderr)
         return 2
-    if not widths or not all(w > 0 for w in widths):
-        print("--widths needs positive numbers", file=sys.stderr)
+    if not widths or not all(math.isfinite(w) and w > 0 for w in widths):
+        print("--widths needs finite positive numbers", file=sys.stderr)
         return 2
     kind = args.kind if args.kind is not None else config.broadening.kind
     if kind == "exact":

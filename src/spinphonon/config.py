@@ -1,16 +1,22 @@
 """Input decks: YAML loading, schema validation, resolution to run objects.
 
 A deck is a single YAML document validated against the bundled JSON
-schema (schema/deck.schema.json). Validation collects every violation
-instead of stopping at the first; unknown keys are rejected so a typo in
-a unit suffix (width vs width_cm1) surfaces as a diagnostic rather than
-a silently ignored setting.
+schema (schema/deck.schema.json) for its structure, keys and enums, and
+then checked by ``_semantic_diagnostics``, which also checks every number
+(type, finiteness, sign) one array at a time with numpy. Validation
+collects every violation instead of stopping at the first; unknown keys
+are rejected so a typo in a unit suffix (width vs width_cm1) surfaces as
+a diagnostic rather than a silently ignored setting.
 """
 
 import functools
 import hashlib
+import itertools
 import json
 import logging
+import numbers
+import sys
+import time
 from dataclasses import dataclass
 from importlib import resources
 
@@ -95,28 +101,115 @@ def _schema() -> dict:
     return json.loads(text)
 
 
-def _json_path(error) -> str:
-    path = ".".join(
-        f"[{p}]" if isinstance(p, int) else p for p in error.absolute_path
-    ).replace(".[", "[")
+def _json_path(parts) -> str:
+    path = ".".join(f"[{p}]" if isinstance(p, int) else p for p in parts).replace(".[", "[")
     return path or "(deck root)"
 
 
+# the sign rule of a deck number, worded as jsonschema words it
+_SIGN_RULES = {
+    "> 0": (np.greater, "is less than or equal to the minimum of 0"),
+    ">= 0": (np.greater_equal, "is less than the minimum of 0"),
+}
+
+
+def _is_number_type(t: type) -> bool:
+    return issubclass(t, numbers.Real) and not issubclass(t, bool)
+
+
+def _bad_number(values: list, sign: str | None = None) -> tuple[int, str] | None:
+    """Index and reason of the first entry that is not a finite number obeying sign.
+
+    The whole list is checked in one numpy pass; Python walks it again only
+    to find the entry to report.
+    """
+    if not all(map(_is_number_type, set(map(type, values)))):
+        k = next(k for k, x in enumerate(values) if not _is_number_type(type(x)))
+        return k, f"{values[k]!r} is not of type 'number'"
+    try:
+        a = np.array(values, dtype=float)
+    except OverflowError:
+        k = next(k for k, x in enumerate(values) if abs(x) > sys.float_info.max)
+        return k, f"{values[k]!r} is too large for a float"
+    finite = np.isfinite(a)
+    ok = finite & _SIGN_RULES[sign][0](a, 0) if sign else finite
+    if ok.all():
+        return None
+    k = int(np.argmin(ok))
+    reason = _SIGN_RULES[sign][1] if finite[k] else "is not finite"
+    return k, f"{values[k]!r} {reason}"
+
+
+def _matrix_diagnostic(parts: tuple, rows, dim: int | None, two_j) -> str | None:
+    """The shape, then the first entry that is not a finite number, of one matrix part."""
+    if not isinstance(rows, list):
+        return None  # the schema reports it
+    d = len(rows) if dim is None else dim
+    shape = "must be square" if dim is None else f"must be {d}x{d} for two_j = {two_j}"
+    if len(rows) != d:
+        return f"{_json_path(parts)}: {shape}"
+    for r, row in enumerate(rows):
+        if not isinstance(row, list):
+            return f"{_json_path((*parts, r))}: {row!r} is not of type 'array'"
+        if len(row) != d:
+            return f"{_json_path((*parts, r))}: a row of {len(row)} entries; the matrix {shape}"
+    found = _bad_number(list(itertools.chain.from_iterable(rows)))
+    if found is None:
+        return None
+    k, reason = found
+    return f"{_json_path((*parts, k // d, k % d))}: {reason}"
+
+
+def _mapping(x) -> dict:
+    return x if isinstance(x, dict) else {}
+
+
+def _array(x) -> list:
+    return x if isinstance(x, list) else []
+
+
 def _semantic_diagnostics(raw: dict) -> list[str]:
-    """Cross-field checks the schema grammar cannot express."""
+    """Cross-field checks the schema grammar cannot express, and every number.
+
+    The schema checks structure, keys and enums. Each array of numbers (a
+    list, a matrix part, the coefficients of a Stevens term list) and each
+    numeric scalar is checked here in one numpy pass: type, finiteness and
+    the sign rule of its key. A bad array gets one diagnostic, naming its
+    first bad entry.
+    """
     out: list[str] = []
-    model = raw.get("model", {})
+
+    def check(parts, values, sign=None, where=lambda k: (k,)) -> bool:
+        found = _bad_number(values, sign)
+        if found is not None:
+            k, reason = found
+            out.append(f"{_json_path((*parts, *where(k)))}: {reason}")
+        return found is None
+
+    def check_scalars(parts, table, signs):
+        for key, sign in signs:
+            if key in table:
+                check((*parts, key), [table[key]], sign, where=lambda k: ())
+
+    def check_stevens(parts, terms):
+        idx = [i for i, t in enumerate(_array(terms)) if isinstance(t, list) and len(t) == 3]
+        for i in idx:
+            l, m = terms[i][0], terms[i][1]
+            if l in (2, 4, 6) and isinstance(m, int) and abs(m) > l:
+                out.append(f"{_json_path((*parts, i))}: |m| = {abs(m)} exceeds l = {l}")
+        check(parts, [terms[i][2] for i in idx], where=lambda k: (idx[k], 2))
+
+    model = _mapping(raw.get("model"))
     two_j = model.get("two_j")
-    dim = two_j + 1 if isinstance(two_j, int) else None
+    dim = two_j + 1 if isinstance(two_j, int) and two_j >= 1 else None
+    check_scalars(("model",), model, (("g_j", "> 0"),))
+    check_stevens(("model", "stevens_terms_cm1"), model.get("stevens_terms_cm1"))
+    check(("model", "field_t"), _array(model.get("field_t")))
 
-    for i, t in enumerate(model.get("stevens_terms_cm1") or []):
-        if isinstance(t, list) and len(t) == 3 and isinstance(t[1], int):
-            l, m = t[0], t[1]
-            if l in (2, 4, 6) and abs(m) > l:
-                out.append(f"model.stevens_terms_cm1[{i}]: |m| = {abs(m)} exceeds l = {l}")
+    modes = _array(_mapping(raw.get("bath")).get("modes_cm1"))
+    check(("bath", "modes_cm1"), modes, "> 0")
 
-    modes = raw.get("bath", {}).get("modes_cm1") or []
-    ops = raw.get("coupling", {}).get("operators") or []
+    ops = _array(_mapping(raw.get("coupling")).get("operators"))
     if modes and ops and len(modes) != len(ops):
         out.append(
             f"coupling.operators: {len(ops)} operators for {len(modes)} modes; "
@@ -136,32 +229,30 @@ def _semantic_diagnostics(raw: dict) -> list[str]:
             out.append(
                 f"coupling.operators[{i}]: needs stevens_derivatives_cm1 or matrix_cm1"
             )
-        for j, t in enumerate(op.get("stevens_derivatives_cm1") or []):
-            if isinstance(t, list) and len(t) == 3 and isinstance(t[1], int):
-                l, m = t[0], t[1]
-                if l in (2, 4, 6) and abs(m) > l:
-                    out.append(
-                        f"coupling.operators[{i}].stevens_derivatives_cm1[{j}]: "
-                        f"|m| = {abs(m)} exceeds l = {l}"
-                    )
-        mat = op.get("matrix_cm1")
-        if isinstance(mat, dict) and dim is not None:
-            for key in ("real", "imag"):
-                rows = mat.get(key)
-                if rows is None:
-                    continue
-                shape_ok = len(rows) == dim and all(
-                    isinstance(r, list) and len(r) == dim for r in rows
-                )
-                if not shape_ok:
-                    out.append(
-                        f"coupling.operators[{i}].matrix_cm1.{key}: must be "
-                        f"{dim}x{dim} for two_j = {two_j}"
-                    )
+        parts = ("coupling", "operators", i)
+        check_stevens((*parts, "stevens_derivatives_cm1"), op.get("stevens_derivatives_cm1"))
+        mat = _mapping(op.get("matrix_cm1"))
+        for key in ("real", "imag"):
+            diag = _matrix_diagnostic((*parts, "matrix_cm1", key), mat.get(key), dim, two_j)
+            if diag is not None:
+                out.append(diag)
 
-    for i, fit in enumerate(raw.get("fits") or []):
-        win = fit.get("window_k") if isinstance(fit, dict) else None
-        if isinstance(win, list) and len(win) == 2 and win[0] >= win[1]:
+    sweep = _mapping(raw.get("sweep"))
+    check(("sweep", "temperatures_k"), _array(sweep.get("temperatures_k")), "> 0")
+    for k, field in enumerate(_array(sweep.get("fields_t"))):
+        check(("sweep", "fields_t", k), _array(field))
+
+    numeric = _mapping(raw.get("numeric"))
+    check_scalars(("numeric",), numeric, (("secular_tol_cm1", "> 0"), ("regularizer_cm1", ">= 0")))
+    check_scalars(
+        ("numeric", "broadening"),
+        _mapping(numeric.get("broadening")),
+        (("width_cm1", "> 0"), ("cutoff_sigmas", "> 0")),
+    )
+
+    for i, fit in enumerate(_array(raw.get("fits"))):
+        win = _array(_mapping(fit).get("window_k"))
+        if check(("fits", i, "window_k"), win, "> 0") and len(win) == 2 and win[0] >= win[1]:
             out.append(f"fits[{i}].window_k: lower bound must be below upper bound")
     return out
 
@@ -170,11 +261,11 @@ def validate_deck(raw: dict) -> list[str]:
     """Every problem with the deck, or an empty list. Never fail-fast."""
     validator = Draft202012Validator(_schema())
     diags = [
-        f"{_json_path(e)}: {e.message}"
+        f"{_json_path(e.absolute_path)}: {e.message}"
         for e in sorted(validator.iter_errors(raw), key=lambda e: list(map(str, e.absolute_path)))
     ]
-    # semantic checks assume schema-conformant shapes; report them together
-    # anyway since they index into whatever structure is present
+    # the schema does not descend into numbers; the semantic checks do, and
+    # they skip any structure the schema has already rejected
     diags.extend(_semantic_diagnostics(raw))
     return diags
 
@@ -309,9 +400,19 @@ def resolve(raw: dict) -> RunConfig:
 
 def load_config(path: str) -> RunConfig:
     """Read, validate and resolve a deck file. Raises with all diagnostics."""
+    t0 = time.perf_counter()
     with open(path) as fh:
         # libyaml parses when PyYAML was built with it; the objects are the same
         raw = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     if not isinstance(raw, dict):
         raise DeckValidationError(["deck must be a mapping at the top level"])
-    return resolve(raw)
+    t1 = time.perf_counter()
+    config = resolve(raw)
+    t2 = time.perf_counter()
+    log.info(
+        "deck loaded in %.3f s: parse %.3f s, validate and resolve %.3f s",
+        t2 - t0,
+        t1 - t0,
+        t2 - t1,
+    )
+    return config

@@ -106,7 +106,7 @@ class PointEngine:
         self.blocks = secular_partition(self.es, config.secular_tol_cm1)
         d_rot = spin_rotation_matrix(rot, j)
         self.couplings = tuple(self._coupling(spec, rot, d_rot) for spec in config.coupling_specs)
-        self.timers = {"prepare_s": 0.0, "generate_s": 0.0, "extract_s": 0.0}
+        self.timers = {"generate_s": 0.0, "extract_s": 0.0}
 
     def _coupling(self, spec, rot, d_rot) -> CouplingOperator:
         j = self.model.angular_momentum

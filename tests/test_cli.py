@@ -1,3 +1,6 @@
+import logging
+import math
+
 import pytest
 import yaml
 
@@ -86,14 +89,20 @@ def test_scan_regularizer_rejects_garbage_values(capsys):
 
 def test_scan_regularizer_rejects_nonpositive_temperature(tmp_path, capsys):
     args = ["scan-regularizer", str(DECK_PATHS["spin_half"]), "--values", "1.0"]
-    assert main(args + ["--temperature-k", "0", "--output-dir", str(tmp_path)]) == 2
-    assert "--temperature-k" in capsys.readouterr().err
-    assert not (tmp_path / "scan_regularizer.csv").exists()
+    for temperature in ("0", "inf"):
+        assert main(args + ["--temperature-k", temperature, "--output-dir", str(tmp_path)]) == 2
+        assert "--temperature-k" in capsys.readouterr().err
+        assert not (tmp_path / "scan_regularizer.csv").exists()
 
 
 @pytest.mark.parametrize(
     "command, flag, values",
-    [("scan-regularizer", "--values", "1.0,-1"), ("scan-broadening", "--widths", "1.0,nan")],
+    [
+        ("scan-regularizer", "--values", "1.0,-1"),
+        ("scan-broadening", "--widths", "1.0,nan"),
+        ("scan-regularizer", "--values", "1.0,inf"),
+        ("scan-broadening", "--widths", "inf"),
+    ],
 )
 def test_scan_rejects_out_of_range_knob_values(tmp_path, capsys, command, flag, values):
     args = [command, str(DECK_PATHS["spin_half"]), flag, values]
@@ -157,3 +166,43 @@ def test_run_fit_failure_exits_3(tmp_path, capsys):
     # the sweep's rows were all valid, so the CSV is on disk anyway
     lines = (tmp_path / deck["outputs"]["rates_csv"]).read_text().splitlines()
     assert len([l for l in lines if not l.startswith("#")]) == 1 + 20
+
+
+@pytest.mark.parametrize(
+    "path, value, named",
+    [
+        (("sweep", "temperatures_k", 0), math.inf, "sweep.temperatures_k[0]"),
+        (("numeric", "broadening", "width_cm1"), math.nan, "numeric.broadening.width_cm1"),
+        (
+            ("coupling", "operators", 0, "matrix_cm1", "real", 1, 0),
+            math.nan,
+            "coupling.operators[0].matrix_cm1.real[1][0]",
+        ),
+        (("bath", "modes_cm1", 1), math.inf, "bath.modes_cm1[1]"),
+        (
+            ("coupling", "operators", 1, "matrix_cm1", "real", 1),
+            [0.0],
+            "coupling.operators[1].matrix_cm1.real[1]",
+        ),
+    ],
+    ids=["inf_temperature", "nan_width", "nan_matrix_entry", "inf_mode", "ragged_matrix_row"],
+)
+def test_run_refuses_a_bad_deck_number(tmp_path, capsys, path, value, named):
+    deck = yaml.safe_load(DECK_PATHS["spin_half"].read_text())
+    target = deck
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    deck_path = tmp_path / "bad_number.yaml"
+    deck_path.write_text(yaml.safe_dump(deck))
+    out_dir = tmp_path / "out"
+    assert main(["run", str(deck_path), "--output-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err.startswith(f"{named}: ")
+    assert not out_dir.exists()
+
+
+def test_run_verbose_logs_where_setup_went(tmp_path, caplog):
+    caplog.set_level(logging.INFO)
+    assert main(["-v", "run", str(DECK_PATHS["spin_half"]), "--output-dir", str(tmp_path)]) == 0
+    assert "deck loaded in" in caplog.text and "validate and resolve" in caplog.text
+    assert "sweep finished" in caplog.text

@@ -1,7 +1,11 @@
 import dataclasses
+import math
 
+import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinphonon.config import DeckValidationError, load_config, resolve, validate_deck
 
@@ -150,3 +154,119 @@ def test_exact_broadening_resolves(tmp_path):
     deck["numeric"] = {"broadening": {"kind": "exact"}}
     cfg = resolve(deck)
     assert cfg.broadening.kind == "exact"
+
+
+def _set(path, value):
+    """Deck mutation setting the entry at path (keys and indices) to value."""
+
+    def mutate(deck):
+        target = deck
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+
+    return mutate
+
+
+MATRIX = ("coupling", "operators", 0, "matrix_cm1", "real")
+REAL = "coupling.operators[0].matrix_cm1.real"
+
+
+@pytest.mark.parametrize(
+    "mutate, expected",
+    [
+        (
+            _set(("sweep", "temperatures_k", 0), math.inf),
+            "sweep.temperatures_k[0]: inf is not finite",
+        ),
+        (
+            _set(("numeric",), {"broadening": {"width_cm1": math.nan}}),
+            "numeric.broadening.width_cm1: nan is not finite",
+        ),
+        (_set((*MATRIX, 1, 0), math.nan), f"{REAL}[1][0]: nan is not finite"),
+        (_set(("bath", "modes_cm1", 0), -math.inf), "bath.modes_cm1[0]: -inf is not finite"),
+        (_set((*MATRIX, 1), [0.5]), f"{REAL}[1]: a row of 1 entries"),
+        # the entries the schema rejected by type before numbers moved to numpy
+        (_set((*MATRIX, 0, 1), True), f"{REAL}[0][1]: True is not of type 'number'"),
+        (_set((*MATRIX, 0, 1), "0.5"), f"{REAL}[0][1]: '0.5' is not of type 'number'"),
+        (_set((*MATRIX, 0, 1), None), f"{REAL}[0][1]: None is not of type 'number'"),
+        (_set((*MATRIX, 0, 1), [0.5]), f"{REAL}[0][1]: [0.5] is not of type 'number'"),
+        (
+            _set(("bath", "modes_cm1", 0), -3.0),
+            "bath.modes_cm1[0]: -3.0 is less than or equal to the minimum of 0",
+        ),
+        (
+            _set(("numeric",), {"regularizer_cm1": -1}),
+            "numeric.regularizer_cm1: -1 is less than the minimum of 0",
+        ),
+        (_set(("bath", "modes_cm1", 0), 10**400), f"bath.modes_cm1[0]: {10**400} is too large"),
+    ],
+    ids=[
+        "inf_temperature",
+        "nan_width",
+        "nan_matrix_entry",
+        "inf_mode",
+        "ragged_matrix_row",
+        "bool_matrix_entry",
+        "string_matrix_entry",
+        "null_matrix_entry",
+        "list_matrix_entry",
+        "negative_mode",
+        "negative_regularizer",
+        "integer_beyond_float_range",
+    ],
+)
+def test_bad_number_is_diagnosed_with_its_path(mutate, expected):
+    deck = deep(MINIMAL)
+    mutate(deck)
+    deck = yaml.safe_load(yaml.safe_dump(deck))  # .inf and .nan as a deck writes them
+    diags = validate_deck(deck)
+    assert len(diags) == 1 and diags[0].startswith(expected), diags
+    with pytest.raises(DeckValidationError):
+        resolve(deck)
+
+
+def test_wrong_structure_is_diagnosed_not_raised():
+    bad = deep(MINIMAL)
+    bad["model"] = [1]
+    bad["fits"] = [{"quantity": "t1_rate", "fit_model": "arrhenius", "window_k": ["a", 1]}]
+    diags = validate_deck(bad)
+    assert "model: [1] is not of type 'object'" in diags
+    assert "fits[0].window_k[0]: 'a' is not of type 'number'" in diags
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def hermitian_matrix_decks(draw):
+    d = draw(st.integers(2, 6))
+    real = [[0.0] * d for _ in range(d)]
+    imag = [[0.0] * d for _ in range(d)]
+    for r in range(d):
+        real[r][r] = draw(FINITE)
+        for c in range(r + 1, d):
+            real[r][c] = real[c][r] = draw(FINITE)
+            imag[r][c] = draw(FINITE)
+            imag[c][r] = -imag[r][c]
+    deck = deep(MINIMAL)
+    deck["model"]["two_j"] = d - 1
+    deck["coupling"]["operators"][0]["matrix_cm1"] = {"real": real, "imag": imag}
+    return deck
+
+
+@settings(max_examples=60, deadline=None)
+@given(deck=hermitian_matrix_decks(), data=st.data())
+def test_finite_matrix_resolves_and_one_bad_entry_is_named(deck, data):
+    mat = deck["coupling"]["operators"][0]["matrix_cm1"]
+    assert validate_deck(deck) == []
+    expected = np.array(mat["real"]) + 1j * np.array(mat["imag"])
+    np.testing.assert_array_equal(resolve(deck).coupling_specs[0].matrix, expected)
+
+    d = len(mat["real"])
+    part = data.draw(st.sampled_from(("real", "imag")))
+    r, c = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, d - 1))
+    mat[part][r][c] = data.draw(st.sampled_from((math.nan, math.inf, -math.inf)))
+    diags = [x for x in validate_deck(deck) if "matrix_cm1" in x]
+    assert len(diags) == 1
+    assert diags[0].startswith(f"coupling.operators[0].matrix_cm1.{part}[{r}][{c}]: ")
