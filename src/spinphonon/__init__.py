@@ -14,13 +14,10 @@ from .coupling import CouplingOperator, from_raw_matrix, from_stevens_derivative
 from .dynamics import (
     AmbiguousEigenvectorError,
     FitResult,
-    PositivityError,
     RateReport,
     TauResult,
     extract_tau,
     fit_regimes,
-    pair_t2,
-    propagate,
 )
 from .generators import (
     GeneratorResult,
@@ -59,7 +56,6 @@ __all__ = [
     "KramersPair",
     "MU_B_CM1_PER_T",
     "PhononMode",
-    "PositivityError",
     "RateReport",
     "RunConfig",
     "SecularBlock",
@@ -82,8 +78,6 @@ __all__ = [
     "identify_kramers_pairs",
     "load_config",
     "occupation",
-    "pair_t2",
-    "propagate",
     "rotate_model",
     "run_sweep",
     "secular_partition",

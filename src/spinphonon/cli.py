@@ -10,6 +10,7 @@ import logging
 import math
 import os
 import sys
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -18,9 +19,9 @@ import yaml
 from . import __version__
 from .bath import BroadeningPolicy
 from .config import DeckValidationError, load_config
-from .dynamics import AmbiguousEigenvectorError, PositivityError
+from .dynamics import AmbiguousEigenvectorError
 from .generators import BasisMismatchError, SingularityError
-from .runner import PointEngine, SweepPointError, _fmt, _provenance, run_sweep
+from .runner import PointEngine, SweepPointError, _fmt, _provenance, log_stage_times, run_sweep
 from .spin_model import DiagonalizationError, InternalConsistencyError
 
 log = logging.getLogger(__name__)
@@ -30,7 +31,6 @@ NUMERIC_ERRORS = (
     SingularityError,
     BasisMismatchError,
     AmbiguousEigenvectorError,
-    PositivityError,
     DiagonalizationError,
     InternalConsistencyError,
     np.linalg.LinAlgError,
@@ -119,20 +119,18 @@ def _scan(config, values, label, out_name, args) -> int:
     lines = _provenance(config)
     lines.append(f"# scan at temperature_K={temperature!r}, order={order}")
     lines.append(",".join((label,) + SCAN_COLUMNS))
+    timers = Counter()
     for value, cfg in values:
         try:
-            rep = PointEngine(cfg).rates(temperature, (order,))[order]
+            engine = PointEngine(cfg)
+            rep = engine.rates(temperature, (order,))[order]
         except Exception as exc:
             raise SweepPointError(
                 f"at {label}={value!r}, temperature_K={temperature!r}: {exc}"
             ) from exc
-        lines.append(
-            ",".join(
-                [_fmt(value)]
-                + [_fmt(getattr(rep, f)) for f in
-                   ("tau_s", "t1_s", "t2_s", "t2star_s", "overlap_score")]
-            )
-        )
+        timers.update(engine.timers)
+        lines.append(",".join([_fmt(value)] + [_fmt(getattr(rep, f)) for f in SCAN_COLUMNS]))
+    log_stage_times("scan", len(values), timers)
     os.makedirs(args.output_dir, exist_ok=True)
     path = os.path.join(args.output_dir, out_name)
     with open(path, "w") as fh:

@@ -1,14 +1,14 @@
-"""Observable extraction: tau, T1, T2*, T2, propagation and regime fits.
+"""Observable extraction: tau, T1, T2*, T2 and regime fits.
 
 tau is read off the generator spectrum: the autocorrelation of the
 fundamental-doublet population difference decomposes over biorthogonal
 eigenmode amplitudes, and the dominant-amplitude eigenvalue gives
-tau = -1/Re(lambda). T1 and T2* come
-from the jump-level element sums (GeneratorResult.pair_sums), T2 from the
-coherence diagonal element of the assembled generator. Both are read off
-the one Gram matrix in generators._finalize, so the decomposition
-1/T2 = 1/(2 T1) + 1/T2* checks _finalize's index map (K against the
-sums); the oracle tests check the sums and K independently.
+tau = -1/Re(lambda). T1, T2* and T2 come from one place,
+GeneratorResult.pair_sums: T1 and T2* from the jump-level element sums,
+T2 from the coherence diagonal element of the assembled generator. All
+three are read off the one Gram matrix in generators._finalize, so the
+decomposition 1/T2 = 1/(2 T1) + 1/T2* checks _finalize's index map (K
+against the sums); the oracle tests check each rate independently.
 """
 
 import logging
@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import eig, expm
+from scipy.linalg import eig
 
 from .constants import KB_CM1_PER_K
 from .generators import PairRateSums, Superoperator
@@ -29,9 +29,6 @@ OVERLAP_THRESHOLD = 0.5
 # decay rates below this fraction of the fastest eigenvalue are not
 # resolvable in double precision eig; report them as non-decaying
 RATE_RESOLUTION_REL = 1e-12
-# generator entries below this fraction of ||R|| do not couple a coherence
-# to the rest of its secular block in pair_t2
-T2_COUPLING_TOL = 1e-12
 
 
 class AmbiguousEigenvectorError(RuntimeError):
@@ -42,29 +39,11 @@ class AmbiguousEigenvectorError(RuntimeError):
         self.table = table
 
 
-class PositivityError(RuntimeError):
-    """Propagation produced a state outside tolerance; generator bug."""
-
-
 @dataclass(frozen=True)
 class TauResult:
     tau_s: float
     overlap_score: float
     eigenvalue_per_s: complex
-
-
-@dataclass(frozen=True)
-class T2Result:
-    """Coherence time of one pair, with block-coupling diagnostics.
-
-    t2_s always comes from the diagonal element -Re R_(ab),(ab). When that
-    element couples to others inside its secular block, coupled is set and
-    effective_t2_s carries the block-eigenvalue reading instead.
-    """
-
-    t2_s: float
-    coupled: bool
-    effective_t2_s: float
 
 
 @dataclass(frozen=True)
@@ -78,12 +57,6 @@ class RateReport:
     t2_s: float
     t2star_s: float
     overlap_score: float
-
-    def identity_residual(self) -> float:
-        """Relative defect of 1/T2 = 1/(2 T1) + 1/T2*."""
-        lhs = _safe_inv(self.t2_s)
-        rhs = _safe_inv(2.0 * self.t1_s) + _safe_inv(self.t2star_s)
-        return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
 
 
 @dataclass(frozen=True)
@@ -160,89 +133,16 @@ def extract_tau(sup: Superoperator, pair: KramersPair) -> TauResult:
     return TauResult(tau_s=tau, overlap_score=score, eigenvalue_per_s=lam)
 
 
-def pair_sums_to_times(sums: PairRateSums) -> tuple[float, float]:
-    """(t1_s, t2star_s) from accumulated jump-level rate sums."""
-    return _safe_inv(2.0 * sums.half_t1_rate), _safe_inv(sums.dephasing_rate)
+def pair_sums_to_times(sums: PairRateSums) -> tuple[float, float, float]:
+    """(t1_s, t2_s, t2star_s) from a pair's rate sums.
 
-
-def pair_t2(sup: Superoperator, a: int, b: int) -> T2Result:
-    """Coherence time from the (a,b) diagonal element of the generator.
-
-    If the element row/column couples to other elements of its secular
-    block (it always does inside the omega = 0 block at zero field), the
-    effective reading diagonalizes the coupled sub-block and follows the
-    eigenvector closest to the (a,b) coherence.
+    A negative coherence rate (roundoff on a blocked pair) reads as 0.
     """
-    d = sup.dim
-    idx = a * d + b
-    r = sup.matrix
-    scale = np.linalg.norm(r)
-    tol = T2_COUPLING_TOL * max(scale, 1e-300)
-    support = np.nonzero((np.abs(r[idx, :]) > tol) | (np.abs(r[:, idx]) > tol))[0]
-    support = np.unique(np.concatenate([support, [idx]]))
-    rate = -float(np.real(r[idx, idx]))
-    t2 = _safe_inv(max(rate, 0.0))
-    if support.size == 1:
-        return T2Result(t2_s=t2, coupled=False, effective_t2_s=t2)
-    sub = r[np.ix_(support, support)]
-    w, vr = eig(sub)
-    probe = np.zeros(support.size)
-    probe[int(np.nonzero(support == idx)[0][0])] = 1.0
-    norms = np.linalg.norm(vr, axis=0)
-    overlaps = np.abs(probe @ vr.conj()) / np.where(norms > 0, norms, 1.0)
-    lam = complex(w[int(np.argmax(overlaps))])
-    eff = _safe_inv(max(-lam.real, 0.0))
-    return T2Result(t2_s=t2, coupled=True, effective_t2_s=eff)
-
-
-def _check_density_matrix(rho: NDArray[np.complex128]):
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-9:
-        raise ValueError("rho0 not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > 1e-9:
-        raise ValueError("rho0 trace != 1")
-    if np.min(np.linalg.eigvalsh(rho)) < -1e-10:
-        raise ValueError("rho0 not positive semidefinite")
-
-
-def propagate(
-    sup: Superoperator,
-    rho0: NDArray[np.complex128],
-    t_grid_s: Sequence[float],
-) -> NDArray[np.complex128]:
-    """Density-matrix trajectory rho(t) for drho/dt = R rho.
-
-    Steps with the scaled-and-squared matrix exponential, one per distinct
-    time step. Trace drift above 1e-9 or an eigenvalue below -1e-8 flags a
-    generator bug (Lindblad form forbids both).
-    """
-    rho0 = np.asarray(rho0, dtype=complex)
-    _check_density_matrix(rho0)
-    d = sup.dim
-    t_grid = np.asarray(t_grid_s, dtype=float)
-    if np.any(np.diff(t_grid) < 0):
-        raise ValueError("t_grid must be non-decreasing")
-    out = np.empty((t_grid.size, d, d), dtype=complex)
-
-    vec = rho0.ravel()
-    t_prev = 0.0
-    step_cache: dict[float, NDArray[np.complex128]] = {}
-    for i, t in enumerate(t_grid):
-        dt = t - t_prev
-        if dt > 0:
-            if dt not in step_cache:
-                step_cache[dt] = expm(sup.matrix * dt)
-            vec = step_cache[dt] @ vec
-        t_prev = t
-        out[i] = vec.reshape(d, d)
-
-    traces = np.einsum("tii->t", out)
-    if np.max(np.abs(traces - 1.0)) > 1e-9:
-        raise PositivityError(f"trace drift {np.max(np.abs(traces - 1.0)):.3e} beyond 1e-9")
-    for i in range(t_grid.size):
-        herm = 0.5 * (out[i] + out[i].conj().T)
-        if np.min(np.linalg.eigvalsh(herm)) < -1e-8:
-            raise PositivityError(f"negative population at t={t_grid[i]:.3e}s; generator bug")
-    return out
+    return (
+        _safe_inv(2.0 * sums.half_t1_rate),
+        _safe_inv(max(sums.coherence_rate, 0.0)),
+        _safe_inv(sums.dephasing_rate),
+    )
 
 
 def fit_regimes(curve: Sequence[tuple[float, float]], model: str) -> FitResult:

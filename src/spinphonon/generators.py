@@ -27,8 +27,9 @@ The generator element form is the standard completely positive one,
                                        - 1/2 d_ac (L+L)_db ],
 
 and the build keeps one accumulator: the Gram matrix M1[(ac),(bd)] of
-sqrt(gamma) vec(L). K = sum gamma L+L and the jump-level T1/T2* sums of
-every state pair are functions of M1 and are read off it in _finalize.
+sqrt(gamma) vec(L). K = sum gamma L+L, R and what the T1/T2*/T2 rates of
+every state pair need are functions of M1 and are read off it in
+_finalize; GeneratorResult.pair_sums turns them into the pair's rates.
 The order-4 build is array code on one thread: mode pairs are processed
 in chunks of PAIR_CHUNK in a fixed order and each chunk's block Grams are
 added to M1 in that order, which bounds memory and makes the result
@@ -75,7 +76,6 @@ class SecularBlock:
     """
 
     frequency_cm1: float
-    pairs: tuple[tuple[int, int], ...]
     rows: NDArray[np.int64] = field(repr=False, compare=False)
     cols: NDArray[np.int64] = field(repr=False, compare=False)
     m1_index: tuple = field(repr=False, compare=False)
@@ -83,11 +83,9 @@ class SecularBlock:
 
 @dataclass(frozen=True)
 class Superoperator:
-    """Vectorized generator R (row-major vec, d^2 x d^2) plus metadata."""
+    """Vectorized generator R (row-major vec, d^2 x d^2) on d states."""
 
-    order: int
     matrix: NDArray[np.complex128]
-    basis: str
     dim: int
 
     def trace_defect(self) -> float:
@@ -107,14 +105,17 @@ class Superoperator:
 
 @dataclass(frozen=True)
 class PairRateSums:
-    """Jump-level rate sums for one state pair (a, b), in s^-1.
+    """Rate sums for one state pair (a, b), in s^-1.
 
-    half_t1_rate is 1/(2 T1); dephasing_rate is 1/T2*. Both accumulate the
-    modulus-squared element sums over every jump operator.
+    half_t1_rate is 1/(2 T1) and dephasing_rate is 1/T2*, both
+    modulus-squared element sums over every jump operator; coherence_rate
+    is 1/T2 = -Re R_(ab),(ab). Each is linear in M1, so the order-2 and
+    order-4 sums add up to the sums of R2 + R4.
     """
 
     half_t1_rate: float
     dephasing_rate: float
+    coherence_rate: float
 
 
 @dataclass(frozen=True)
@@ -123,6 +124,7 @@ class GeneratorResult:
 
     weights[r, a] = sum_k gamma_k |L_k,ra|^2 (s^-1) and diagonal_gram[a, b]
     = sum_k gamma_k L_k,aa conj(L_k,bb) are entries of the Gram matrix M1.
+    pair_sums is the one place T1, T2* and T2 rates are read.
     """
 
     superoperator: Superoperator
@@ -131,16 +133,23 @@ class GeneratorResult:
     diagonal_gram: NDArray[np.complex128]
 
     def pair_sums(self, a: int, b: int) -> PairRateSums:
-        """Jump-level 1/(2 T1) and 1/T2* of the state pair (a, b).
+        """1/(2 T1), 1/T2* and 1/T2 of the state pair (a, b).
 
-        1/(2 T1) = 1/2 (sum_{r != a} W_ra + sum_{r != b} W_rb) and
+        1/(2 T1) = 1/2 (sum_{r != a} W_ra + sum_{r != b} W_rb),
         1/T2* = 1/2 (W_aa + W_bb - 2 Re P_ab), i.e. 1/2 sum_k gamma_k
-        |L_k,aa - L_k,bb|^2.
+        |L_k,aa - L_k,bb|^2, and 1/T2 = -Re R_(ab),(ab), the coherence's
+        diagonal generator element.
         """
         w = self.weights
         half_t1 = 0.5 * (np.delete(w[:, a], a).sum() + np.delete(w[:, b], b).sum())
         dephasing = 0.5 * (w[a, a] + w[b, b] - 2.0 * np.real(self.diagonal_gram[a, b]))
-        return PairRateSums(half_t1_rate=float(half_t1), dephasing_rate=float(dephasing))
+        sup = self.superoperator
+        idx = a * sup.dim + b
+        return PairRateSums(
+            half_t1_rate=float(half_t1),
+            dephasing_rate=float(dephasing),
+            coherence_rate=-float(np.real(sup.matrix[idx, idx])),
+        )
 
 
 def secular_partition(
@@ -168,7 +177,6 @@ def secular_partition(
         blocks.append(
             SecularBlock(
                 frequency_cm1=float(freqs[cluster].mean()),
-                pairs=tuple(zip(rows.tolist(), cols.tolist())),
                 rows=rows,
                 cols=cols,
                 m1_index=np.ix_(flat, flat),
@@ -179,7 +187,7 @@ def secular_partition(
 
 def _aligned_couplings(
     couplings: Sequence[CouplingOperator], bath: BathConfig
-) -> tuple[NDArray[np.complex128], str]:
+) -> NDArray[np.complex128]:
     """Stack coupling matrices in bath-mode order; enforce one basis."""
     if not couplings:
         raise ValueError("no coupling operators supplied")
@@ -188,10 +196,9 @@ def _aligned_couplings(
         raise BasisMismatchError(f"couplings from different bases: {sorted(tags)}")
     by_index = {c.mode_index: c for c in couplings}
     try:
-        stack = np.stack([by_index[m.index].matrix for m in bath.modes])
+        return np.stack([by_index[m.index].matrix for m in bath.modes])
     except KeyError as exc:
         raise KeyError(f"no coupling operator for mode index {exc.args[0]}") from None
-    return stack, tags.pop()
 
 
 def _denominators(energies: NDArray[np.float64], omega, sign, eta: float) -> NDArray[np.complex128]:
@@ -289,7 +296,7 @@ def build_generator(
     """
     if order not in (2, 4):
         raise ValueError("order must be 2 or 4")
-    vstack, tag = _aligned_couplings(couplings, bath)
+    vstack = _aligned_couplings(couplings, bath)
     dim = vstack.shape[1]
     if blocks is None:
         blocks = secular_partition(es, secular_tol_cm1)
@@ -308,7 +315,7 @@ def build_generator(
             _add_block(m1, block, gam_block, vstack)
             for block, gam_block in zip(blocks, gam)
         )
-        return _result_from(m1, jumps, order, tag, dim)
+        return _result_from(m1, jumps, dim)
 
     # the kernel is exactly zero outside this window, so the prefilter
     # drops only tasks that carry no weight
@@ -351,12 +358,12 @@ def build_generator(
                 block = blocks[bidx]
                 gam = RATE_PREFACTOR * delta(block.frequency_cm1, target_c[sel], pol) * occ_c[sel]
                 jumps += _add_block(m1, block, gam, amps[sel])
-    return _result_from(m1, jumps, order, tag, dim)
+    return _result_from(m1, jumps, dim)
 
 
-def _result_from(m1, jumps: int, order: int, tag: str, dim: int) -> GeneratorResult:
+def _result_from(m1, jumps: int, dim: int) -> GeneratorResult:
     matrix, weights, diagonal_gram = _finalize(m1, dim)
-    sup = Superoperator(order=order, matrix=matrix, basis=tag, dim=dim)
+    sup = Superoperator(matrix=matrix, dim=dim)
     defect = sup.trace_defect()
     if defect > 1e-10:
         raise RuntimeError(f"generator violates trace preservation: {defect:.3e}")

@@ -2,14 +2,15 @@
 
 The sweep walks fields (outer), temperatures, then orders, so a 10
 temperature deck with orders=both yields 20 CSV rows. The order-4 row is
-cumulative: R = R2 + R4, and the jump-level T1/T2* sums are added the
-same way before inversion.
+cumulative: R = R2 + R4, and the T1/T2*/T2 rate sums are added the same
+way before inversion.
 """
 
 import logging
 import math
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,7 +20,7 @@ from .bath import BathConfig
 from .config import FitRequest, RunConfig
 from .constants import C_CM_S, KB_CM1_PER_K, MU_B_CM1_PER_T
 from .coupling import CouplingOperator, from_raw_matrix, from_stevens_derivatives
-from .dynamics import FitResult, RateReport, extract_tau, fit_regimes, pair_sums_to_times, pair_t2
+from .dynamics import FitResult, RateReport, extract_tau, fit_regimes, pair_sums_to_times
 from .generators import PairRateSums, Superoperator, build_generator, secular_partition
 from .spin_model import (
     easy_axis_of,
@@ -74,6 +75,7 @@ class PointEngine:
     """
 
     def __init__(self, config: RunConfig, field_t=None):
+        t0 = time.perf_counter()
         model = config.model
         if field_t is not None:
             model = replace(model, field_t=tuple(float(x) for x in field_t))
@@ -106,7 +108,9 @@ class PointEngine:
         self.blocks = secular_partition(self.es, config.secular_tol_cm1)
         d_rot = spin_rotation_matrix(rot, j)
         self.couplings = tuple(self._coupling(spec, rot, d_rot) for spec in config.coupling_specs)
-        self.timers = {"generate_s": 0.0, "extract_s": 0.0}
+        self.timers = {
+            "prepare_s": time.perf_counter() - t0, "generate_s": 0.0, "extract_s": 0.0
+        }
 
     def _coupling(self, spec, rot, d_rot) -> CouplingOperator:
         j = self.model.angular_momentum
@@ -149,13 +153,12 @@ class PointEngine:
             out[2] = self._report(res2.superoperator, res2.pair_sums(*key), temperature_k, 2)
         if 4 in orders:
             sup2, sup4 = res2.superoperator, res4.superoperator
-            cumulative = Superoperator(
-                order=4, matrix=sup2.matrix + sup4.matrix, basis=sup4.basis, dim=sup4.dim
-            )
+            cumulative = Superoperator(matrix=sup2.matrix + sup4.matrix, dim=sup4.dim)
             s2, s4 = res2.pair_sums(*key), res4.pair_sums(*key)
             sums = PairRateSums(
                 half_t1_rate=s2.half_t1_rate + s4.half_t1_rate,
                 dephasing_rate=s2.dephasing_rate + s4.dephasing_rate,
+                coherence_rate=s2.coherence_rate + s4.coherence_rate,
             )
             out[4] = self._report(cumulative, sums, temperature_k, 4)
         self.timers["extract_s"] += time.perf_counter() - t1
@@ -163,17 +166,24 @@ class PointEngine:
 
     def _report(self, sup, sums, temperature_k: float, order: int) -> RateReport:
         tau = extract_tau(sup, self.pair)
-        t1_s, t2star_s = pair_sums_to_times(sums)
-        t2 = pair_t2(sup, *self.pair.indices)
+        t1_s, t2_s, t2star_s = pair_sums_to_times(sums)
         return RateReport(
             temperature_k=temperature_k,
             order=order,
             tau_s=tau.tau_s,
             t1_s=t1_s,
-            t2_s=t2.t2_s,
+            t2_s=t2_s,
             t2star_s=t2star_s,
             overlap_score=tau.overlap_score,
         )
+
+
+def log_stage_times(what: str, n_rows: int, timers: Counter):
+    """Log where the engines' summed time went, as one INFO line."""
+    log.info(
+        "%s finished: %d rows; prepare %.3f s, generate %.3f s, extract %.3f s",
+        what, n_rows, timers["prepare_s"], timers["generate_s"], timers["extract_s"],
+    )
 
 
 def _fmt(x: float) -> str:
@@ -268,16 +278,14 @@ def run_sweep(config: RunConfig, *, output_dir: str = ".", workers: int | None =
     sweeping_fields = config.fields_t is not None
 
     rows: list[SweepRow] = []
-    timers = {"prepare_s": 0.0, "generate_s": 0.0, "extract_s": 0.0}
+    timers = Counter()
     for field in fields:
-        t0 = time.perf_counter()
         try:
             engine = PointEngine(config, field)
         except SweepPointError:
             raise
         except Exception as exc:
             raise SweepPointError(f"preparing field_T={list(field)}: {exc}") from exc
-        timers["prepare_s"] += time.perf_counter() - t0
         for temperature in config.temperatures_k:
             try:
                 reports = engine.rates(temperature, config.orders)
@@ -286,8 +294,7 @@ def run_sweep(config: RunConfig, *, output_dir: str = ".", workers: int | None =
                     f"at temperature_K={temperature}, field_T={list(field)}: {exc}"
                 ) from exc
             rows.extend(SweepRow(field, reports[o]) for o in config.orders)
-        timers["generate_s"] += engine.timers["generate_s"]
-        timers["extract_s"] += engine.timers["extract_s"]
+        timers.update(engine.timers)
 
     os.makedirs(output_dir, exist_ok=True)
     csv_path = os.path.join(output_dir, config.rates_csv)
@@ -302,13 +309,7 @@ def run_sweep(config: RunConfig, *, output_dir: str = ".", workers: int | None =
     )
     _write_fit_report(report_path, fits, config, field_note)
 
-    log.info(
-        "sweep finished: %d rows; prepare %.3f s, generate %.3f s, extract %.3f s",
-        len(rows),
-        timers["prepare_s"],
-        timers["generate_s"],
-        timers["extract_s"],
-    )
+    log_stage_times("sweep", len(rows), timers)
     return SweepResult(
         rows=tuple(rows),
         fit_results=tuple(fits),

@@ -206,3 +206,11 @@ def test_run_verbose_logs_where_setup_went(tmp_path, caplog):
     assert main(["-v", "run", str(DECK_PATHS["spin_half"]), "--output-dir", str(tmp_path)]) == 0
     assert "deck loaded in" in caplog.text and "validate and resolve" in caplog.text
     assert "sweep finished" in caplog.text
+
+
+def test_scan_verbose_logs_where_the_time_went(tmp_path, caplog):
+    caplog.set_level(logging.INFO)
+    args = ["-v", "scan-regularizer", str(DECK_PATHS["spin_half"]), "--values", "0.5,1.0"]
+    assert main(args + ["--output-dir", str(tmp_path)]) == 0
+    assert "scan finished: 2 rows; prepare" in caplog.text
+    assert "generate" in caplog.text and "extract" in caplog.text

@@ -5,16 +5,13 @@ import oracles
 
 from spinphonon.dynamics import (
     AmbiguousEigenvectorError,
-    PositivityError,
     RateReport,
     extract_tau,
     fit_regimes,
     pair_sums_to_times,
-    pair_t2,
-    propagate,
 )
 from spinphonon.constants import KB_CM1_PER_K
-from spinphonon.generators import PairRateSums, Superoperator
+from spinphonon.generators import PairRateSums, Superoperator, _result_from
 from spinphonon.spin_model import KramersPair
 
 PAIR01 = KramersPair(a=0, b=1, jz_a=0.5, jz_b=-0.5)
@@ -27,9 +24,7 @@ def hop(p, q, rate, dim):
 
 
 def superoperator(jumps, dim):
-    return Superoperator(
-        order=2, matrix=oracles.lindblad_from_jumps(jumps, dim), basis="x", dim=dim
-    )
+    return Superoperator(matrix=oracles.lindblad_from_jumps(jumps, dim), dim=dim)
 
 
 def two_state_superoperator(up, down):
@@ -48,7 +43,7 @@ def test_extract_tau_two_state_exchange():
 
 
 def test_extract_tau_zero_generator_is_blocked():
-    sup = Superoperator(order=2, matrix=np.zeros((4, 4), dtype=complex), basis="x", dim=2)
+    sup = Superoperator(matrix=np.zeros((4, 4), dtype=complex), dim=2)
     res = extract_tau(sup, PAIR01)
     assert res.tau_s == np.inf
     assert res.overlap_score == pytest.approx(1.0, abs=1e-12)
@@ -87,37 +82,47 @@ def test_pair_t1_closed_form():
     l_mat[2, 0] = 0.6  # leak out of a
     l_mat[2, 1] = 0.8  # leak out of b
     l_mat[0, 0] = 9.9  # diagonal does not count as loss
-    half_t1, _ = oracles.pair_rate_sums([oracles.Jump(gamma=2.0, matrix=l_mat)], 0, 1)
+    half_t1, _, _ = oracles.pair_rate_sums([oracles.Jump(gamma=2.0, matrix=l_mat)], 0, 1)
     assert half_t1 == pytest.approx(2.0 * 0.5 * (0.6**2 + 0.8**2), rel=1e-12)
 
 
 def test_pair_t2star_closed_form():
     l_mat = np.diag([0.3, -0.1, 0.0]).astype(complex)
-    _, dephasing = oracles.pair_rate_sums([oracles.Jump(gamma=4.0, matrix=l_mat)], 0, 1)
+    _, dephasing, _ = oracles.pair_rate_sums([oracles.Jump(gamma=4.0, matrix=l_mat)], 0, 1)
     assert dephasing == pytest.approx(4.0 * 0.5 * abs(0.3 - (-0.1)) ** 2, rel=1e-12)
 
 
 def test_pair_sums_to_times_inverts_and_handles_zero():
-    t1, t2star = pair_sums_to_times(PairRateSums(half_t1_rate=2.5, dephasing_rate=0.0))
+    t1, t2, t2star = pair_sums_to_times(
+        PairRateSums(half_t1_rate=2.5, dephasing_rate=0.0, coherence_rate=4.0)
+    )
     assert t1 == pytest.approx(1.0 / 5.0, rel=1e-12)
+    assert t2 == 0.25
     assert t2star == np.inf
+    # a roundoff-negative coherence rate on a blocked pair reads as no decay
+    _, t2, _ = pair_sums_to_times(
+        PairRateSums(half_t1_rate=0.0, dephasing_rate=0.0, coherence_rate=-1e-300)
+    )
+    assert t2 == np.inf
 
 
 def test_identity_residual_closed():
     rep = RateReport(temperature_k=1.0, order=2, tau_s=1.0,
                      t1_s=0.5, t2_s=0.25, t2star_s=0.5, overlap_score=1.0)
     # 1/t2 = 4 = 1/(2*0.5) + 1/0.5 = 1 + 2 = 3 -> residual (4-3)/4
-    assert rep.identity_residual() == pytest.approx(0.25, rel=1e-12)
+    assert oracles.identity_residual(rep) == pytest.approx(0.25, rel=1e-12)
 
 
-def test_pair_t2_uncoupled_flag():
+def test_pair_t2_two_state_closed_form():
     up, down = 1.0, 2.0
-    sup, _ = two_state_superoperator(up, down)
-    res = pair_t2(sup, 0, 1)
+    _, jumps = two_state_superoperator(up, down)
+    # the Gram matrix M1 = sum gamma vec(L) vec(L)^+ the build accumulates
+    m1 = sum(j.gamma * np.outer(j.matrix.ravel(), j.matrix.ravel().conj()) for j in jumps)
+    sums = _result_from(m1, len(jumps), 2).pair_sums(0, 1)
+    _, t2, _ = pair_sums_to_times(sums)
     # coherence decays at half the population exchange rate
-    assert res.t2_s == pytest.approx(2.0 / (up + down), rel=1e-12)
-    assert not res.coupled
-    assert res.effective_t2_s == res.t2_s
+    assert t2 == pytest.approx(2.0 / (up + down), rel=1e-12)
+    assert oracles.pair_rate_sums(jumps, 0, 1)[2] == pytest.approx((up + down) / 2.0, rel=1e-12)
 
 
 def test_propagate_matches_two_state_analytics():
@@ -125,7 +130,7 @@ def test_propagate_matches_two_state_analytics():
     sup, _ = two_state_superoperator(up, down)
     rho0 = np.diag([1.0, 0.0]).astype(complex)
     t = np.linspace(0.0, 0.2, 9)
-    traj = propagate(sup, rho0, t)
+    traj = oracles.propagate(sup, rho0, t)
     p_stat = down / (up + down)
     expected = p_stat + (1.0 - p_stat) * np.exp(-(up + down) * t)
     assert np.allclose(traj[:, 0, 0].real, expected, atol=1e-10)
@@ -136,18 +141,18 @@ def test_propagate_rejects_bad_inputs():
     sup, _ = two_state_superoperator(1.0, 1.0)
     good = np.eye(2, dtype=complex) / 2.0
     with pytest.raises(ValueError):
-        propagate(sup, np.diag([2.0, -1.0]).astype(complex), [0.0, 1.0])
+        oracles.propagate(sup, np.diag([2.0, -1.0]).astype(complex), [0.0, 1.0])
     with pytest.raises(ValueError):
-        propagate(sup, np.array([[0.5, 0.3], [0.1, 0.5]], dtype=complex), [0.0, 1.0])
+        oracles.propagate(sup, np.array([[0.5, 0.3], [0.1, 0.5]], dtype=complex), [0.0, 1.0])
     with pytest.raises(ValueError):
-        propagate(sup, good, [1.0, 0.5])
+        oracles.propagate(sup, good, [1.0, 0.5])
 
 
 def test_propagate_flags_trace_violating_generator():
     sup, _ = two_state_superoperator(1.0, 1.0)
-    bad = Superoperator(order=2, matrix=sup.matrix + 0.05 * np.eye(4), basis="x", dim=2)
-    with pytest.raises(PositivityError):
-        propagate(bad, np.eye(2, dtype=complex) / 2.0, [0.0, 1.0])
+    bad = Superoperator(matrix=sup.matrix + 0.05 * np.eye(4), dim=2)
+    with pytest.raises(oracles.PositivityError):
+        oracles.propagate(bad, np.eye(2, dtype=complex) / 2.0, [0.0, 1.0])
 
 
 def test_fit_regimes_recovers_arrhenius_exactly():

@@ -37,7 +37,7 @@ def test_secular_partition_covers_every_pair(four_level_engine):
     blocks = secular_partition(es, tol_cm1=1e-6)
     seen = set()
     for blk in blocks:
-        for pair in blk.pairs:
+        for pair in zip(blk.rows.tolist(), blk.cols.tolist()):
             assert pair not in seen
             seen.add(pair)
     assert len(seen) == es.dim**2
@@ -56,7 +56,7 @@ def test_secular_partition_groups_kramers_degenerate_frequencies():
     blocks = secular_partition(es, tol_cm1=1e-6)
     zero = [b for b in blocks if abs(b.frequency_cm1) < 1e-9]
     assert len(zero) == 1
-    pairs = set(zero[0].pairs)
+    pairs = set(zip(zero[0].rows.tolist(), zero[0].cols.tolist()))
     assert {(0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (1, 0), (2, 3), (3, 2)} <= pairs
 
 
@@ -139,11 +139,12 @@ def _oracle_jumps(order, eng, bath, channels=("absorption_emission",), allow_sam
 def _assert_pair_sums_match(res, jumps, dim):
     # every ordered pair a != b
     for a, b in permutations(range(dim), 2):
-        half_t1, dephasing = oracles.pair_rate_sums(jumps, a, b)
+        half_t1, dephasing, coherence = oracles.pair_rate_sums(jumps, a, b)
         sums = res.pair_sums(a, b)
         tol = 1e-12 * (half_t1 + dephasing)
         assert sums.half_t1_rate == pytest.approx(half_t1, rel=1e-12, abs=tol), (a, b)
         assert sums.dephasing_rate == pytest.approx(dephasing, rel=1e-12, abs=tol), (a, b)
+        assert sums.coherence_rate == pytest.approx(coherence, rel=1e-12, abs=tol), (a, b)
 
 
 @pytest.mark.parametrize("deck", ["four_level", "spin_half"])

@@ -77,8 +77,7 @@ def test_order4_rows_are_cumulative(four_level_config, four_level_engine):
         allow_same_mode=four_level_config.allow_same_mode, **kw,
     )
     cumulative = Superoperator(
-        order=4, matrix=r2.superoperator.matrix + r4.superoperator.matrix,
-        basis=r2.superoperator.basis, dim=r2.superoperator.dim,
+        matrix=r2.superoperator.matrix + r4.superoperator.matrix, dim=r2.superoperator.dim
     )
     from spinphonon.dynamics import extract_tau
 
