@@ -10,11 +10,11 @@ fires only on an on-shell match, which turns rate expressions into the
 closed forms used by the analytic tests.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.special import erf
 
 from .constants import KB_CM1_PER_K
 
@@ -133,7 +133,7 @@ def delta(omega_cm1, center_cm1, policy: BroadeningPolicy):
         out = np.where(np.abs(x) <= s, 1.0, 0.0)
     elif policy.kind == "gaussian":
         c = policy.cutoff_sigmas
-        mass = erf(c / np.sqrt(2.0))
+        mass = math.erf(c / math.sqrt(2.0))
         val = np.exp(-0.5 * (x / s) ** 2) / (s * np.sqrt(2.0 * np.pi) * mass)
         out = np.where(np.abs(x) <= c * s, val, 0.0)
     else:  # lorentzian

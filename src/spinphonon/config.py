@@ -3,7 +3,9 @@
 A deck is a single YAML document validated against the bundled JSON
 schema (schema/deck.schema.json) for its structure, keys and enums, and
 then checked by ``_semantic_diagnostics``, which also checks every number
-(type, finiteness, sign) one array at a time with numpy. Validation
+(type, finiteness, sign) one array at a time with numpy. The schema is
+applied by ``_schema_errors``, a small interpreter of the Draft 2020-12
+keywords the schema uses, worded as jsonschema words them. Validation
 collects every violation instead of stopping at the first; unknown keys
 are rejected so a typo in a unit suffix (width vs width_cm1) surfaces as
 a diagnostic rather than a silently ignored setting.
@@ -22,7 +24,6 @@ from importlib import resources
 
 import numpy as np
 import yaml
-from jsonschema import Draft202012Validator
 from numpy.typing import NDArray
 
 from .angular import AngularMomentum
@@ -96,9 +97,109 @@ class RunConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+@functools.cache
 def _schema() -> dict:
     text = resources.files("spinphonon").joinpath("schema/deck.schema.json").read_text()
     return json.loads(text)
+
+
+# Draft 2020-12 types; 2.0 is an integer, True is not
+_TYPES = {
+    "array": lambda v: isinstance(v, list),
+    "boolean": lambda v: isinstance(v, bool),
+    "integer": lambda v: not isinstance(v, bool)
+    and (isinstance(v, int) or isinstance(v, float) and v.is_integer()),
+    "number": lambda v: not isinstance(v, bool) and isinstance(v, numbers.Number),
+    "object": lambda v: isinstance(v, dict),
+    "string": lambda v: isinstance(v, str),
+}
+# keywords that describe and never reject
+_ANNOTATIONS = {"$schema", "$defs", "title", "description"}
+
+
+def _equal(a, b) -> bool:
+    """JSON equality of a scalar enum or const value: True is not 1, 1.0 is 1."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return a is b
+    return a == b
+
+
+def _too_short(value, limit) -> str:
+    return f"{value!r} {'should be non-empty' if limit == 1 else 'is too short'}"
+
+
+def _schema_errors(value, node: dict, path: tuple = ()):
+    """Yield (path, message) for each way value breaks the schema node.
+
+    Covers the keywords deck.schema.json uses, in the order the node lists
+    them, with jsonschema 4.26's messages; any other keyword raises, so
+    none is silently ignored. $ref resolves against the bundled schema.
+    """
+    for key, arg in node.items():
+        if key in _ANNOTATIONS:
+            continue
+        if key == "$ref":
+            target = _schema()
+            for part in arg.removeprefix("#/").split("/"):
+                target = target[part]
+            yield from _schema_errors(value, target, path)
+        elif key == "type":
+            if not _TYPES[arg](value):
+                yield path, f"{value!r} is not of type {arg!r}"
+        elif key == "required":
+            if isinstance(value, dict):
+                yield from ((path, f"{k!r} is a required property") for k in arg if k not in value)
+        elif key == "additionalProperties" and arg is False:
+            if isinstance(value, dict):
+                extras = sorted(set(value) - set(node.get("properties", {})), key=str)
+                if extras:
+                    names = ", ".join(map(repr, extras))
+                    verb = "was" if len(extras) == 1 else "were"
+                    message = f"Additional properties are not allowed ({names} {verb} unexpected)"
+                    yield path, message
+        elif key == "properties":
+            if isinstance(value, dict):
+                for k, sub in arg.items():
+                    if k in value:
+                        yield from _schema_errors(value[k], sub, (*path, k))
+        elif key == "prefixItems":
+            if isinstance(value, list):
+                for i, (item, sub) in enumerate(zip(value, arg)):
+                    yield from _schema_errors(item, sub, (*path, i))
+        elif key == "items":
+            if isinstance(value, list):
+                for i in range(len(node.get("prefixItems", ())), len(value)):
+                    yield from _schema_errors(value[i], arg, (*path, i))
+        elif key == "minItems":
+            if isinstance(value, list) and len(value) < arg:
+                yield path, _too_short(value, arg)
+        elif key == "maxItems":
+            if isinstance(value, list) and len(value) > arg:
+                yield path, f"{value!r} {'is expected to be empty' if arg == 0 else 'is too long'}"
+        elif key == "minLength":
+            if isinstance(value, str) and len(value) < arg:
+                yield path, _too_short(value, arg)
+        elif key == "minimum":
+            if _TYPES["number"](value) and value < arg:
+                yield path, f"{value!r} is less than the minimum of {arg!r}"
+        elif key == "maximum":
+            if _TYPES["number"](value) and value > arg:
+                yield path, f"{value!r} is greater than the maximum of {arg!r}"
+        elif key == "enum":
+            if not any(_equal(e, value) for e in arg):
+                yield path, f"{value!r} is not one of {arg!r}"
+        elif key == "const":
+            if not _equal(value, arg):
+                yield path, f"{arg!r} was expected"
+        elif key == "oneOf":
+            valid = [sub for sub in arg if next(_schema_errors(value, sub, path), None) is None]
+            if not valid:
+                yield path, f"{value!r} is not valid under any of the given schemas"
+            elif len(valid) > 1:
+                reprs = ", ".join(map(repr, valid[1:] + valid[:1]))
+                yield path, f"{value!r} is valid under each of {reprs}"
+        else:
+            raise ValueError(f"deck schema keyword {key!r}: {arg!r} is not implemented")
 
 
 def _json_path(parts) -> str:
@@ -259,11 +360,8 @@ def _semantic_diagnostics(raw: dict) -> list[str]:
 
 def validate_deck(raw: dict) -> list[str]:
     """Every problem with the deck, or an empty list. Never fail-fast."""
-    validator = Draft202012Validator(_schema())
-    diags = [
-        f"{_json_path(e.absolute_path)}: {e.message}"
-        for e in sorted(validator.iter_errors(raw), key=lambda e: list(map(str, e.absolute_path)))
-    ]
+    errors = sorted(_schema_errors(raw, _schema()), key=lambda e: list(map(str, e[0])))
+    diags = [f"{_json_path(path)}: {message}" for path, message in errors]
     # the schema does not descend into numbers; the semantic checks do, and
     # they skip any structure the schema has already rejected
     diags.extend(_semantic_diagnostics(raw))

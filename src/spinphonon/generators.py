@@ -253,14 +253,14 @@ def _finalize(m1: NDArray[np.complex128], dim: int):
     return r4.reshape(dim * dim, dim * dim), weights, m1[np.ix_(pops, pops)]
 
 
-def _add_block(m1, block: SecularBlock, gammas, mats) -> int:
-    """Add the Gram of the jumps gamma_p, mats_p on block into M1.
+def _add_block(m1, block: SecularBlock, gammas, y) -> int:
+    """Add the Gram of the jumps gamma_p, y_p into M1.
 
-    A jump is kept only when its total rate gamma_p ||L_p||_F^2 on the
-    block is positive, so every counted jump carries rate. Returns the
-    number kept.
+    y_p holds jump p's entries on the block (at block.rows, block.cols). A
+    jump is kept only when its total rate gamma_p ||L_p||_F^2 on the block
+    is positive, so every counted jump carries rate. Returns the number
+    kept.
     """
-    y = mats[:, block.rows, block.cols]
     keep = gammas * (y.real**2 + y.imag**2).sum(axis=1) > 0.0
     y, gammas = y[keep], gammas[keep]
     # G_ij = sum_p gamma_p y_pi conj(y_pj); blocks own disjoint M1 entries
@@ -285,8 +285,8 @@ def build_generator(
 
     Organized for throughput: the virtual-state factors W are built once
     per mode and sign, amplitudes by batched matrix products per chunk of
-    mode pairs, kernel weights by one array delta call per (chunk, block),
-    and each secular block is accumulated with one small Gram product per
+    mode pairs, kernel weights by one array delta call per chunk, and each
+    secular block is accumulated with one small Gram product per
     chunk into the Gram matrix M1, which R, K and the pair T1/T2* sums
     (GeneratorResult.pair_sums) are all read off.
     jump_count counts the jumps whose rate gamma ||L||^2 is positive.
@@ -312,7 +312,7 @@ def build_generator(
     if order == 2:
         gam = RATE_PREFACTOR * g2(block_freqs, bath)
         jumps = sum(
-            _add_block(m1, block, gam_block, vstack)
+            _add_block(m1, block, gam_block, vstack[:, block.rows, block.cols])
             for block, gam_block in zip(blocks, gam)
         )
         return _result_from(m1, jumps, dim)
@@ -351,13 +351,16 @@ def build_generator(
     for start in range(0, ia.size, PAIR_CHUNK):
         c = slice(start, start + PAIR_CHUNK)
         amps = vstack[ia[c]] @ virt[ib[c], k_b[c]] + vstack[ib[c]] @ virt[ia[c], k_a[c]]
-        lo_c, hi_c, target_c, occ_c = lo[c], hi[c], target[c], occ[c]
-        for bidx in range(lo_c.min(), hi_c.max()):
-            sel = np.flatnonzero((lo_c <= bidx) & (bidx < hi_c))
-            if sel.size:
-                block = blocks[bidx]
-                gam = RATE_PREFACTOR * delta(block.frequency_cm1, target_c[sel], pol) * occ_c[sel]
-                jumps += _add_block(m1, block, gam, amps[sel])
+        # every (block, task) hit of the chunk, block-major with the tasks
+        # in order, and the kernel weights of all of them in one delta call
+        span = np.arange(lo[c].min(), hi[c].max())[:, None]
+        b_hit, t_hit = np.nonzero((lo[c] <= span) & (span < hi[c]))
+        b_hit += span[0, 0]
+        gam = RATE_PREFACTOR * delta(block_freqs[b_hit], target[c][t_hit], pol) * occ[c][t_hit]
+        runs = np.flatnonzero(np.diff(b_hit)) + 1
+        for b_run, t_run, gam_run in zip(*(np.split(x, runs) for x in (b_hit, t_hit, gam))):
+            block = blocks[b_run[0]]
+            jumps += _add_block(m1, block, gam_run, amps[t_run[:, None], block.rows, block.cols])
     return _result_from(m1, jumps, dim)
 
 

@@ -128,9 +128,16 @@ class PointEngine:
             matrix, spec.matrix_basis, self.es, mode_index=spec.mode_index
         )
 
-    def rates(self, temperature_k: float, orders) -> dict[int, RateReport]:
-        """Rate reports per order at one temperature."""
-        cfg = self.config
+    def rates(
+        self, temperature_k: float, orders, config: RunConfig | None = None
+    ) -> dict[int, RateReport]:
+        """Rate reports per order at one temperature.
+
+        config, if given, supplies the bath and numeric settings in place of
+        the prepared deck's; it must share that deck's model, couplings and
+        secular tolerance, which the engine was prepared with.
+        """
+        cfg = config if config is not None else self.config
         bath = BathConfig(
             modes=cfg.modes, temperature_k=temperature_k, broadening=cfg.broadening
         )
@@ -178,7 +185,7 @@ class PointEngine:
         )
 
 
-def log_stage_times(what: str, n_rows: int, timers: Counter):
+def log_stage_times(what: str, n_rows: int, timers: dict[str, float]):
     """Log where the engines' summed time went, as one INFO line."""
     log.info(
         "%s finished: %d rows; prepare %.3f s, generate %.3f s, extract %.3f s",

@@ -1,12 +1,16 @@
 import logging
 import math
+from dataclasses import replace
 
 import pytest
 import yaml
 
 from conftest import DECK_PATHS
 
+from spinphonon import cli
 from spinphonon.cli import main
+from spinphonon.config import load_config
+from spinphonon.runner import PointEngine, _fmt
 
 
 def test_validate_ok(capsys):
@@ -214,3 +218,25 @@ def test_scan_verbose_logs_where_the_time_went(tmp_path, caplog):
     assert main(args + ["--output-dir", str(tmp_path)]) == 0
     assert "scan finished: 2 rows; prepare" in caplog.text
     assert "generate" in caplog.text and "extract" in caplog.text
+
+
+def test_scan_prepares_one_engine_and_matches_fresh_engines(tmp_path, monkeypatch):
+    prepared = []
+
+    class CountingEngine(cli.PointEngine):
+        def __init__(self, *args, **kwargs):
+            prepared.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "PointEngine", CountingEngine)
+    values = (0.5, 1.0, 2.0)
+    args = ["scan-regularizer", str(DECK_PATHS["four_level"]), "--values", "0.5,1.0,2.0"]
+    assert main(args + ["--order", "4", "--output-dir", str(tmp_path)]) == 0
+    assert len(prepared) == 1
+    rows = (tmp_path / "scan_regularizer.csv").read_text().splitlines()[-3:]
+
+    config = load_config(DECK_PATHS["four_level"])
+    for value, row in zip(values, rows):
+        cfg = replace(config, regularizer_cm1=value)
+        rep = PointEngine(cfg).rates(config.temperatures_k[0], (4,))[4]
+        assert row == ",".join([_fmt(value)] + [_fmt(getattr(rep, f)) for f in cli.SCAN_COLUMNS])

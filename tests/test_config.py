@@ -1,13 +1,25 @@
+import copy
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from jsonschema import Draft202012Validator
 
-from spinphonon.config import DeckValidationError, load_config, resolve, validate_deck
+from conftest import DECK_PATHS
+
+from spinphonon.config import (
+    DeckValidationError,
+    _schema,
+    _schema_errors,
+    load_config,
+    resolve,
+    validate_deck,
+)
 
 MINIMAL = {
     "model": {"two_j": 1},
@@ -270,3 +282,109 @@ def test_finite_matrix_resolves_and_one_bad_entry_is_named(deck, data):
     diags = [x for x in validate_deck(deck) if "matrix_cm1" in x]
     assert len(diags) == 1
     assert diags[0].startswith(f"coupling.operators[0].matrix_cm1.{part}[{r}][{c}]: ")
+
+
+# Values a mutation writes into a deck: wrong types, edge numbers, and
+# values that are right somewhere else in the schema.
+MUTANT_VALUES = (
+    None, True, False, 0, 1, 2, 4, -7, 7, 0.5, 2.0, 10**400, math.nan, math.inf,
+    "", "x", "both", "mj", "gaussian", "tau_rate",
+    [], [2], [2, 0, 1.0], [1, 2, 3, 4], {}, {"a": 1},
+)
+
+
+def _containers(node, out):
+    """Every dict and list inside node, node included."""
+    if isinstance(node, (dict, list)):
+        out.append(node)
+        for child in node.values() if isinstance(node, dict) else node:
+            _containers(child, out)
+    return out
+
+
+def _mutate(deck, rng):
+    """One seeded edit: set a value, delete a key, add an unknown key, or append."""
+    target = rng.choice(_containers(deck, []))
+    keys = list(target) if isinstance(target, dict) else range(len(target))
+    kind = rng.choice(("set", "delete", "unknown", "append"))
+    if kind == "set" and keys:
+        target[rng.choice(keys)] = copy.deepcopy(rng.choice(MUTANT_VALUES))
+    elif kind == "delete" and isinstance(target, dict) and keys:
+        del target[rng.choice(keys)]
+    elif kind == "unknown" and isinstance(target, dict):
+        target[rng.choice(("bananas", "width", "order", "zeta"))] = rng.choice(MUTANT_VALUES)
+    elif isinstance(target, list):
+        target.append(copy.deepcopy(rng.choice(MUTANT_VALUES)))
+
+
+def _mutated_decks(n_per_base: int, seed: int):
+    bases = [yaml.safe_load(path.read_text()) for path in DECK_PATHS.values()] + [deep(MINIMAL)]
+    rng = random.Random(seed)
+    for base in bases:
+        for _ in range(n_per_base):
+            deck = copy.deepcopy(base)
+            for _ in range(rng.randint(1, 3)):
+                _mutate(deck, rng)
+            yield deck
+
+
+def test_schema_interpreter_matches_jsonschema_on_mutated_decks():
+    validator = Draft202012Validator(_schema())
+    n_decks = n_invalid = 0
+    for deck in _mutated_decks(n_per_base=500, seed=8):
+        ours = sorted(_schema_errors(deck, _schema()), key=repr)
+        reference = sorted(
+            ((tuple(e.absolute_path), e.message) for e in validator.iter_errors(deck)), key=repr
+        )
+        assert ours == reference, deck
+        n_decks += 1
+        n_invalid += bool(reference)
+    assert n_decks >= 2000 and n_invalid >= n_decks // 2
+
+
+@pytest.mark.parametrize(
+    "path, value, expected",
+    [
+        (
+            ("model", "two_j"),
+            0.5,
+            ["0.5 is not of type 'integer'", "0.5 is less than the minimum of 1"],
+        ),
+        (("model", "two_j"), 3.0, []),
+        (("model", "two_j"), True, ["True is not of type 'integer'"]),
+        (("sweep", "orders"), True, ["True is not valid under any of the given schemas"]),
+        (("sweep", "orders"), 4.0, []),
+        (("bath", "modes_cm1"), [], ["[] should be non-empty"]),
+        (("outputs",), {"b": 1, "a": 2}, [
+            "Additional properties are not allowed ('a', 'b' were unexpected)"
+        ]),
+    ],
+)
+def test_schema_interpreter_words_and_types(path, value, expected):
+    deck = deep(MINIMAL)
+    _set(path, value)(deck)
+    assert [message for _, message in _schema_errors(deck, _schema())] == expected
+
+
+def _schema_nodes(node):
+    """node and every subschema below it."""
+    yield node
+    for key, arg in node.items():
+        if key in ("properties", "$defs"):
+            for sub in arg.values():
+                yield from _schema_nodes(sub)
+        elif key in ("prefixItems", "oneOf"):
+            for sub in arg:
+                yield from _schema_nodes(sub)
+        elif key == "items":
+            yield from _schema_nodes(arg)
+
+
+def test_every_schema_keyword_is_implemented():
+    # the interpreter visits every keyword of a node whatever the value,
+    # and raises on one it does not implement
+    for node in _schema_nodes(_schema()):
+        for value in (None, {}, [], "x", 1):
+            list(_schema_errors(value, node))
+    with pytest.raises(ValueError, match="'pattern'"):
+        list(_schema_errors("x", {"type": "string", "pattern": "^y"}))

@@ -1,3 +1,10 @@
+import os
+import pathlib
+import subprocess
+import sys
+
+from conftest import DECK_PATHS
+
 import spinphonon
 
 
@@ -5,3 +12,25 @@ def test_every_export_resolves():
     # a name left in __all__ after its definition is deleted fails here
     missing = [name for name in spinphonon.__all__ if not hasattr(spinphonon, name)]
     assert not missing
+
+
+def test_cli_runs_without_jsonschema_or_scipy_special(tmp_path):
+    # a fresh interpreter, because this test process imports jsonschema itself
+    code = (
+        "import sys\n"
+        "import spinphonon.cli\n"
+        "from spinphonon.config import load_config\n"
+        "from spinphonon.runner import run_sweep\n"
+        "run_sweep(load_config(sys.argv[1]), output_dir=sys.argv[2])\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('jsonschema', 'scipy.special'))))\n"
+    )
+    src = pathlib.Path(spinphonon.__file__).resolve().parents[1]
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(DECK_PATHS["j15_2"]), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+    assert (tmp_path / "j15_2_rates.csv").exists()
