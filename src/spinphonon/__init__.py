@@ -37,7 +37,6 @@ from .spin_model import (
     eigensystem_for,
     fundamental_pair,
     identify_kramers_pairs,
-    rotate_model,
 )
 from .stevens import build_stevens_operator
 
@@ -78,7 +77,6 @@ __all__ = [
     "identify_kramers_pairs",
     "load_config",
     "occupation",
-    "rotate_model",
     "run_sweep",
     "secular_partition",
     "validate_deck",

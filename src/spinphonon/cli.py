@@ -16,7 +16,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .bath import BroadeningPolicy
+from .bath import DEFAULT_CUTOFF_SIGMAS, BroadeningPolicy
 from .config import DeckValidationError, load_config
 from .dynamics import AmbiguousEigenvectorError
 from .generators import BasisMismatchError, SingularityError
@@ -167,21 +167,13 @@ def _cmd_scan_broadening(args) -> int:
     if not widths or not all(math.isfinite(w) and w > 0 for w in widths):
         print("--widths needs finite positive numbers", file=sys.stderr)
         return 2
-    kind = args.kind if args.kind is not None else config.broadening.kind
+    kind, cutoff = config.broadening.kind, config.broadening.cutoff_sigmas
     if kind == "exact":
-        kind = "gaussian"
-    cases = [
-        (
-            w,
-            replace(
-                config,
-                broadening=BroadeningPolicy(
-                    kind=kind, width_cm1=w, cutoff_sigmas=config.broadening.cutoff_sigmas
-                ),
-            ),
-        )
-        for w in widths
-    ]
+        # the exact selector's cutoff (1) is no kernel truncation to carry over
+        kind, cutoff = "gaussian", DEFAULT_CUTOFF_SIGMAS
+    kind = args.kind or kind
+    policies = [BroadeningPolicy(kind=kind, width_cm1=w, cutoff_sigmas=cutoff) for w in widths]
+    cases = [(p.width_cm1, replace(config, broadening=p)) for p in policies]
     return _scan(config, cases, "width_cm1", "scan_broadening.csv", args)
 
 

@@ -15,8 +15,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .angular import AngularMomentum
-from .spin_model import Eigensystem, StevensTerm
-from .stevens import build_stevens_operator
+from .spin_model import Eigensystem, StevensTerm, stevens_sum
 
 log = logging.getLogger(__name__)
 
@@ -72,13 +71,8 @@ def from_stevens_derivatives(
     terms may be StevensTerm instances (coefficient read as the derivative
     value) or (l, m, value) triples.
     """
-    v = np.zeros((j.dim, j.dim), dtype=complex)
-    for term in _normalize_terms(terms):
-        v += term.coefficient_cm1 * build_stevens_operator(term.l, term.m, j)
-    u = es.eigenvectors
-    v_eig = u.conj().T @ v @ u
-    v_eig = 0.5 * (v_eig + v_eig.conj().T)  # scrub round-off from the basis change
-    return CouplingOperator(mode_index=mode_index, matrix=v_eig, basis=basis_tag(es))
+    v = stevens_sum(_normalize_terms(terms), j)
+    return from_raw_matrix(v, "mj", es, mode_index=mode_index)
 
 
 def from_raw_matrix(
@@ -110,5 +104,5 @@ def from_raw_matrix(
     if basis == "mj":
         u = es.eigenvectors
         m = u.conj().T @ m @ u
-        m = 0.5 * (m + m.conj().T)
+        m = 0.5 * (m + m.conj().T)  # scrub round-off from the basis change
     return CouplingOperator(mode_index=mode_index, matrix=m, basis=basis_tag(es))

@@ -58,6 +58,14 @@ SINGULARITY_TOL_CM1 = 1e-12
 # mode pairs per chunk of the order-4 build; bounds the amplitude stack
 PAIR_CHUNK = 512
 
+# Each jump amplitude carries round-off of about eps ||L||, so a pure
+# dephasing sum below this multiple of eps^2 sum_k gamma_k ||L_k||^2 is
+# not resolved and reads as 0; so does a negative round-off sum. The
+# vanishing order-2 sums of four_level written in a rotated frame measure
+# at most 2e-3 of eps^2 sum_k gamma_k ||L_k||^2 and the bundled decks'
+# nonzero sums at least 5e21 of it, so 16 sits well clear of both.
+DEPHASING_FLOOR_EPS2 = 16.0
+
 
 class SingularityError(ZeroDivisionError):
     """A T-matrix denominator hit zero with no regularizer."""
@@ -138,11 +146,14 @@ class GeneratorResult:
         1/(2 T1) = 1/2 (sum_{r != a} W_ra + sum_{r != b} W_rb),
         1/T2* = 1/2 (W_aa + W_bb - 2 Re P_ab), i.e. 1/2 sum_k gamma_k
         |L_k,aa - L_k,bb|^2, and 1/T2 = -Re R_(ab),(ab), the coherence's
-        diagonal generator element.
+        diagonal generator element. A 1/T2* below the round-off floor
+        (DEPHASING_FLOOR_EPS2), a negative one included, reads as 0.
         """
         w = self.weights
         half_t1 = 0.5 * (np.delete(w[:, a], a).sum() + np.delete(w[:, b], b).sum())
         dephasing = 0.5 * (w[a, a] + w[b, b] - 2.0 * np.real(self.diagonal_gram[a, b]))
+        if dephasing < DEPHASING_FLOOR_EPS2 * np.finfo(float).eps ** 2 * w.sum():
+            dephasing = 0.0
         sup = self.superoperator
         idx = a * sup.dim + b
         return PairRateSums(

@@ -13,23 +13,19 @@ import time
 from collections import Counter
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from ._version import __version__ as _pkg_version
 from .bath import BathConfig
 from .config import FitRequest, RunConfig
 from .constants import C_CM_S, KB_CM1_PER_K, MU_B_CM1_PER_T
-from .coupling import CouplingOperator, from_raw_matrix, from_stevens_derivatives
+from .coupling import CouplingOperator, from_raw_matrix
 from .dynamics import FitResult, RateReport, extract_tau, fit_regimes, pair_sums_to_times
 from .generators import PairRateSums, Superoperator, build_generator, secular_partition
 from .spin_model import (
     easy_axis_of,
     eigensystem_for,
+    frame_rotation,
     fundamental_pair,
-    rotate_model,
-    rotate_stevens_terms,
-    rotation_taking_to_z,
-    spin_rotation_matrix,
+    stevens_sum,
 )
 
 log = logging.getLogger(__name__)
@@ -66,12 +62,13 @@ class SweepResult:
 class PointEngine:
     """Eigensystem, couplings and secular blocks prepared for one field.
 
-    Models are re-expressed in the easy-axis frame before any rates are
-    computed, so tau, T1 and T2* do not depend on the frame the deck was
-    written in. The coupling operators are carried through the same
-    rotation: Stevens derivative sets are re-expanded in the rotated frame,
-    raw M_J matrices are conjugated by the spin-space rotation, and
-    eigenbasis matrices ride along with the basis itself.
+    The easy axis is turned onto z before any rates are computed, so tau,
+    T1 and T2* do not depend on the frame the deck was written in: frame
+    is the unitary D of spin_model.frame_rotation (None when the axis is
+    already z), the eigensystem is that of D H D^dagger, and every M_J
+    coupling, a Stevens derivative set summed to its M_J matrix included,
+    is conjugated by the same D. Eigenbasis couplings ride along with the
+    basis itself.
     """
 
     def __init__(self, config: RunConfig, field_t=None):
@@ -86,17 +83,14 @@ class PointEngine:
                 f"got two_j = {j.two_j}"
             )
         es = eigensystem_for(model)
-        rot = np.eye(3)
         axis, quality = easy_axis_of(es, model)
-        if quality != "none":
-            r = rotation_taking_to_z(axis)
-            if not np.allclose(r, np.eye(3), atol=1e-12):
-                model = rotate_model(model, r)
-                rot = r
-                es = eigensystem_for(model)
-                log.info("aligned easy axis %s onto z (%s quality)", axis, quality)
+        frame = frame_rotation(axis, j)
+        if frame is not None:
+            es = eigensystem_for(model, frame)
+            log.info("aligned easy axis %s onto z (%s quality)", axis, quality)
         self.config = config
         self.model = model
+        self.frame = frame
         self.es = es
         self.pair = fundamental_pair(self.es.kramers_pairs)
         if self.pair.ambiguous:
@@ -106,27 +100,19 @@ class PointEngine:
                 "are too small or do not oppose"
             )
         self.blocks = secular_partition(self.es, config.secular_tol_cm1)
-        d_rot = spin_rotation_matrix(rot, j)
-        self.couplings = tuple(self._coupling(spec, rot, d_rot) for spec in config.coupling_specs)
+        self.couplings = tuple(self._coupling(spec) for spec in config.coupling_specs)
         self.timers = {
             "prepare_s": time.perf_counter() - t0, "generate_s": 0.0, "extract_s": 0.0
         }
 
-    def _coupling(self, spec, rot, d_rot) -> CouplingOperator:
-        j = self.model.angular_momentum
-        rotated = not np.allclose(rot, np.eye(3), atol=1e-12)
+    def _coupling(self, spec) -> CouplingOperator:
         if spec.terms is not None:
-            terms = rotate_stevens_terms(spec.terms, rot, j) if rotated else spec.terms
-            return from_stevens_derivatives(terms, j, self.es, mode_index=spec.mode_index)
-        if spec.matrix_basis == "mj" and rotated:
-            matrix = d_rot @ spec.matrix @ d_rot.conj().T
+            matrix, basis = stevens_sum(spec.terms, self.model.angular_momentum), "mj"
         else:
-            # eigenbasis input is already expressed relative to the
-            # (rotated) eigenvectors, so it never needs conjugating
-            matrix = spec.matrix
-        return from_raw_matrix(
-            matrix, spec.matrix_basis, self.es, mode_index=spec.mode_index
-        )
+            matrix, basis = spec.matrix, spec.matrix_basis
+        if basis == "mj" and self.frame is not None:
+            matrix = self.frame @ matrix @ self.frame.conj().T
+        return from_raw_matrix(matrix, basis, self.es, mode_index=spec.mode_index)
 
     def rates(
         self, temperature_k: float, orders, config: RunConfig | None = None

@@ -10,11 +10,12 @@ sub-diagonalizing Jz inside degenerate clusters; Kramers doublets are
 paired up by energy adjacency and labeled by their Jz moments.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import eigh, expm, lstsq
+from scipy.linalg import eigh, expm
 
 from .angular import AngularMomentum
 from .constants import MU_B_CM1_PER_T
@@ -29,6 +30,8 @@ KRAMERS_MOMENT_THRESHOLD = 0.1
 # relative gap between the two largest doublet-moment eigenvalues below
 # which the doublet counts as isotropic
 ANISOTROPY_TOL = 1e-6
+# an easy axis within this |sin theta| of z is taken as z: no frame rotation
+FRAME_AXIS_TOL = 1e-12
 
 
 class InternalConsistencyError(RuntimeError):
@@ -117,12 +120,18 @@ class Eigensystem:
         return self.energies_cm1.size
 
 
+def stevens_sum(terms, j: AngularMomentum) -> NDArray[np.complex128]:
+    """sum_k c_k O_{l_k}^{m_k} of StevensTerms in the M_J basis, added in order."""
+    out = np.zeros((j.dim, j.dim), dtype=complex)
+    for term in terms:
+        out += term.coefficient_cm1 * build_stevens_operator(term.l, term.m, j)
+    return out
+
+
 def assemble_hamiltonian(model: SpinModel) -> NDArray[np.complex128]:
     """Crystal-field plus Zeeman Hamiltonian in the M_J product basis, cm^-1."""
     j = model.angular_momentum
-    h = np.zeros((j.dim, j.dim), dtype=complex)
-    for term in model.stevens_terms:
-        h += term.coefficient_cm1 * build_stevens_operator(term.l, term.m, j)
+    h = stevens_sum(model.stevens_terms, j)
     for op, b_comp in zip(j.vector, model.field_t):
         if b_comp != 0.0:
             h += MU_B_CM1_PER_T * model.g_j * b_comp * op
@@ -265,110 +274,31 @@ def easy_axis_of(es: Eigensystem, model: SpinModel) -> tuple[NDArray[np.float64]
     return axis / np.linalg.norm(axis), quality
 
 
-def eigensystem_for(model: SpinModel) -> Eigensystem:
-    """Assemble, diagonalize and annotate the Kramers doublets."""
-    es = diagonalize(assemble_hamiltonian(model))
+def frame_rotation(axis, j: AngularMomentum) -> NDArray[np.complex128] | None:
+    """Unitary D = exp(-i theta n.J) with D (axis.J) D^dagger = Jz, or None.
+
+    n is the unit vector along axis x z and theta the angle from axis to z.
+    None means the axis lies along z (a director carries no sign), so the
+    frame it was given in is used as it stands.
+    """
+    x, y, z = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    s = math.hypot(x, y)
+    if s < FRAME_AXIS_TOL:
+        return None
+    return expm(-1j * math.atan2(s, z) * (y * j.jx - x * j.jy) / s)
+
+
+def eigensystem_for(model: SpinModel, frame: NDArray[np.complex128] | None = None) -> Eigensystem:
+    """Assemble, diagonalize and annotate the Kramers doublets.
+
+    With frame, a unitary D from frame_rotation, the eigensystem is that of
+    D H D^dagger: the model seen in the rotated frame.
+    """
+    h = assemble_hamiltonian(model)
+    if frame is not None:
+        h = frame @ h @ frame.conj().T
+        h = 0.5 * (h + h.conj().T)  # scrub round-off from the rotation
+    es = diagonalize(h)
     if model.angular_momentum.two_j % 2 == 1:
         es = replace(es, kramers_pairs=identify_kramers_pairs(es, model))
     return es
-
-
-def rotation_taking_to_z(axis: NDArray[np.float64]) -> NDArray[np.float64]:
-    """3x3 proper rotation R with R @ axis = z_hat."""
-    axis = np.asarray(axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
-    z = np.array([0.0, 0.0, 1.0])
-    cross = np.cross(axis, z)
-    s = np.linalg.norm(cross)
-    c = float(axis @ z)
-    if s < 1e-12:
-        if c > 0:
-            return np.eye(3)
-        return np.diag([1.0, -1.0, -1.0])  # antiparallel: pi about x
-    n = cross / s
-    theta = np.arctan2(s, c)
-    k = np.array([[0, -n[2], n[1]], [n[2], 0, -n[0]], [-n[1], n[0], 0]])
-    return np.eye(3) + np.sin(theta) * k + (1 - np.cos(theta)) * (k @ k)
-
-
-def axis_angle(r: NDArray[np.float64]) -> tuple[float, NDArray[np.float64]]:
-    """Angle and unit axis of a proper rotation matrix."""
-    c = (np.trace(r) - 1.0) / 2.0
-    c = min(1.0, max(-1.0, c))
-    theta = float(np.arccos(c))
-    if theta < 1e-12:
-        return 0.0, np.array([0.0, 0.0, 1.0])
-    if np.pi - theta < 1e-8:
-        # near pi the antisymmetric part vanishes; read the axis off R + I
-        m = r + np.eye(3)
-        col = m[:, np.argmax(np.linalg.norm(m, axis=0))]
-        return np.pi, col / np.linalg.norm(col)
-    n = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-    return theta, n / (2.0 * np.sin(theta))
-
-
-def spin_rotation_matrix(r: NDArray[np.float64], j: AngularMomentum) -> NDArray[np.complex128]:
-    """Unitary D = exp(-i theta n.J) implementing the frame rotation r.
-
-    Chosen so that D V D^dagger applied to H maps the Zeeman field B to
-    r @ B; rotating model and operators together leaves physics invariant.
-    """
-    theta, n = axis_angle(np.asarray(r, dtype=float))
-    if theta == 0.0:
-        return np.eye(j.dim, dtype=complex)
-    n_dot_j = sum(c * op for c, op in zip(n, j.vector))
-    return expm(-1j * theta * n_dot_j)
-
-
-def _stevens_basis(j: AngularMomentum) -> tuple[list[tuple[int, int]], NDArray[np.float64]]:
-    labels = []
-    cols = []
-    for l in SUPPORTED_RANKS:
-        if l > j.two_j:  # rank-l tensors vanish identically for l > 2J
-            continue
-        for m in range(-l, l + 1):
-            op = build_stevens_operator(l, m, j)
-            labels.append((l, m))
-            cols.append(np.concatenate([op.real.ravel(), op.imag.ravel()]))
-    return labels, np.array(cols).T
-
-
-def rotate_stevens_terms(
-    terms: tuple[StevensTerm, ...],
-    r: NDArray[np.float64],
-    j: AngularMomentum,
-) -> tuple[StevensTerm, ...]:
-    """Re-expand D H_cf D^dagger in Stevens operators for the rotation r.
-
-    The even-rank span is closed under rotations, so the projection is
-    exact up to round-off; a residual above 1e-9 relative means the input
-    was not actually inside the span and raises.
-    """
-    if not terms:
-        return ()
-    d_rot = spin_rotation_matrix(r, j)
-    h_cf = np.zeros((j.dim, j.dim), dtype=complex)
-    for term in terms:
-        h_cf += term.coefficient_cm1 * build_stevens_operator(term.l, term.m, j)
-    h_rot = d_rot @ h_cf @ d_rot.conj().T
-
-    labels, basis = _stevens_basis(j)
-    target = np.concatenate([h_rot.real.ravel(), h_rot.imag.ravel()])
-    coeffs, _, _, _ = lstsq(basis, target)
-    resid = np.linalg.norm(target - basis @ coeffs) / max(np.linalg.norm(target), 1e-300)
-    if resid > 1e-9:
-        raise InternalConsistencyError(
-            f"rotated crystal field left the Stevens span, residual {resid:.3e}"
-        )
-    return tuple(
-        StevensTerm(l=l, m=m, coefficient_cm1=float(c))
-        for (l, m), c in zip(labels, coeffs)
-        if abs(c) > 1e-12
-    )
-
-
-def rotate_model(model: SpinModel, r: NDArray[np.float64]) -> SpinModel:
-    """Apply a global frame rotation r to Stevens terms and field."""
-    new_terms = rotate_stevens_terms(model.stevens_terms, r, model.angular_momentum)
-    new_field = tuple(float(x) for x in (np.asarray(r, dtype=float) @ np.asarray(model.field_t)))
-    return replace(model, stevens_terms=new_terms, field_t=new_field)

@@ -5,18 +5,24 @@ intermediate levels, directly from the golden-rule expressions.  It is
 deliberately slow and deliberately independent of the vectorized assembly
 in spinphonon.generators: the only shared inputs are the coupling matrices,
 the energies and the physical constants. propagate steps a density matrix
-under a generator, for the positivity and decay checks.
+under a generator, for the positivity and decay checks; rotate_model and
+rotate_stevens_terms write a model or a Stevens term set in a rotated
+frame, for the rotational-invariance checks.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from dataclasses import replace
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.spatial.transform import Rotation
 from scipy.special import erf
 
 from spinphonon.constants import CM1_TO_RAD_S, KB_CM1_PER_K
+from spinphonon.spin_model import StevensTerm
+from spinphonon.stevens import SUPPORTED_RANKS, build_stevens_operator
 
 PREFACTOR = 2.0 * np.pi * CM1_TO_RAD_S
 
@@ -396,3 +402,52 @@ def gibbs_populations(energies_cm1, temperature_k):
     e = np.asarray(energies_cm1, dtype=float)
     p = np.exp(-(e - e.min()) / (KB_CM1_PER_K * temperature_k))
     return p / p.sum()
+
+
+def spin_rotation_matrix(r, j):
+    """D = exp(-i theta n.J) for the 3x3 rotation r = R(theta, n).
+
+    D (v.J) D^dagger = (r v).J for every vector v; theta n is read off r by
+    scipy's Rotation.
+    """
+    theta_n = Rotation.from_matrix(r).as_rotvec()
+    return expm(-1j * sum(c * op for c, op in zip(theta_n, j.vector)))
+
+
+def rotate_stevens_terms(terms, r, j):
+    """Re-expand D (sum_k c_k O_k) D^dagger in Stevens operators.
+
+    The even ranks span a space closed under rotations, so the real
+    least-squares projection onto every O_l^m with l <= 2J is exact up to
+    round-off; coefficients below 1e-12 are dropped.
+    """
+    if not terms:
+        return ()
+    d = spin_rotation_matrix(r, j)
+    h = sum(
+        (t.coefficient_cm1 * build_stevens_operator(t.l, t.m, j) for t in terms),
+        np.zeros((j.dim, j.dim), dtype=complex),
+    )
+    h = d @ h @ d.conj().T
+    labels = [(l, m) for l in SUPPORTED_RANKS if l <= j.two_j for m in range(-l, l + 1)]
+    cols = [build_stevens_operator(l, m, j).ravel() for l, m in labels]
+    basis = np.array([np.concatenate([c.real, c.imag]) for c in cols]).T
+    target = np.concatenate([h.real.ravel(), h.imag.ravel()])
+    coeffs = np.linalg.lstsq(basis, target, rcond=None)[0]
+    resid = np.linalg.norm(target - basis @ coeffs)
+    assert resid <= 1e-9 * max(np.linalg.norm(target), 1e-300), resid
+    return tuple(
+        StevensTerm(l=l, m=m, coefficient_cm1=float(c))
+        for (l, m), c in zip(labels, coeffs)
+        if abs(c) > 1e-12
+    )
+
+
+def rotate_model(model, r):
+    """model with its Stevens terms and field turned by the rotation r."""
+    j = model.angular_momentum
+    return replace(
+        model,
+        stevens_terms=rotate_stevens_terms(model.stevens_terms, r, j),
+        field_t=tuple(float(x) for x in np.asarray(r, dtype=float) @ model.field_t),
+    )

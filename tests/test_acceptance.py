@@ -32,8 +32,8 @@ from spinphonon.spin_model import (
     StevensTerm,
     eigensystem_for,
     fundamental_pair,
-    rotate_stevens_terms,
 )
+from spinphonon.stevens import build_stevens_operator
 
 
 def _rate(time_s):
@@ -205,30 +205,40 @@ def test_fourth_order_dephasing_dominates_at_low_temperature(four_level_engine):
         assert _rel(factor, expected) <= 1e-9
 
 
-def test_rates_invariant_under_global_rotation(four_level_config, four_level_engine):
+@pytest.mark.parametrize("form", ["stevens", "matrix"])
+def test_rates_invariant_under_global_rotation(form, four_level_config, four_level_engine):
+    # the deck written in a rotated frame, its couplings either re-expanded
+    # Stevens derivative sets or the same operators as M_J matrices
     cfg = four_level_config
     j = cfg.model.angular_momentum
     axis = np.array([0.3, -1.0, 0.4])
     r = Rotation.from_rotvec(1.1 * axis / np.linalg.norm(axis)).as_matrix()
+    d = oracles.spin_rotation_matrix(r, j)
 
     deck = yaml.safe_load(DECK_PATHS["four_level"].read_text())
-    terms = rotate_stevens_terms(cfg.model.stevens_terms, r, j)
+    model = oracles.rotate_model(cfg.model, r)
     deck["model"]["stevens_terms_cm1"] = [
-        [t.l, t.m, float(t.coefficient_cm1)] for t in terms
+        [t.l, t.m, t.coefficient_cm1] for t in model.stevens_terms
     ]
-    deck["model"]["field_t"] = [float(x) for x in r @ np.array(cfg.model.field_t)]
+    deck["model"]["field_t"] = list(model.field_t)
     for op in deck["coupling"]["operators"]:
-        der = tuple(StevensTerm(l, m, v) for l, m, v in op["stevens_derivatives_cm1"])
-        rot = rotate_stevens_terms(der, r, j)
-        op["stevens_derivatives_cm1"] = [
-            [t.l, t.m, float(t.coefficient_cm1)] for t in rot
-        ]
+        der = tuple(StevensTerm(l, m, v) for l, m, v in op.pop("stevens_derivatives_cm1"))
+        if form == "stevens":
+            rot = oracles.rotate_stevens_terms(der, r, j)
+            op["stevens_derivatives_cm1"] = [[t.l, t.m, t.coefficient_cm1] for t in rot]
+        else:
+            v = sum(t.coefficient_cm1 * build_stevens_operator(t.l, t.m, j) for t in der)
+            v = d @ v @ d.conj().T
+            op["matrix_cm1"] = {"real": v.real.tolist(), "imag": v.imag.tolist()}
     rotated = PointEngine(resolve(deck))
+    assert rotated.frame is not None
 
     base = four_level_engine.rates(2.0, (2, 4))
     moved = rotated.rates(2.0, (2, 4))
+    # one-phonon pure dephasing of a Kramers doublet vanishes in every frame
+    assert base[2].t2star_s == moved[2].t2star_s == np.inf
     for order in (2, 4):
-        for field in ("tau_s", "t1_s", "t2star_s"):
+        for field in ("tau_s", "t1_s", "t2_s", "t2star_s"):
             x = _rate(getattr(base[order], field))
             y = _rate(getattr(moved[order], field))
             if x == 0.0 and y == 0.0:

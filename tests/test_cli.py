@@ -8,7 +8,7 @@ import yaml
 from conftest import DECK_PATHS
 
 from spinphonon import cli
-from spinphonon.cli import main
+from spinphonon.cli import SCAN_COLUMNS, main
 from spinphonon.config import load_config
 from spinphonon.runner import PointEngine, _fmt
 
@@ -140,6 +140,23 @@ def test_scan_broadening(tmp_path):
     data = [l for l in lines if not l.startswith("#")]
     assert data[0].startswith("width_cm1,")
     assert len(data) == 3
+
+
+def test_scan_broadening_of_an_exact_deck_scans_the_default_gaussian(tmp_path):
+    # the exact selector's cutoff of 1 must not truncate the scanned kernel:
+    # the scan matches the bundled gaussian deck (5 sigma) at its own width
+    deck = yaml.safe_load(DECK_PATHS["spin_half"].read_text())
+    deck["numeric"]["broadening"] = {"kind": "exact"}
+    exact = tmp_path / "exact.yaml"
+    exact.write_text(yaml.safe_dump(deck))
+    rows = []
+    for path, out in ((exact, tmp_path / "a"), (DECK_PATHS["spin_half"], tmp_path / "b")):
+        assert main(["scan-broadening", str(path), "--widths", "0.5", "--output-dir", str(out)]) == 0
+        lines = (out / "scan_broadening.csv").read_text().splitlines()
+        rows.append([l for l in lines if not l.startswith("#")])
+    assert rows[0] == rows[1]
+    t2star = float(rows[0][1].split(",")[1 + SCAN_COLUMNS.index("t2star_s")])
+    assert math.isfinite(t2star)
 
 
 def test_run_ambiguous_doublet_exits_3(tmp_path, capsys):

@@ -146,9 +146,9 @@ def test_tilted_field_engine_aligns_and_runs(spin_half_config):
 def test_engine_diagonalizes_again_only_after_rotating(monkeypatch, name, field_t, calls):
     models = []
 
-    def counting(model, original=runner.eigensystem_for):
+    def counting(model, *args, original=runner.eigensystem_for):
         models.append(model)
-        return original(model)
+        return original(model, *args)
 
     monkeypatch.setattr(runner, "eigensystem_for", counting)
     PointEngine(load_config(DECK_PATHS[name]), field_t)

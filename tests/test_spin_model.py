@@ -3,25 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import rotate_model, rotate_stevens_terms, spin_rotation_matrix
+
 from spinphonon.angular import AngularMomentum
 from spinphonon.constants import MU_B_CM1_PER_T
 from spinphonon.spin_model import (
-    InternalConsistencyError,
-    KramersPair,
     SpinModel,
     StevensTerm,
     assemble_hamiltonian,
-    axis_angle,
     diagonalize,
     easy_axis_of,
     eigensystem_for,
+    frame_rotation,
     fundamental_pair,
     identify_kramers_pairs,
     jz_expectations,
-    rotate_model,
-    rotate_stevens_terms,
-    rotation_taking_to_z,
-    spin_rotation_matrix,
 )
 
 RNG = np.random.default_rng(417)
@@ -181,21 +177,27 @@ def _stevens(l, m, j):
     return build_stevens_operator(l, m, j)
 
 
-def test_rotation_taking_to_z_edge_cases():
-    for axis in ([0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]):
-        r = rotation_taking_to_z(np.asarray(axis))
-        assert np.allclose(r @ r.T, np.eye(3), atol=1e-12)
-        assert np.allclose(r @ np.asarray(axis), [0.0, 0.0, 1.0], atol=1e-12)
+def _dot_j(v, j):
+    return v[0] * j.jx + v[1] * j.jy + v[2] * j.jz
 
 
-def test_axis_angle_roundtrip():
-    for _ in range(10):
-        axis = RNG.normal(size=3)
-        axis /= np.linalg.norm(axis)
-        angle = RNG.uniform(0.1, 3.0)
-        got_angle, got_axis = axis_angle(rotation_from(axis, angle))
-        assert got_angle == pytest.approx(angle, abs=1e-9)
-        assert np.allclose(got_axis * np.sign(got_axis @ axis), axis, atol=1e-9)
+def test_frame_rotation_turns_axis_onto_jz():
+    j = AngularMomentum(7)
+    axes = [RNG.normal(size=3) for _ in range(10)]
+    axes += [np.array([1.0, 0.0, 0.0]), np.array([1e-9, 0.0, 1.0]), np.array([0.3, 0.0, -1.0])]
+    for axis in axes:
+        axis = axis / np.linalg.norm(axis)
+        d = frame_rotation(axis, j)
+        assert np.allclose(d @ d.conj().T, np.eye(j.dim), atol=1e-12)
+        assert np.allclose(d @ _dot_j(axis, j) @ d.conj().T, j.jz, atol=1e-12)
+
+
+def test_frame_rotation_is_none_along_z():
+    j = AngularMomentum(3)
+    assert frame_rotation(np.array([0.0, 0.0, 1.0]), j) is None
+    assert frame_rotation(np.array([0.0, 0.0, 2.5]), j) is None
+    assert frame_rotation(np.array([0.0, 0.0, -1.0]), j) is None  # a director has no sign
+    assert frame_rotation(np.array([1e-13, 0.0, 1.0]), j) is None
 
 
 def test_rotate_model_rotates_field():
