@@ -12,6 +12,7 @@ a diagnostic rather than a silently ignored setting.
 """
 
 import functools
+import gc
 import hashlib
 import itertools
 import json
@@ -496,12 +497,54 @@ def resolve(raw: dict) -> RunConfig:
     )
 
 
+_FLOAT_TAG = "tag:yaml.org,2002:float"
+
+
+# libyaml composes when PyYAML was built with it; the objects are the same
+class _DeckLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """Safe loader that builds a sequence of float scalars in one pass.
+
+    A large deck is mostly rows of floats, which the stock constructor
+    builds one construct_object call at a time. float() agrees with
+    construct_yaml_float wherever it succeeds; other spellings (.inf,
+    sexagesimal 1:30.5) raise ValueError and take the stock path.
+    construct_object registers the returned list, so anchors and aliases
+    keep their identity.
+    """
+
+    def construct_float_row(self, node):
+        if all(isinstance(c, yaml.ScalarNode) and c.tag == _FLOAT_TAG for c in node.value):
+            try:
+                return [float(c.value) for c in node.value]
+            except ValueError:
+                pass
+        return self.construct_yaml_seq(node)
+
+
+_DeckLoader.add_constructor("tag:yaml.org,2002:seq", _DeckLoader.construct_float_row)
+
+
+def _parse(fh):
+    """yaml.load with the deck loader and the cyclic collector paused.
+
+    Parsing allocates hundreds of thousands of nodes and floats and no
+    reference cycles, so collections during it only cost time; the
+    caller's collector state is restored however the load ends.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return yaml.load(fh, Loader=_DeckLoader)
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def load_config(path: str) -> RunConfig:
     """Read, validate and resolve a deck file. Raises with all diagnostics."""
     t0 = time.perf_counter()
     with open(path) as fh:
-        # libyaml parses when PyYAML was built with it; the objects are the same
-        raw = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        raw = _parse(fh)
     if not isinstance(raw, dict):
         raise DeckValidationError(["deck must be a mapping at the top level"])
     t1 = time.perf_counter()

@@ -33,7 +33,8 @@ _finalize; GeneratorResult.pair_sums turns them into the pair's rates.
 The order-4 build is array code on one thread: mode pairs are processed
 in chunks of PAIR_CHUNK in a fixed order and each chunk's block Grams are
 added to M1 in that order, which bounds memory and makes the result
-deterministic.
+deterministic. The chunks' amplitudes are gathered and multiplied in
+buffers allocated once per build, so the loop makes no large temporaries.
 """
 
 from dataclasses import dataclass, field
@@ -358,10 +359,23 @@ def build_generator(
             es.energies_cm1, w_modes[m_used], 1 - 2 * k_used, regularizer_cm1
         )
 
+    # fresh 2 MB temporaries per chunk cost page faults, so the chunk's
+    # factors and products reuse four buffers; the gathers clip because
+    # mode="raise" buffers out (the indices are in range by construction),
+    # and the bits equal those of a @ b + c @ d
+    virt_flat = virt.reshape(-1, dim, dim)
+    jb, ja = 2 * ib + k_b, 2 * ia + k_a
+    bufs = np.empty((4, min(PAIR_CHUNK, ia.size), dim, dim), dtype=complex)
     jumps = 0
     for start in range(0, ia.size, PAIR_CHUNK):
         c = slice(start, start + PAIR_CHUNK)
-        amps = vstack[ia[c]] @ virt[ib[c], k_b[c]] + vstack[ib[c]] @ virt[ia[c], k_a[c]]
+        left, right, amps, other = bufs[:, : ia[c].size]
+        np.take(vstack, ia[c], axis=0, mode="clip", out=left)
+        np.take(virt_flat, jb[c], axis=0, mode="clip", out=right)
+        np.matmul(left, right, out=amps)
+        np.take(vstack, ib[c], axis=0, mode="clip", out=left)
+        np.take(virt_flat, ja[c], axis=0, mode="clip", out=right)
+        amps += np.matmul(left, right, out=other)
         # every (block, task) hit of the chunk, block-major with the tasks
         # in order, and the kernel weights of all of them in one delta call
         span = np.arange(lo[c].min(), hi[c].max())[:, None]

@@ -1,5 +1,7 @@
+import contextlib
 import copy
 import dataclasses
+import gc
 import math
 import random
 
@@ -14,6 +16,7 @@ from conftest import DECK_PATHS
 
 from spinphonon.config import (
     DeckValidationError,
+    _DeckLoader,
     _schema,
     _schema_errors,
     load_config,
@@ -388,3 +391,114 @@ def test_every_schema_keyword_is_implemented():
             list(_schema_errors(value, node))
     with pytest.raises(ValueError, match="'pattern'"):
         list(_schema_errors("x", {"type": "string", "pattern": "^y"}))
+
+
+def _matrix_deck_text(n_modes: int, seed: int) -> str:
+    """A J = 15/2 deck with n_modes random Hermitian matrix couplings, in flow rows."""
+    rng = np.random.default_rng(seed)
+    ops = []
+    for _ in range(n_modes):
+        a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        h = (a + a.conj().T) / 2
+        ops.append({"matrix_cm1": {"real": h.real.tolist(), "imag": h.imag.tolist()}})
+    deck = deep(MINIMAL)
+    deck["model"] = {"two_j": 15, "stevens_terms_cm1": [[2, 0, -1.0]]}
+    deck["bath"]["modes_cm1"] = np.sort(rng.uniform(1.0, 300.0, n_modes)).tolist()
+    deck["coupling"]["operators"] = ops
+    return yaml.safe_dump(deck, default_flow_style=None, sort_keys=False)
+
+
+def _same(a, b) -> bool:
+    """Equal and of the same type all the way down; NaN equals NaN."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    return a == b or a != a and b != b
+
+
+# spellings where float() and the stock float constructor could part
+# ways, rows that are not all floats, and an empty row
+LOADER_SNIPPETS = (
+    "a: 1_000.5", "a: .inf", "a: -.inf", "a: .NaN", 'a: !!float "1e5"', "a: 1:30.5",
+    "a: [2, 0, -1.0]", "a: []", 'a: [1.0, "2.0"]',
+    "a: [1.5, 1_000.5, 1:30.5, .inf, -.inf, .NaN, -0.0, +2.5e+3]",
+    "a: [true, 1, 1.0, null, x, 0x10, 1e5]",
+    "a:\n  - 1.0\n  - 2.5\n",
+)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [*(p.read_text() for p in DECK_PATHS.values()), _matrix_deck_text(20, seed=5),
+     *LOADER_SNIPPETS],
+    ids=[*DECK_PATHS, "matrix_deck_20_modes", *LOADER_SNIPPETS],
+)
+def test_deck_loader_builds_what_the_safe_loader_builds(text):
+    assert _same(yaml.load(text, Loader=_DeckLoader), yaml.load(text, Loader=yaml.SafeLoader))
+
+
+def test_deck_loader_keeps_an_anchored_row_one_object():
+    text = "a: &r [1.0, 2.0]\nb: *r\n"
+    for loader in (yaml.SafeLoader, _DeckLoader):
+        data = yaml.load(text, Loader=loader)
+        assert data == {"a": [1.0, 2.0], "b": [1.0, 2.0]}
+        assert data["a"] is data["b"]
+
+
+def test_deck_loader_refuses_a_float_tagged_sequence_as_the_safe_loader_does():
+    for loader in (yaml.SafeLoader, _DeckLoader):
+        with pytest.raises(yaml.constructor.ConstructorError, match="expected a scalar node"):
+            yaml.load("a: [!!float [1.0], 2.0]", Loader=loader)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc_on", "gc_off"])
+@pytest.mark.parametrize(
+    "text, raises",
+    [
+        (yaml.safe_dump(MINIMAL), contextlib.nullcontext()),
+        ("model: [1, 2\n", pytest.raises(yaml.YAMLError)),
+        (yaml.safe_dump({**MINIMAL, "extra": 1}), pytest.raises(DeckValidationError)),
+    ],
+    ids=["valid", "syntax_error", "schema_failure"],
+)
+def test_load_config_leaves_the_callers_collector_as_it_was(tmp_path, enabled, text, raises):
+    path = tmp_path / "deck.yaml"
+    path.write_text(text)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with raises:
+            load_config(path)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_no_cyclic_collection_runs_while_yaml_parses_a_deck(tmp_path, monkeypatch):
+    path = tmp_path / "deck.yaml"
+    path.write_text(_matrix_deck_text(20, seed=6))
+    parsing, starts = [False], []
+    real_load = yaml.load
+
+    def load(*args, **kwargs):
+        parsing[0] = True
+        try:
+            return real_load(*args, **kwargs)
+        finally:
+            parsing[0] = False
+
+    def record(phase, info):
+        if phase == "start" and parsing[0]:
+            starts.append(info["generation"])
+
+    monkeypatch.setattr(yaml, "load", load)
+    gc.callbacks.append(record)
+    try:
+        cfg = load_config(path)
+    finally:
+        gc.callbacks.remove(record)
+    assert len(cfg.modes) == 20
+    assert starts == []

@@ -9,6 +9,7 @@ import pytest
 import oracles
 from conftest import bath_for
 
+from spinphonon import generators
 from spinphonon.bath import BathConfig, BroadeningPolicy, PhononMode
 from spinphonon.coupling import from_raw_matrix
 from spinphonon.generators import (
@@ -158,22 +159,44 @@ def _assert_pair_sums_match(res, jumps, dim):
     ids=["order2", "order4", "order4_all_channels_same_mode"],
 )
 def test_full_generator_matches_oracle_jumps(request, deck, order, channels, allow_same_mode):
+    eng = request.getfixturevalue(f"{deck}_engine")
+    for t_k in (1.0, 2.0, 8.0):
+        _assert_matches_oracle_jumps(eng, order, t_k, channels, allow_same_mode)
+
+
+def _assert_matches_oracle_jumps(eng, order, t_k, channels=("absorption_emission",),
+                                 allow_same_mode=False, pair_sums=True):
     # every element of R, coherences included, plus the jump count and the
     # pair T1/T2* sums, against the oracle's materialized jumps
-    eng = request.getfixturevalue(f"{deck}_engine")
     cfg = eng.config
-    for t_k in (1.0, 2.0, 8.0):
-        bath = bath_for(cfg, t_k)
-        res = build_generator(
-            order, eng.couplings, bath, eng.es,
-            secular_tol_cm1=cfg.secular_tol_cm1, regularizer_cm1=cfg.regularizer_cm1,
-            channels=channels, allow_same_mode=allow_same_mode,
-        )
-        jumps = _oracle_jumps(order, eng, bath, channels, allow_same_mode)
-        ref = oracles.lindblad_from_jumps(jumps, eng.es.dim)
-        assert np.abs(res.superoperator.matrix - ref).max() <= 1e-12 * np.abs(ref).max()
-        assert res.jump_count == len(jumps)
+    bath = bath_for(cfg, t_k)
+    res = build_generator(
+        order, eng.couplings, bath, eng.es,
+        secular_tol_cm1=cfg.secular_tol_cm1, regularizer_cm1=cfg.regularizer_cm1,
+        channels=channels, allow_same_mode=allow_same_mode,
+    )
+    jumps = _oracle_jumps(order, eng, bath, channels, allow_same_mode)
+    ref = oracles.lindblad_from_jumps(jumps, eng.es.dim)
+    assert np.abs(res.superoperator.matrix - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert res.jump_count == len(jumps)
+    if pair_sums:
         _assert_pair_sums_match(res, jumps, eng.es.dim)
+
+
+@pytest.mark.parametrize(
+    "deck, t_k, pair_sums", [("four_level", 2.0, True), ("j15_2", 9.5, False)]
+)
+def test_order4_over_several_chunks_matches_oracle_jumps(
+    request, monkeypatch, deck, t_k, pair_sums
+):
+    # five tasks a chunk reuses the chunk buffers and ends on a partial
+    # chunk: four_level keeps 6 tasks after the prefilter, j15_2 keeps 44.
+    # j15_2's order-4 1/T2* and 1/T2 are cancelling differences of M1
+    # entries that keep about 8 digits at any chunk size, short of the
+    # pair sums' 1e-12, so there R and the jump count carry the check.
+    monkeypatch.setattr(generators, "PAIR_CHUNK", 5)
+    eng = request.getfixturevalue(f"{deck}_engine")
+    _assert_matches_oracle_jumps(eng, 4, t_k, pair_sums=pair_sums)
 
 
 def test_singularity_raises_without_regularizer(spin_half_engine, spin_half_config):
