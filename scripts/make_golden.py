@@ -1,12 +1,13 @@
 """Regenerate the golden reference outputs bundled with the test suite.
 
 The four-level deck is swept end to end and, at every temperature, the
-full order-2 and order-4 generators (coherences included) are
-cross-checked against the brute-force oracle's jump operators before
-anything is written: a golden file only freezes numbers the slow
-reference path reproduces to 1e-10.  Outputs land in tests/golden/; the
-largest relative shift of each column (and of the dominance factors)
-against the file being overwritten is printed, for the change log.
+full order-2 and order-4 generators (coherences included) and the
+fundamental pair's 1/(2 T1) and 1/T2* sums are cross-checked against the
+brute-force oracle's jump operators before anything is written: a golden
+file only freezes numbers the slow reference path reproduces to 1e-10.
+Outputs land in tests/golden/; the largest relative shift of each column
+(and of the dominance factors) against the file being overwritten is
+printed, for the change log.
 
 Run from anywhere:  python scripts/make_golden.py
 """
@@ -39,11 +40,13 @@ DOMINANCE_TEMPS = (1.0, 1.41)
 
 
 def verify_against_oracle(cfg) -> None:
-    """Compare every generator element, coherences included, with the oracle.
+    """Compare every generator element and the pair sums with the oracle.
 
-    t2_s in the golden CSV is read off a coherence element, so population
-    blocks alone would not cover it. Orders 2 and 4 are checked separately
-    (the CSV's order-4 rows are their sum).
+    tau_s in the golden CSV is read off the generator, coherences included;
+    t1_s, t2_s and t2star_s come from the fundamental pair's 1/(2 T1) and
+    1/T2* sums (1/T2 = 1/(2 T1) + 1/T2*), which are checked against the
+    oracle's jump-level sums. Orders 2 and 4 are checked separately (the
+    CSV's order-4 rows are their sum).
     """
     eng = PointEngine(cfg)
     energies = eng.es.energies_cm1
@@ -70,14 +73,22 @@ def verify_against_oracle(cfg) -> None:
             ),
         }
         for order, order_jumps in jumps.items():
-            got = build_generator(order, eng.couplings, bath, eng.es, **kw).superoperator.matrix
+            res = build_generator(order, eng.couplings, bath, eng.es, **kw)
             ref = oracles.lindblad_from_jumps(order_jumps, eng.es.dim)
-            err = np.abs(got - ref).max() / np.abs(ref).max()
-            if err > ORACLE_TOL:
+            err = np.abs(res.superoperator.matrix - ref).max() / np.abs(ref).max()
+            sums = res.pair_sums(*eng.pair.indices)
+            ref_sums = oracles.pair_rate_sums(order_jumps, *eng.pair.indices)
+            got_sums = (sums.half_t1_rate, sums.dephasing_rate)
+            sums_err = max(abs(x - y) for x, y in zip(got_sums, ref_sums)) / sum(ref_sums)
+            if max(err, sums_err) > ORACLE_TOL:
                 raise SystemExit(
-                    f"oracle mismatch at T={t} K (order {order}): rel err {err:.3e}"
+                    f"oracle mismatch at T={t} K (order {order}): generator rel err"
+                    f" {err:.3e}, pair sums rel err {sums_err:.3e}"
                 )
-            print(f"  T={t:>5} K order {order}: oracle rel err {err:.3e}")
+            print(
+                f"  T={t:>5} K order {order}: oracle rel err {err:.3e},"
+                f" pair sums {sums_err:.3e}"
+            )
 
 
 def dominance_factors(cfg) -> dict:

@@ -3,12 +3,12 @@
 tau is read off the generator spectrum: the autocorrelation of the
 fundamental-doublet population difference decomposes over biorthogonal
 eigenmode amplitudes, and the dominant-amplitude eigenvalue gives
-tau = -1/Re(lambda). T1, T2* and T2 come from one place,
-GeneratorResult.pair_sums: T1 and T2* from the jump-level element sums,
-T2 from the coherence diagonal element of the assembled generator. All
-three are read off the one Gram matrix in generators._finalize, so the
-decomposition 1/T2 = 1/(2 T1) + 1/T2* checks _finalize's index map (K
-against the sums); the oracle tests check each rate independently.
+tau = -1/Re(lambda). T1 and T2* come from one place,
+GeneratorResult.pair_sums, both read from non-negative jump-level
+element sums, and 1/T2 = 1/(2 T1) + 1/T2*. That T2 equals
+-Re R_(ab),(ab) of the assembled generator is a test of _finalize's index
+map, not a second read path; the oracle tests check each rate
+independently.
 """
 
 import logging
@@ -134,13 +134,10 @@ def extract_tau(sup: Superoperator, pair: KramersPair) -> TauResult:
 
 
 def pair_sums_to_times(sums: PairRateSums) -> tuple[float, float, float]:
-    """(t1_s, t2_s, t2star_s) from a pair's rate sums.
-
-    A negative coherence rate (roundoff on a blocked pair) reads as 0.
-    """
+    """(t1_s, t2_s, t2star_s) from a pair's rate sums; 1/T2 = 1/(2 T1) + 1/T2*."""
     return (
         _safe_inv(2.0 * sums.half_t1_rate),
-        _safe_inv(max(sums.coherence_rate, 0.0)),
+        _safe_inv(sums.half_t1_rate + sums.dephasing_rate),
         _safe_inv(sums.dephasing_rate),
     )
 

@@ -26,10 +26,13 @@ The generator element form is the standard completely positive one,
   R_ab,cd = sum_k gamma_k [ L_ac L*_bd - 1/2 d_bd (L+L)_ac
                                        - 1/2 d_ac (L+L)_db ],
 
-and the build keeps one accumulator: the Gram matrix M1[(ac),(bd)] of
-sqrt(gamma) vec(L). K = sum gamma L+L, R and what the T1/T2*/T2 rates of
-every state pair need are functions of M1 and are read off it in
-_finalize; GeneratorResult.pair_sums turns them into the pair's rates.
+and the build keeps two accumulators: the Gram matrix M1[(ac),(bd)] of
+sqrt(gamma) vec(L), off which K = sum gamma L+L, R and the 1/T1 weights
+are read in _finalize, and, while the w = 0 block (where every population
+sits) is added, the pure-dephasing matrix
+D[a, b] = 1/2 sum_k gamma_k |L_k,aa - L_k,bb|^2. GeneratorResult.pair_sums
+reads a pair's 1/(2 T1) and 1/T2* as sums of non-negative terms, and
+1/T2 = 1/(2 T1) + 1/T2*.
 The order-4 build is array code on one thread: mode pairs are processed
 in chunks of PAIR_CHUNK in a fixed order and each chunk's block Grams are
 added to M1 in that order, which bounds memory and makes the result
@@ -45,7 +48,7 @@ from numpy.typing import NDArray
 
 from .bath import BathConfig, channel_occupation, channel_signs, channel_target, delta, g2
 from .constants import CM1_TO_RAD_S
-from .coupling import CouplingOperator
+from .coupling import CouplingOperator, basis_tag
 from .spin_model import Eigensystem, split_at_gaps
 
 RATE_PREFACTOR = 2.0 * np.pi * CM1_TO_RAD_S
@@ -60,8 +63,8 @@ SINGULARITY_TOL_CM1 = 1e-12
 PAIR_CHUNK = 512
 
 # Each jump amplitude carries round-off of about eps ||L||, so a pure
-# dephasing sum below this multiple of eps^2 sum_k gamma_k ||L_k||^2 is
-# not resolved and reads as 0; so does a negative round-off sum. The
+# dephasing sum (non-negative by construction) below this multiple of
+# eps^2 sum_k gamma_k ||L_k||^2 is not resolved and reads as 0. The
 # vanishing order-2 sums of four_level written in a rotated frame measure
 # at most 2e-3 of eps^2 sum_k gamma_k ||L_k||^2 and the bundled decks'
 # nonzero sums at least 5e21 of it, so 16 sits well clear of both.
@@ -116,52 +119,44 @@ class Superoperator:
 class PairRateSums:
     """Rate sums for one state pair (a, b), in s^-1.
 
-    half_t1_rate is 1/(2 T1) and dephasing_rate is 1/T2*, both
-    modulus-squared element sums over every jump operator; coherence_rate
-    is 1/T2 = -Re R_(ab),(ab). Each is linear in M1, so the order-2 and
-    order-4 sums add up to the sums of R2 + R4.
+    half_t1_rate is 1/(2 T1) and dephasing_rate is 1/T2*, both read from
+    non-negative modulus-squared element sums over every jump operator,
+    and 1/T2 = 1/(2 T1) + 1/T2*. Each is linear in the jumps' Grams, so
+    the order-2 and order-4 sums add up to the sums of R2 + R4.
     """
 
     half_t1_rate: float
     dephasing_rate: float
-    coherence_rate: float
 
 
 @dataclass(frozen=True)
 class GeneratorResult:
     """Build output: the generator plus what the pair rate sums need.
 
-    weights[r, a] = sum_k gamma_k |L_k,ra|^2 (s^-1) and diagonal_gram[a, b]
-    = sum_k gamma_k L_k,aa conj(L_k,bb) are entries of the Gram matrix M1.
-    pair_sums is the one place T1, T2* and T2 rates are read.
+    weights[r, a] = sum_k gamma_k |L_k,ra|^2 (s^-1) are diagonal entries
+    of the Gram matrix M1 and dephasing[a, b] = 1/2 sum_k gamma_k
+    |L_k,aa - L_k,bb|^2 (s^-1). pair_sums is the one place T1 and T2*
+    rates are read.
     """
 
     superoperator: Superoperator
     jump_count: int
     weights: NDArray[np.float64]
-    diagonal_gram: NDArray[np.complex128]
+    dephasing: NDArray[np.float64]
 
     def pair_sums(self, a: int, b: int) -> PairRateSums:
-        """1/(2 T1), 1/T2* and 1/T2 of the state pair (a, b).
+        """1/(2 T1) and 1/T2* of the state pair (a, b).
 
-        1/(2 T1) = 1/2 (sum_{r != a} W_ra + sum_{r != b} W_rb),
-        1/T2* = 1/2 (W_aa + W_bb - 2 Re P_ab), i.e. 1/2 sum_k gamma_k
-        |L_k,aa - L_k,bb|^2, and 1/T2 = -Re R_(ab),(ab), the coherence's
-        diagonal generator element. A 1/T2* below the round-off floor
-        (DEPHASING_FLOOR_EPS2), a negative one included, reads as 0.
+        1/(2 T1) = 1/2 (sum_{r != a} W_ra + sum_{r != b} W_rb) and
+        1/T2* = dephasing[a, b]; a 1/T2* below the round-off floor
+        (DEPHASING_FLOOR_EPS2) reads as 0.
         """
         w = self.weights
         half_t1 = 0.5 * (np.delete(w[:, a], a).sum() + np.delete(w[:, b], b).sum())
-        dephasing = 0.5 * (w[a, a] + w[b, b] - 2.0 * np.real(self.diagonal_gram[a, b]))
+        dephasing = self.dephasing[a, b]
         if dephasing < DEPHASING_FLOOR_EPS2 * np.finfo(float).eps ** 2 * w.sum():
             dephasing = 0.0
-        sup = self.superoperator
-        idx = a * sup.dim + b
-        return PairRateSums(
-            half_t1_rate=float(half_t1),
-            dephasing_rate=float(dephasing),
-            coherence_rate=-float(np.real(sup.matrix[idx, idx])),
-        )
+        return PairRateSums(half_t1_rate=float(half_t1), dephasing_rate=float(dephasing))
 
 
 def secular_partition(
@@ -198,14 +193,14 @@ def secular_partition(
 
 
 def _aligned_couplings(
-    couplings: Sequence[CouplingOperator], bath: BathConfig
+    couplings: Sequence[CouplingOperator], bath: BathConfig, es: Eigensystem
 ) -> NDArray[np.complex128]:
-    """Stack coupling matrices in bath-mode order; enforce one basis."""
+    """Stack coupling matrices in bath-mode order; enforce es's basis."""
     if not couplings:
         raise ValueError("no coupling operators supplied")
     tags = {c.basis for c in couplings}
-    if len(tags) > 1:
-        raise BasisMismatchError(f"couplings from different bases: {sorted(tags)}")
+    if tags != {basis_tag(es)}:
+        raise BasisMismatchError(f"coupling bases {sorted(tags)} are not {basis_tag(es)}")
     by_index = {c.mode_index: c for c in couplings}
     try:
         return np.stack([by_index[m.index].matrix for m in bath.modes])
@@ -247,12 +242,11 @@ def _mode_pairs(
 
 
 def _finalize(m1: NDArray[np.complex128], dim: int):
-    """R, W and P, all read off the Gram matrix M1 here and nowhere else.
+    """R and W, both read off the Gram matrix M1 here and nowhere else.
 
     With m[a, c, b, d] = M1[(a,c),(b,d)] = sum_k gamma_k L_ac conj(L_bd):
     K[c, d] = sum_a conj m[a, c, a, d], R[a,b,c,d] = m[a,c,b,d]
-    - 1/2 d_bd K[a,c] - 1/2 d_ac K[d,b], W[r, a] = m[r, a, r, a] and
-    P[a, b] = m[a, a, b, b].
+    - 1/2 d_bd K[a,c] - 1/2 d_ac K[d,b] and W[r, a] = m[r, a, r, a].
     """
     m = m1.reshape(dim, dim, dim, dim)
     diag = np.arange(dim)
@@ -260,13 +254,11 @@ def _finalize(m1: NDArray[np.complex128], dim: int):
     r4 = m.transpose(0, 2, 1, 3).copy()
     r4[:, diag, :, diag] -= 0.5 * k
     r4[diag, :, diag, :] -= 0.5 * k.T
-    weights = np.real(np.diagonal(m1)).reshape(dim, dim)
-    pops = diag * (dim + 1)
-    return r4.reshape(dim * dim, dim * dim), weights, m1[np.ix_(pops, pops)]
+    return r4.reshape(dim * dim, dim * dim), np.real(np.diagonal(m1)).reshape(dim, dim)
 
 
-def _add_block(m1, block: SecularBlock, gammas, y) -> int:
-    """Add the Gram of the jumps gamma_p, y_p into M1.
+def _add_block(m1, dephasing, block: SecularBlock, gammas, y) -> int:
+    """Add the Gram of the jumps gamma_p, y_p into M1, and their D into dephasing.
 
     y_p holds jump p's entries on the block (at block.rows, block.cols). A
     jump is kept only when its total rate gamma_p ||L_p||_F^2 on the block
@@ -277,6 +269,11 @@ def _add_block(m1, block: SecularBlock, gammas, y) -> int:
     y, gammas = y[keep], gammas[keep]
     # G_ij = sum_p gamma_p y_pi conj(y_pj); blocks own disjoint M1 entries
     m1[block.m1_index] += (gammas[:, None] * y).T @ y.conj()
+    # the w = 0 block holds every population, in state order
+    diag = y[:, block.rows == block.cols]
+    if diag.shape[1]:
+        diff = diag[:, :, None] - diag[:, None, :]
+        dephasing += 0.5 * np.einsum("p,pab->ab", gammas, diff.real**2 + diff.imag**2)
     return gammas.size
 
 
@@ -299,8 +296,9 @@ def build_generator(
     per mode and sign, amplitudes by batched matrix products per chunk of
     mode pairs, kernel weights by one array delta call per chunk, and each
     secular block is accumulated with one small Gram product per
-    chunk into the Gram matrix M1, which R, K and the pair T1/T2* sums
-    (GeneratorResult.pair_sums) are all read off.
+    chunk into the Gram matrix M1, which R, K and the pair 1/T1 sums are
+    read off, and into the pure-dephasing matrix D of the pair 1/T2* sums
+    (GeneratorResult.pair_sums).
     jump_count counts the jumps whose rate gamma ||L||^2 is positive.
 
     workers is accepted for compatibility and ignored: the array build on
@@ -308,7 +306,7 @@ def build_generator(
     """
     if order not in (2, 4):
         raise ValueError("order must be 2 or 4")
-    vstack = _aligned_couplings(couplings, bath)
+    vstack = _aligned_couplings(couplings, bath, es)
     dim = vstack.shape[1]
     if blocks is None:
         blocks = secular_partition(es, secular_tol_cm1)
@@ -321,13 +319,14 @@ def build_generator(
     pol = bath.broadening
 
     m1 = np.zeros((dim * dim, dim * dim), dtype=complex)
+    dephasing = np.zeros((dim, dim))
     if order == 2:
         gam = RATE_PREFACTOR * g2(block_freqs, bath)
         jumps = sum(
-            _add_block(m1, block, gam_block, vstack[:, block.rows, block.cols])
+            _add_block(m1, dephasing, block, gam_block, vstack[:, block.rows, block.cols])
             for block, gam_block in zip(blocks, gam)
         )
-        return _result_from(m1, jumps, dim)
+        return _result_from(m1, dephasing, jumps, dim)
 
     # the kernel is exactly zero outside this window, so the prefilter
     # drops only tasks that carry no weight
@@ -385,16 +384,17 @@ def build_generator(
         runs = np.flatnonzero(np.diff(b_hit)) + 1
         for b_run, t_run, gam_run in zip(*(np.split(x, runs) for x in (b_hit, t_hit, gam))):
             block = blocks[b_run[0]]
-            jumps += _add_block(m1, block, gam_run, amps[t_run[:, None], block.rows, block.cols])
-    return _result_from(m1, jumps, dim)
+            y = amps[t_run[:, None], block.rows, block.cols]
+            jumps += _add_block(m1, dephasing, block, gam_run, y)
+    return _result_from(m1, dephasing, jumps, dim)
 
 
-def _result_from(m1, jumps: int, dim: int) -> GeneratorResult:
-    matrix, weights, diagonal_gram = _finalize(m1, dim)
+def _result_from(m1, dephasing, jumps: int, dim: int) -> GeneratorResult:
+    matrix, weights = _finalize(m1, dim)
     sup = Superoperator(matrix=matrix, dim=dim)
     defect = sup.trace_defect()
     if defect > 1e-10:
         raise RuntimeError(f"generator violates trace preservation: {defect:.3e}")
     return GeneratorResult(
-        superoperator=sup, jump_count=jumps, weights=weights, diagonal_gram=diagonal_gram
+        superoperator=sup, jump_count=jumps, weights=weights, dephasing=dephasing
     )

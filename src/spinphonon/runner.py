@@ -151,7 +151,6 @@ class PointEngine:
             sums = PairRateSums(
                 half_t1_rate=s2.half_t1_rate + s4.half_t1_rate,
                 dephasing_rate=s2.dephasing_rate + s4.dephasing_rate,
-                coherence_rate=s2.coherence_rate + s4.coherence_rate,
             )
             out[4] = self._report(cumulative, sums, temperature_k, 4)
         self.timers["extract_s"] += time.perf_counter() - t1

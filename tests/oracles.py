@@ -1,13 +1,15 @@
 """Brute-force reference implementations for cross-checking the generators.
 
-Everything here is written as explicit loops over states, modes and
-intermediate levels, directly from the golden-rule expressions.  It is
-deliberately slow and deliberately independent of the vectorized assembly
-in spinphonon.generators: the only shared inputs are the coupling matrices,
-the energies and the physical constants. propagate steps a density matrix
-under a generator, for the positivity and decay checks; rotate_model and
-rotate_stevens_terms write a model or a Stevens term set in a rotated
-frame, for the rotational-invariance checks.
+Everything here is written directly from the golden-rule expressions,
+as explicit loops over states, modes and intermediate levels; only
+lindblad_from_jumps adds each jump's Kronecker products with one einsum
+(lindblad_from_jumps_loops is its loop form). It is deliberately
+independent of the vectorized assembly in spinphonon.generators, which
+never forms a jump's superoperator: the only shared inputs are the
+coupling matrices, the energies and the physical constants. propagate
+steps a density matrix under a generator, for the positivity and decay
+checks; rotate_model and rotate_stevens_terms write a model or a Stevens
+term set in a rotated frame, for the rotational-invariance checks.
 """
 
 from __future__ import annotations
@@ -200,12 +202,33 @@ def rates_to_population_block(w):
 
 
 def lindblad_from_jumps(jumps, dim):
-    """Assemble the full superoperator element by element.
+    """Assemble the full superoperator jump by jump.
 
     R[(ij),(kl)] = sum_k gamma [ L_ik conj(L_jl)
                                  - delta_jl (L^dag L)_ik / 2
                                  - delta_ik conj((L^dag L)_jl) / 2 ]
-    acting on row-major vec(rho).
+    acting on row-major vec(rho). Each jump adds
+    gamma (L x conj L - K x 1 / 2 - 1 x conj K / 2) with K = L^dag L, the
+    three Kronecker products in one einsum.
+    """
+    eye = np.eye(dim)
+    r = np.zeros((dim, dim, dim, dim), dtype=np.complex128)
+    for jump in jumps:
+        mat = jump.matrix
+        k = mat.conj().T @ mat
+        r += np.einsum(
+            "n,nik,njl->ijkl",
+            jump.gamma * np.array([1.0, -0.5, -0.5]),
+            np.stack([mat, k, eye]),
+            np.stack([mat.conj(), eye, k.conj()]),
+        )
+    return r.reshape(dim * dim, dim * dim)
+
+
+def lindblad_from_jumps_loops(jumps, dim):
+    """lindblad_from_jumps element by element, in four nested loops.
+
+    Slow (d^4 Python steps a jump); kept only to check the einsum form.
     """
     r = np.zeros((dim, dim, dim, dim), dtype=np.complex128)
     for jump in jumps:
@@ -315,16 +338,13 @@ def jumps_4(
 
 
 def pair_rate_sums(jumps, a, b):
-    """(1/(2 T1), 1/T2*, 1/T2) of the state pair (a, b) from jump elements, in 1/s.
+    """(1/(2 T1), 1/T2*) of the state pair (a, b) from jump elements, in 1/s.
 
     1/(2 T1) = sum gamma (sum_{p != a} |L_pa|^2 + sum_{p != b} |L_pb|^2) / 2
     1/T2*    = sum gamma |L_aa - L_bb|^2 / 2
-    1/T2     = sum gamma (sum_p |L_pa|^2 + sum_p |L_pb|^2) / 2
-               - Re sum gamma L_aa conj(L_bb)
     """
     half_t1 = 0.0
     dephasing = 0.0
-    coherence = 0.0
     for jump in jumps:
         mat = jump.matrix
         for p in range(mat.shape[0]):
@@ -332,10 +352,8 @@ def pair_rate_sums(jumps, a, b):
                 half_t1 += 0.5 * jump.gamma * abs(mat[p, a]) ** 2
             if p != b:
                 half_t1 += 0.5 * jump.gamma * abs(mat[p, b]) ** 2
-            coherence += 0.5 * jump.gamma * (abs(mat[p, a]) ** 2 + abs(mat[p, b]) ** 2)
         dephasing += 0.5 * jump.gamma * abs(mat[a, a] - mat[b, b]) ** 2
-        coherence -= jump.gamma * (mat[a, a] * np.conj(mat[b, b])).real
-    return half_t1, dephasing, coherence
+    return half_t1, dephasing
 
 
 def identity_residual(report):

@@ -11,6 +11,7 @@ assembly, and Kramers degeneracy bookkeeping.
 
 import json
 import time
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -185,6 +186,26 @@ def test_rate_decomposition_identity_everywhere(
         for t_k in eng.config.temperatures_k:
             for rep in eng.rates(t_k, (2, 4)).values():
                 assert oracles.identity_residual(rep) <= 1e-9
+
+
+def test_generator_coherence_decay_matches_the_pair_sums_everywhere(
+    spin_half_engine, four_level_engine, j15_2_engine
+):
+    # 1/T2 = 1/(2 T1) + 1/T2* comes from the weights and D, not from R;
+    # -Re R_(ab),(ab) reads the same rate through _finalize's index map,
+    # equal but for round-off of order eps sum_k gamma_k ||L_k||^2
+    eps = np.finfo(float).eps
+    for eng in (spin_half_engine, four_level_engine, j15_2_engine):
+        d = eng.es.dim
+        for t_k in eng.config.temperatures_k:
+            for order in (2, 4):
+                res = _build(order, eng, t_k)
+                decay = -res.superoperator.matrix.diagonal().real.reshape(d, d)
+                tol = 16.0 * eps * res.weights.sum()
+                for a, b in permutations(range(d), 2):
+                    sums = res.pair_sums(a, b)
+                    gap = abs(decay[a, b] - (sums.half_t1_rate + sums.dephasing_rate))
+                    assert gap <= tol, (order, t_k, a, b, gap / tol)
 
 
 def test_second_order_dephasing_vanishes_on_exact_resonance(

@@ -82,28 +82,26 @@ def test_pair_t1_closed_form():
     l_mat[2, 0] = 0.6  # leak out of a
     l_mat[2, 1] = 0.8  # leak out of b
     l_mat[0, 0] = 9.9  # diagonal does not count as loss
-    half_t1, _, _ = oracles.pair_rate_sums([oracles.Jump(gamma=2.0, matrix=l_mat)], 0, 1)
+    half_t1, _ = oracles.pair_rate_sums([oracles.Jump(gamma=2.0, matrix=l_mat)], 0, 1)
     assert half_t1 == pytest.approx(2.0 * 0.5 * (0.6**2 + 0.8**2), rel=1e-12)
 
 
 def test_pair_t2star_closed_form():
     l_mat = np.diag([0.3, -0.1, 0.0]).astype(complex)
-    _, dephasing, _ = oracles.pair_rate_sums([oracles.Jump(gamma=4.0, matrix=l_mat)], 0, 1)
+    _, dephasing = oracles.pair_rate_sums([oracles.Jump(gamma=4.0, matrix=l_mat)], 0, 1)
     assert dephasing == pytest.approx(4.0 * 0.5 * abs(0.3 - (-0.1)) ** 2, rel=1e-12)
 
 
 def test_pair_sums_to_times_inverts_and_handles_zero():
-    t1, t2, t2star = pair_sums_to_times(
-        PairRateSums(half_t1_rate=2.5, dephasing_rate=0.0, coherence_rate=4.0)
-    )
+    t1, t2, t2star = pair_sums_to_times(PairRateSums(half_t1_rate=2.5, dephasing_rate=0.0))
     assert t1 == pytest.approx(1.0 / 5.0, rel=1e-12)
-    assert t2 == 0.25
+    assert t2 == 0.4
     assert t2star == np.inf
-    # a roundoff-negative coherence rate on a blocked pair reads as no decay
-    _, t2, _ = pair_sums_to_times(
-        PairRateSums(half_t1_rate=0.0, dephasing_rate=0.0, coherence_rate=-1e-300)
-    )
-    assert t2 == np.inf
+    # 1/T2 = 1/(2 T1) + 1/T2*
+    t1, t2, t2star = pair_sums_to_times(PairRateSums(half_t1_rate=1.5, dephasing_rate=2.5))
+    assert (t1, t2, t2star) == (1.0 / 3.0, 0.25, 0.4)
+    # a blocked pair does not decay at all
+    assert pair_sums_to_times(PairRateSums(0.0, 0.0)) == (np.inf, np.inf, np.inf)
 
 
 def test_identity_residual_closed():
@@ -118,11 +116,13 @@ def test_pair_t2_two_state_closed_form():
     _, jumps = two_state_superoperator(up, down)
     # the Gram matrix M1 = sum gamma vec(L) vec(L)^+ the build accumulates
     m1 = sum(j.gamma * np.outer(j.matrix.ravel(), j.matrix.ravel().conj()) for j in jumps)
-    sums = _result_from(m1, len(jumps), 2).pair_sums(0, 1)
+    # hops have no diagonal elements, so no pure dephasing
+    sums = _result_from(m1, np.zeros((2, 2)), len(jumps), 2).pair_sums(0, 1)
     _, t2, _ = pair_sums_to_times(sums)
     # coherence decays at half the population exchange rate
     assert t2 == pytest.approx(2.0 / (up + down), rel=1e-12)
-    assert oracles.pair_rate_sums(jumps, 0, 1)[2] == pytest.approx((up + down) / 2.0, rel=1e-12)
+    coherence = -oracles.lindblad_from_jumps(jumps, 2)[1, 1].real
+    assert coherence == pytest.approx((up + down) / 2.0, rel=1e-12)
 
 
 def test_propagate_matches_two_state_analytics():
