@@ -10,6 +10,7 @@ import logging
 import math
 import os
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -119,8 +120,7 @@ def _scan(config, values, label, out_name, args) -> int:
     if not (math.isfinite(temperature) and temperature > 0):
         print(f"--temperature-k must be finite and positive, got {temperature!r}", file=sys.stderr)
         return 2
-    lines = _provenance(config)
-    lines.append(f"# scan at temperature_K={temperature!r}, order={order}")
+    lines = [f"# scan at temperature_K={temperature!r}, order={order}"]
     lines.append(",".join((label,) + SCAN_COLUMNS))
     try:
         engine = PointEngine(config)
@@ -134,11 +134,13 @@ def _scan(config, values, label, out_name, args) -> int:
                 f"at {label}={value!r}, temperature_K={temperature!r}: {exc}"
             ) from exc
         lines.append(",".join([_fmt(value)] + [_fmt(getattr(rep, f)) for f in SCAN_COLUMNS]))
-    log_stage_times("scan", len(values), engine.timers)
+    # the provenance lines (config_hash) are part of the timed write
+    t0 = time.perf_counter()
     os.makedirs(args.output_dir, exist_ok=True)
     path = os.path.join(args.output_dir, out_name)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(_provenance(config) + lines) + "\n")
+    log_stage_times("scan", len(values), {**engine.timers, "write_s": time.perf_counter() - t0})
     print(f"wrote {path}")
     return 0
 

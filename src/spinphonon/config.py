@@ -93,9 +93,26 @@ class RunConfig:
 
     @functools.cached_property
     def config_hash(self) -> str:
-        """Short sha256 of the resolved deck; computed once per config."""
-        blob = json.dumps(self.resolved, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        """Short sha256 of the resolved deck; computed once per config.
+
+        It covers the compact sorted-key JSON of resolved, in which each
+        matrix_cm1 is reduced to its basis, then each matrix operator's
+        resolved matrix, in operator order, as little-endian complex128
+        bytes. So a matrix is hashed by its values, not by how the deck
+        spelled them (1 and 1.0, an omitted imag and explicit zeros hash
+        alike), and a deck of Stevens derivatives hashes its JSON alone.
+        """
+        coupling = self.resolved["coupling"]
+        operators = [
+            op if spec.matrix is None else dict(op, matrix_cm1={"basis": spec.matrix_basis})
+            for spec, op in zip(self.coupling_specs, coupling["operators"])
+        ]
+        deck = dict(self.resolved, coupling=dict(coupling, operators=operators))
+        digest = hashlib.sha256(json.dumps(deck, sort_keys=True, separators=(",", ":")).encode())
+        for spec in self.coupling_specs:
+            if spec.matrix is not None:
+                digest.update(spec.matrix.astype("<c16").tobytes())
+        return digest.hexdigest()[:16]
 
 
 @functools.cache

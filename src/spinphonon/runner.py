@@ -171,10 +171,15 @@ class PointEngine:
 
 
 def log_stage_times(what: str, n_rows: int, timers: dict[str, float]):
-    """Log where the engines' summed time went, as one INFO line."""
+    """Log where the summed time went, engines and output writing, as one INFO line."""
     log.info(
-        "%s finished: %d rows; prepare %.3f s, generate %.3f s, extract %.3f s",
-        what, n_rows, timers["prepare_s"], timers["generate_s"], timers["extract_s"],
+        "%s finished: %d rows; prepare %.3f s, generate %.3f s, extract %.3f s, write %.3f s",
+        what,
+        n_rows,
+        timers["prepare_s"],
+        timers["generate_s"],
+        timers["extract_s"],
+        timers["write_s"],
     )
 
 
@@ -288,6 +293,7 @@ def run_sweep(config: RunConfig, *, output_dir: str = ".", workers: int | None =
             rows.extend(SweepRow(field, reports[o]) for o in config.orders)
         timers.update(engine.timers)
 
+    t0 = time.perf_counter()
     os.makedirs(output_dir, exist_ok=True)
     csv_path = os.path.join(output_dir, config.rates_csv)
     report_path = os.path.join(output_dir, config.fit_report)
@@ -300,6 +306,7 @@ def run_sweep(config: RunConfig, *, output_dir: str = ".", workers: int | None =
         else ""
     )
     _write_fit_report(report_path, fits, config, field_note)
+    timers["write_s"] = time.perf_counter() - t0
 
     log_stage_times("sweep", len(rows), timers)
     return SweepResult(

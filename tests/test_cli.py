@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -226,7 +227,7 @@ def test_run_verbose_logs_where_setup_went(tmp_path, caplog):
     caplog.set_level(logging.INFO)
     assert main(["-v", "run", str(DECK_PATHS["spin_half"]), "--output-dir", str(tmp_path)]) == 0
     assert "deck loaded in" in caplog.text and "validate and resolve" in caplog.text
-    assert "sweep finished" in caplog.text
+    assert re.search(r"sweep finished: 10 rows; .*, write \d+\.\d{3} s", caplog.text)
 
 
 def test_scan_verbose_logs_where_the_time_went(tmp_path, caplog):
@@ -235,6 +236,7 @@ def test_scan_verbose_logs_where_the_time_went(tmp_path, caplog):
     assert main(args + ["--output-dir", str(tmp_path)]) == 0
     assert "scan finished: 2 rows; prepare" in caplog.text
     assert "generate" in caplog.text and "extract" in caplog.text
+    assert re.search(r"scan finished: .*, write \d+\.\d{3} s", caplog.text)
 
 
 def test_scan_prepares_one_engine_and_matches_fresh_engines(tmp_path, monkeypatch):

@@ -3,7 +3,11 @@ import copy
 import dataclasses
 import gc
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from jsonschema import Draft202012Validator
 
 from conftest import DECK_PATHS
 
+import spinphonon
 from spinphonon.config import (
     DeckValidationError,
     _DeckLoader,
@@ -134,6 +139,63 @@ def test_orders_enum():
     assert validate_deck(bad)
 
 
+# J = 3/2 with a complex and a real M_J matrix and a Stevens derivative set
+MIXED = {
+    "model": {"two_j": 3},
+    "bath": {"modes_cm1": [1.0, 2.0, 3.0]},
+    "coupling": {
+        "operators": [
+            {
+                "matrix_cm1": {
+                    "real": [
+                        [0.0, 0.5, 0.0, 0.0],
+                        [0.5, 0.0, 0.25, 0.0],
+                        [0.0, 0.25, 0.0, 0.5],
+                        [0.0, 0.0, 0.5, 0.0],
+                    ],
+                    "imag": [
+                        [0.0, -0.125, 0.0, 0.0],
+                        [0.125, 0.0, 0.0, 0.0],
+                        [0.0, 0.0, 0.0, -0.125],
+                        [0.0, 0.0, 0.125, 0.0],
+                    ],
+                }
+            },
+            {
+                "matrix_cm1": {
+                    "real": [
+                        [1.0, 0.0, 0.0, 0.0],
+                        [0.0, 0.1, 0.0, 0.0],
+                        [0.0, 0.0, -0.1, 0.0],
+                        [0.0, 0.0, 0.0, -1.0],
+                    ]
+                }
+            },
+            {"stevens_derivatives_cm1": [[2, 0, 0.2], [2, 2, -0.05]]},
+        ]
+    },
+    "sweep": {"temperatures_k": [1.0, 2.0]},
+}
+OPS = ("coupling", "operators")
+
+
+def _swap_first_operators(deck):
+    ops = deck["coupling"]["operators"]
+    ops[0], ops[1] = ops[1], ops[0]
+
+
+def _reverse_keys(x):
+    if isinstance(x, dict):
+        return {k: _reverse_keys(x[k]) for k in reversed(list(x))}
+    return [_reverse_keys(v) for v in x] if isinstance(x, list) else x
+
+
+def _mixed_hash(mutate=lambda deck: None) -> str:
+    deck = deep(MIXED)
+    # a mutation edits the deck in place or returns a new one
+    return resolve(mutate(deck) or deck).config_hash
+
+
 def test_config_hash_stable_and_sensitive():
     a = resolve(deep(MINIMAL)).config_hash
     b = resolve(deep(MINIMAL)).config_hash
@@ -141,6 +203,47 @@ def test_config_hash_stable_and_sensitive():
     changed = deep(MINIMAL)
     changed["sweep"]["temperatures_k"] = [1.0, 2.5]
     assert resolve(changed).config_hash != a
+
+    base = _mixed_hash()
+    assert base == _mixed_hash() and len(base) == 16
+    # matrix numbers are hashed as their resolved complex128 values
+    changes = [
+        _set((*OPS, 0, "matrix_cm1", "real", 1, 2), math.nextafter(0.25, 1.0)),
+        _set((*OPS, 0, "matrix_cm1", "imag", 0, 1), math.nextafter(-0.125, 0.0)),
+        _swap_first_operators,
+        _set((*OPS, 1, "matrix_cm1", "basis"), "eigen"),
+        _set((*OPS, 2, "stevens_derivatives_cm1", 0, 2), 0.25),
+    ]
+    for mutate in changes:
+        assert _mixed_hash(mutate) != base
+    zeros = [[0.0] * 4 for _ in range(4)]
+    same = [
+        _reverse_keys,
+        _set((*OPS, 1, "matrix_cm1", "imag"), zeros),
+        _set((*OPS, 1, "matrix_cm1", "real", 0, 0), 1),
+        _set((*OPS, 1, "matrix_cm1", "basis"), "mj"),
+    ]
+    for mutate in same:
+        assert _mixed_hash(mutate) == base
+
+
+def test_config_hash_of_the_bundled_decks():
+    # a deck without matrix_cm1 operators hashes its resolved JSON alone
+    assert load_config(DECK_PATHS["four_level"]).config_hash == "6673480d3c3df761"
+    assert load_config(DECK_PATHS["j15_2"]).config_hash == "e0adc384b9283645"
+    # a fresh interpreter with another str hash seed gives the same hash
+    expected = load_config(DECK_PATHS["spin_half"]).config_hash
+    code = "import sys\nfrom spinphonon.config import load_config\n"
+    code += "print(load_config(sys.argv[1]).config_hash)\n"
+    src = pathlib.Path(spinphonon.__file__).resolve().parents[1]
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED="12345")
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(DECK_PATHS["spin_half"])],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == expected
 
 
 def test_hash_ignores_key_order():
