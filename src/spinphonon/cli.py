@@ -140,7 +140,8 @@ def _scan(config, values, label, out_name, args) -> int:
     path = os.path.join(args.output_dir, out_name)
     with open(path, "w") as fh:
         fh.write("\n".join(_provenance(config) + lines) + "\n")
-    log_stage_times("scan", len(values), {**engine.timers, "write_s": time.perf_counter() - t0})
+    timers = {**engine.timers, "write_s": time.perf_counter() - t0}
+    log_stage_times("scan", len(values), timers, engine.counts)
     print(f"wrote {path}")
     return 0
 

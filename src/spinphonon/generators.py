@@ -33,11 +33,19 @@ sits) is added, the pure-dephasing matrix
 D[a, b] = 1/2 sum_k gamma_k |L_k,aa - L_k,bb|^2. GeneratorResult.pair_sums
 reads a pair's 1/(2 T1) and 1/T2* as sums of non-negative terms, and
 1/T2 = 1/(2 T1) + 1/T2*.
-The order-4 build is array code on one thread: mode pairs are processed
-in chunks of PAIR_CHUNK in a fixed order and each chunk's block Grams are
-added to M1 in that order, which bounds memory and makes the result
-deterministic. The chunks' amplitudes are gathered and multiplied in
-buffers allocated once per build, so the loop makes no large temporaries.
+The order-4 build is array code on one thread. Its (channel, alpha,
+beta) tasks come in a fixed order and are processed in chunks of
+PAIR_CHUNK, in buffers allocated once per build, so the loop makes no
+large temporaries. In a chunk, the tasks fall into runs that share alpha
+and its phonon sign, so V^alpha and W^{alpha,-s_a} are one matrix per run:
+each run costs one BLAS product per amplitude term. The amplitude entries
+of all blocks of one size (one class) are taken by one gather through a
+table of flat positions, with one keep mask per class, and each run of
+one block's jumps costs one Gram product, added to that block's dense
+s x s accumulator. The accumulators land in M1 once, before _finalize.
+Each M1 entry sums its chunks' Grams in chunk order, so PAIR_CHUNK and
+the task order define the order of every addition, and with it every
+bit of the result.
 """
 
 from dataclasses import dataclass, field
@@ -83,14 +91,15 @@ class BasisMismatchError(ValueError):
 class SecularBlock:
     """All ordered index pairs (d, b) sharing one Bohr frequency.
 
-    rows and cols hold the pairs' d and b, and m1_index the block's entries
-    of the Gram matrix M1; secular_partition builds them once per block.
+    rows and cols hold the pairs' d and b, and m1_index the flat positions
+    in M1 of the block's s x s entries of the Gram matrix (row-major over
+    the pairs); secular_partition builds them once per block.
     """
 
     frequency_cm1: float
     rows: NDArray[np.int64] = field(repr=False, compare=False)
     cols: NDArray[np.int64] = field(repr=False, compare=False)
-    m1_index: tuple = field(repr=False, compare=False)
+    m1_index: NDArray[np.int64] = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -136,13 +145,16 @@ class GeneratorResult:
     weights[r, a] = sum_k gamma_k |L_k,ra|^2 (s^-1) are diagonal entries
     of the Gram matrix M1 and dephasing[a, b] = 1/2 sum_k gamma_k
     |L_k,aa - L_k,bb|^2 (s^-1). pair_sums is the one place T1 and T2*
-    rates are read.
+    rates are read. prefilter_tasks counts the order-4 (channel, alpha,
+    beta) tasks that passed the prefilter (0 at order 2), of which the
+    jump_count jumps that carry rate are made.
     """
 
     superoperator: Superoperator
     jump_count: int
     weights: NDArray[np.float64]
     dephasing: NDArray[np.float64]
+    prefilter_tasks: int
 
     def pair_sums(self, a: int, b: int) -> PairRateSums:
         """1/(2 T1) and 1/T2* of the state pair (a, b).
@@ -186,7 +198,7 @@ def secular_partition(
                 frequency_cm1=float(freqs[cluster].mean()),
                 rows=rows,
                 cols=cols,
-                m1_index=np.ix_(flat, flat),
+                m1_index=(flat[:, None] * (d * d) + flat).ravel(),
             )
         )
     return blocks
@@ -257,24 +269,29 @@ def _finalize(m1: NDArray[np.complex128], dim: int):
     return r4.reshape(dim * dim, dim * dim), np.real(np.diagonal(m1)).reshape(dim, dim)
 
 
-def _add_block(m1, dephasing, block: SecularBlock, gammas, y) -> int:
-    """Add the Gram of the jumps gamma_p, y_p into M1, and their D into dephasing.
+def _add_runs(acc, dephasing, blocks: Sequence[SecularBlock], b, gammas, y) -> int:
+    """Add the Grams of the jumps gamma_p, y_p into acc, and their D into dephasing.
 
-    y_p holds jump p's entries on the block (at block.rows, block.cols). A
-    jump is kept only when its total rate gamma_p ||L_p||_F^2 on the block
-    is positive, so every counted jump carries rate. Returns the number
-    kept.
+    y_p holds jump p's entries on block b_p (at its rows, cols) and the
+    jumps come block-major, so each run of one block costs one Gram
+    product, added into that block's accumulator acc[b_p]. A jump is kept
+    only when its total rate gamma_p ||L_p||_F^2 on its block is positive,
+    so every counted jump carries rate. Returns the number kept.
     """
     keep = gammas * (y.real**2 + y.imag**2).sum(axis=1) > 0.0
-    y, gammas = y[keep], gammas[keep]
-    # G_ij = sum_p gamma_p y_pi conj(y_pj); blocks own disjoint M1 entries
-    m1[block.m1_index] += (gammas[:, None] * y).T @ y.conj()
-    # the w = 0 block holds every population, in state order
-    diag = y[:, block.rows == block.cols]
-    if diag.shape[1]:
-        diff = diag[:, :, None] - diag[:, None, :]
-        dephasing += 0.5 * np.einsum("p,pab->ab", gammas, diff.real**2 + diff.imag**2)
-    return gammas.size
+    b, gammas, y = b[keep], gammas[keep], y[keep]
+    gy, yc = gammas[:, None] * y, y.conj()
+    starts = np.flatnonzero(np.diff(b, prepend=-1))
+    for r0, r1 in zip(starts, [*starts[1:], b.size]):
+        block = blocks[b[r0]]
+        # G_ij = sum_p gamma_p y_pi conj(y_pj)
+        acc[b[r0]] += gy[r0:r1].T @ yc[r0:r1]
+        # the w = 0 block holds every population, in state order
+        diag = y[r0:r1, block.rows == block.cols]
+        if diag.shape[1]:
+            diff = diag[:, :, None] - diag[:, None, :]
+            dephasing += 0.5 * np.einsum("p,pab->ab", gammas[r0:r1], diff.real**2 + diff.imag**2)
+    return b.size
 
 
 def build_generator(
@@ -293,13 +310,19 @@ def build_generator(
     """Assemble R^(order) without materializing jump operators.
 
     Organized for throughput: the virtual-state factors W are built once
-    per mode and sign, amplitudes by batched matrix products per chunk of
-    mode pairs, kernel weights by one array delta call per chunk, and each
-    secular block is accumulated with one small Gram product per
-    chunk into the Gram matrix M1, which R, K and the pair 1/T1 sums are
-    read off, and into the pure-dephasing matrix D of the pair 1/T2* sums
-    (GeneratorResult.pair_sums).
-    jump_count counts the jumps whose rate gamma ||L||^2 is positive.
+    per mode and sign, and the order-4 tasks are processed in chunks of
+    PAIR_CHUNK. In a chunk, each run of tasks sharing alpha and its sign
+    costs one BLAS product per amplitude term, each block-size class one
+    gather of the amplitude entries and one keep mask, each block run one
+    Gram product, and the kernel weights one array delta call. Each
+    secular block sums its Grams in a dense accumulator, which lands in
+    the Gram matrix M1 once; R, K and the pair 1/T1 sums are read off M1,
+    and the pure-dephasing matrix D of the pair 1/T2* sums is added as the
+    w = 0 block's runs are (GeneratorResult.pair_sums). PAIR_CHUNK and
+    the task order define the order of every addition into M1 and D, and
+    with it every bit of the result.
+    jump_count counts the jumps whose rate gamma ||L||^2 is positive and
+    prefilter_tasks the order-4 tasks whose target hits a block window.
 
     workers is accepted for compatibility and ignored: the array build on
     one thread is faster than any thread pool over it.
@@ -318,15 +341,20 @@ def build_generator(
     n_bar = bath.occupations()
     pol = bath.broadening
 
-    m1 = np.zeros((dim * dim, dim * dim), dtype=complex)
+    # blocks own disjoint M1 entries, so each block sums its Grams, in
+    # chunk order, in a dense accumulator of its own
+    acc = [np.zeros((b.rows.size, b.rows.size), dtype=complex) for b in blocks]
     dephasing = np.zeros((dim, dim))
     if order == 2:
         gam = RATE_PREFACTOR * g2(block_freqs, bath)
         jumps = sum(
-            _add_block(m1, dephasing, block, gam_block, vstack[:, block.rows, block.cols])
-            for block, gam_block in zip(blocks, gam)
+            _add_runs(
+                acc, dephasing, blocks, np.full(len(bath.modes), i), gam_block,
+                vstack[:, block.rows, block.cols],
+            )
+            for i, (block, gam_block) in enumerate(zip(blocks, gam))
         )
-        return _result_from(m1, dephasing, jumps, dim)
+        return _result_from(_m1_from(blocks, acc, dim), dephasing, jumps, dim)
 
     # the kernel is exactly zero outside this window, so the prefilter
     # drops only tasks that carry no weight
@@ -358,43 +386,71 @@ def build_generator(
             es.energies_cm1, w_modes[m_used], 1 - 2 * k_used, regularizer_cm1
         )
 
+    # the blocks of one size s form a class whose amplitude entries one
+    # gather takes, through the table of each block's flat d x d positions
+    sizes = np.array([b.rows.size for b in blocks])
+    tables = {s: np.zeros((len(blocks), s), dtype=np.intp) for s in sorted(set(sizes))}
+    for i, block in enumerate(blocks):
+        tables[block.rows.size][i] = block.rows * dim + block.cols
+
     # fresh 2 MB temporaries per chunk cost page faults, so the chunk's
     # factors and products reuse four buffers; the gathers clip because
-    # mode="raise" buffers out (the indices are in range by construction),
-    # and the bits equal those of a @ b + c @ d
+    # mode="raise" buffers out (the indices are in range by construction).
+    # A run of tasks with one ja shares alpha and its sign, so V_a and
+    # W_a^{-s_a} are one matrix: V_a against the stack of W_b, and the
+    # stack of V_b as one tall matrix against W_a; the bits equal those of
+    # the stacked a @ b + c @ d
     virt_flat = virt.reshape(-1, dim, dim)
     jb, ja = 2 * ib + k_b, 2 * ia + k_a
     bufs = np.empty((4, min(PAIR_CHUNK, ia.size), dim, dim), dtype=complex)
     jumps = 0
     for start in range(0, ia.size, PAIR_CHUNK):
         c = slice(start, start + PAIR_CHUNK)
-        left, right, amps, other = bufs[:, : ia[c].size]
-        np.take(vstack, ia[c], axis=0, mode="clip", out=left)
-        np.take(virt_flat, jb[c], axis=0, mode="clip", out=right)
-        np.matmul(left, right, out=amps)
+        ia_c, ja_c = ia[c], ja[c]
+        n = ia_c.size
+        left, right, amps, other = bufs[:, :n]
         np.take(vstack, ib[c], axis=0, mode="clip", out=left)
-        np.take(virt_flat, ja[c], axis=0, mode="clip", out=right)
-        amps += np.matmul(left, right, out=other)
+        np.take(virt_flat, jb[c], axis=0, mode="clip", out=right)
+        starts = np.flatnonzero(np.diff(ja_c, prepend=-1))
+        for r0, r1 in zip(starts, [*starts[1:], n]):
+            np.matmul(vstack[ia_c[r0]], right[r0:r1], out=amps[r0:r1])
+            np.matmul(
+                left[r0:r1].reshape(-1, dim), virt_flat[ja_c[r0]],
+                out=other[r0:r1].reshape(-1, dim),
+            )
+        amps += other
         # every (block, task) hit of the chunk, block-major with the tasks
         # in order, and the kernel weights of all of them in one delta call
         span = np.arange(lo[c].min(), hi[c].max())[:, None]
         b_hit, t_hit = np.nonzero((lo[c] <= span) & (span < hi[c]))
         b_hit += span[0, 0]
         gam = RATE_PREFACTOR * delta(block_freqs[b_hit], target[c][t_hit], pol) * occ[c][t_hit]
-        runs = np.flatnonzero(np.diff(b_hit)) + 1
-        for b_run, t_run, gam_run in zip(*(np.split(x, runs) for x in (b_hit, t_hit, gam))):
-            block = blocks[b_run[0]]
-            y = amps[t_run[:, None], block.rows, block.cols]
-            jumps += _add_block(m1, dephasing, block, gam_run, y)
-    return _result_from(m1, dephasing, jumps, dim)
+        entries = amps.reshape(n, dim * dim)
+        for s, table in tables.items():
+            cls = sizes[b_hit] == s
+            b_cls = b_hit[cls]
+            y = entries[t_hit[cls][:, None], table[b_cls]]
+            jumps += _add_runs(acc, dephasing, blocks, b_cls, gam[cls], y)
+    return _result_from(_m1_from(blocks, acc, dim), dephasing, jumps, dim, ia.size)
 
 
-def _result_from(m1, dephasing, jumps: int, dim: int) -> GeneratorResult:
+def _m1_from(blocks: Sequence[SecularBlock], acc, dim: int) -> NDArray[np.complex128]:
+    """Scatter the blocks' Gram accumulators into one M1; other entries are 0."""
+    m1 = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for block, block_acc in zip(blocks, acc):
+        m1.reshape(-1)[block.m1_index] = block_acc.ravel()
+    return m1
+
+
+def _result_from(
+    m1, dephasing, jumps: int, dim: int, prefilter_tasks: int = 0
+) -> GeneratorResult:
     matrix, weights = _finalize(m1, dim)
     sup = Superoperator(matrix=matrix, dim=dim)
     defect = sup.trace_defect()
     if defect > 1e-10:
         raise RuntimeError(f"generator violates trace preservation: {defect:.3e}")
     return GeneratorResult(
-        superoperator=sup, jump_count=jumps, weights=weights, dephasing=dephasing
+        superoperator=sup, jump_count=jumps, weights=weights, dephasing=dephasing,
+        prefilter_tasks=prefilter_tasks,
     )

@@ -104,6 +104,9 @@ class PointEngine:
         self.timers = {
             "prepare_s": time.perf_counter() - t0, "generate_s": 0.0, "extract_s": 0.0
         }
+        # summed over the order-4 builds: the tasks that passed the
+        # prefilter, and the jumps among them that carry rate
+        self.counts = Counter()
 
     def _coupling(self, spec) -> CouplingOperator:
         if spec.terms is not None:
@@ -139,6 +142,8 @@ class PointEngine:
         res4 = build_generator(4, self.couplings, bath, self.es, **common) if 4 in orders else None
         t1 = time.perf_counter()
         self.timers["generate_s"] += t1 - t0
+        if res4 is not None:
+            self.counts.update(order4_tasks=res4.prefilter_tasks, order4_jumps=res4.jump_count)
 
         out: dict[int, RateReport] = {}
         key = self.pair.indices
@@ -170,16 +175,20 @@ class PointEngine:
         )
 
 
-def log_stage_times(what: str, n_rows: int, timers: dict[str, float]):
-    """Log where the summed time went, engines and output writing, as one INFO line."""
+def log_stage_times(what: str, n_rows: int, timers: dict[str, float], counts: Counter):
+    """Log where the summed time went, engines and output writing, and the
+    summed order-4 task and jump counts, as one INFO line."""
     log.info(
-        "%s finished: %d rows; prepare %.3f s, generate %.3f s, extract %.3f s, write %.3f s",
+        "%s finished: %d rows; prepare %.3f s, generate %.3f s, extract %.3f s, write %.3f s; "
+        "order-4 prefilter tasks %d, jumps %d",
         what,
         n_rows,
         timers["prepare_s"],
         timers["generate_s"],
         timers["extract_s"],
         timers["write_s"],
+        counts["order4_tasks"],
+        counts["order4_jumps"],
     )
 
 
@@ -275,7 +284,7 @@ def run_sweep(config: RunConfig, *, output_dir: str = ".", workers: int | None =
     sweeping_fields = config.fields_t is not None
 
     rows: list[SweepRow] = []
-    timers = Counter()
+    timers, counts = Counter(), Counter()
     for field in fields:
         try:
             engine = PointEngine(config, field)
@@ -292,6 +301,7 @@ def run_sweep(config: RunConfig, *, output_dir: str = ".", workers: int | None =
                 ) from exc
             rows.extend(SweepRow(field, reports[o]) for o in config.orders)
         timers.update(engine.timers)
+        counts.update(engine.counts)
 
     t0 = time.perf_counter()
     os.makedirs(output_dir, exist_ok=True)
@@ -308,7 +318,7 @@ def run_sweep(config: RunConfig, *, output_dir: str = ".", workers: int | None =
     _write_fit_report(report_path, fits, config, field_note)
     timers["write_s"] = time.perf_counter() - t0
 
-    log_stage_times("sweep", len(rows), timers)
+    log_stage_times("sweep", len(rows), timers, counts)
     return SweepResult(
         rows=tuple(rows),
         fit_results=tuple(fits),

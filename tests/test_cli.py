@@ -6,11 +6,12 @@ from dataclasses import replace
 import pytest
 import yaml
 
-from conftest import DECK_PATHS
+from conftest import DECK_PATHS, bath_for
 
 from spinphonon import cli
 from spinphonon.cli import SCAN_COLUMNS, main
 from spinphonon.config import load_config
+from spinphonon.generators import build_generator
 from spinphonon.runner import PointEngine, _fmt
 
 
@@ -228,6 +229,21 @@ def test_run_verbose_logs_where_setup_went(tmp_path, caplog):
     assert main(["-v", "run", str(DECK_PATHS["spin_half"]), "--output-dir", str(tmp_path)]) == 0
     assert "deck loaded in" in caplog.text and "validate and resolve" in caplog.text
     assert re.search(r"sweep finished: 10 rows; .*, write \d+\.\d{3} s", caplog.text)
+    # and the order-4 prefilter tasks and rate-carrying jumps, summed over
+    # the deck's temperatures
+    cfg = load_config(DECK_PATHS["spin_half"])
+    eng = PointEngine(cfg)
+    builds = [
+        build_generator(
+            4, eng.couplings, bath_for(cfg, t), eng.es, blocks=eng.blocks,
+            regularizer_cm1=cfg.regularizer_cm1, channels=cfg.channels,
+            allow_same_mode=cfg.allow_same_mode,
+        )
+        for t in cfg.temperatures_k
+    ]
+    tasks, jumps = (sum(getattr(r, f) for r in builds) for f in ("prefilter_tasks", "jump_count"))
+    assert 0 < jumps and 0 < tasks
+    assert f"s; order-4 prefilter tasks {tasks}, jumps {jumps}\n" in caplog.text
 
 
 def test_scan_verbose_logs_where_the_time_went(tmp_path, caplog):

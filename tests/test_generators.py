@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 from itertools import permutations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +23,24 @@ from spinphonon.angular import AngularMomentum
 from spinphonon.spin_model import SpinModel, StevensTerm, eigensystem_for
 
 ALL_CHANNELS = ("absorption_emission", "double_absorption", "double_emission")
+
+
+@pytest.fixture(scope="module")
+def four_level_dense_engine(four_level_engine):
+    # four_level's eigensystem, bath and kernel with dense random Hermitian
+    # couplings: the deck's own couplings connect {0, 1} only to {2, 3}, so
+    # no two-phonon amplitude reaches the +-12 cm^-1 blocks that the
+    # double-(de)excitation channels hit, and those channels carry no rate
+    eng = four_level_engine
+    rng = np.random.default_rng(7)
+    d = eng.es.dim
+    couplings = []
+    for c in eng.couplings:
+        m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        couplings.append(
+            from_raw_matrix((m + m.conj().T) / 2, "eigen", eng.es, mode_index=c.mode_index)
+        )
+    return SimpleNamespace(config=eng.config, es=eng.es, couplings=tuple(couplings))
 
 
 def random_jumps(dim, count, seed=0):
@@ -175,31 +194,66 @@ def test_full_generator_matches_oracle_jumps(request, deck, order, channels, all
 
 def _assert_matches_oracle_jumps(eng, order, t_k, channels=("absorption_emission",),
                                  allow_same_mode=False):
+    bath = bath_for(eng.config, t_k)
+    jumps = _oracle_jumps(order, eng, bath, channels, allow_same_mode)
+    _assert_build_matches(eng, order, bath, channels, allow_same_mode, jumps,
+                          oracles.lindblad_from_jumps(jumps, eng.es.dim))
+
+
+def _assert_build_matches(eng, order, bath, channels, allow_same_mode, jumps, ref):
     # every element of R, coherences included, plus the jump count and the
     # pair T1/T2* sums, against the oracle's materialized jumps
     cfg = eng.config
-    bath = bath_for(cfg, t_k)
     res = build_generator(
         order, eng.couplings, bath, eng.es,
         secular_tol_cm1=cfg.secular_tol_cm1, regularizer_cm1=cfg.regularizer_cm1,
         channels=channels, allow_same_mode=allow_same_mode,
     )
-    jumps = _oracle_jumps(order, eng, bath, channels, allow_same_mode)
-    ref = oracles.lindblad_from_jumps(jumps, eng.es.dim)
     assert np.abs(res.superoperator.matrix - ref).max() <= 1e-12 * np.abs(ref).max()
     assert res.jump_count == len(jumps)
     _assert_pair_sums_match(res, jumps, eng.es.dim)
 
 
 @pytest.mark.parametrize(
-    "deck, t_k", [("four_level", 2.0), ("j15_2", 6.0), ("j15_2", 9.5), ("j15_2", 11.0)]
+    "deck, t_k, channels, allow_same_mode",
+    [
+        ("four_level", 2.0, ("absorption_emission",), False),
+        ("four_level", 2.0, ALL_CHANNELS, True),
+        ("four_level_dense", 2.0, ALL_CHANNELS, True),
+        ("spin_half", 2.0, ALL_CHANNELS, True),
+        ("j15_2", 6.0, ("absorption_emission",), False),
+        ("j15_2", 9.5, ("absorption_emission",), False),
+        ("j15_2", 11.0, ("absorption_emission",), False),
+    ],
+    ids=[
+        "four_level-2.0",
+        "four_level-2.0-all_channels_same_mode",
+        "four_level_dense-2.0-all_channels_same_mode",
+        "spin_half-2.0-all_channels_same_mode",
+        "j15_2-6.0",
+        "j15_2-9.5",
+        "j15_2-11.0",
+    ],
 )
-def test_order4_over_several_chunks_matches_oracle_jumps(request, monkeypatch, deck, t_k):
-    # five tasks a chunk reuses the chunk buffers and ends on a partial
-    # chunk: four_level keeps 6 tasks after the prefilter, j15_2 keeps 44
-    monkeypatch.setattr(generators, "PAIR_CHUNK", 5)
+def test_order4_over_several_chunks_matches_oracle_jumps(
+    request, monkeypatch, deck, t_k, channels, allow_same_mode
+):
+    # chunks of 1, 3 and 5 tasks reuse the chunk buffers, end on partial
+    # chunks and cut (channel, alpha) runs at chunk boundaries, so runs of
+    # every length occur. four_level keeps 6 tasks after the prefilter and
+    # 13 with every channel and same-mode pairs, which add length-1 runs
+    # and, inside a chunk, a switch of alpha's phonon sign at one alpha;
+    # that switch carries rate only with four_level_dense's couplings.
+    # spin_half drops rateless jumps between kept ones of one class. The
+    # block-size classes are 1 and 4 (four_level), 1 and 2 (spin_half) and
+    # 4, 8 and 32 (j15_2, 44 tasks).
     eng = request.getfixturevalue(f"{deck}_engine")
-    _assert_matches_oracle_jumps(eng, 4, t_k)
+    bath = bath_for(eng.config, t_k)
+    jumps = _oracle_jumps(4, eng, bath, channels, allow_same_mode)
+    ref = oracles.lindblad_from_jumps(jumps, eng.es.dim)
+    for chunk in (1, 3, 5):
+        monkeypatch.setattr(generators, "PAIR_CHUNK", chunk)
+        _assert_build_matches(eng, 4, bath, channels, allow_same_mode, jumps, ref)
 
 
 def test_singularity_raises_without_regularizer(spin_half_engine, spin_half_config):
