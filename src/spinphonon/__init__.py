@@ -5,6 +5,16 @@ linearly coupled to a harmonic phonon bath, with extraction of the
 magnetization relaxation time tau and the pairwise T1 / T2* / T2 times.
 """
 
+import os
+
+# One BLAS thread unless the caller chose: the thread count sets the
+# summation order inside BLAS, so it moves the bits of the CSV, and on a
+# few cores the order-4 build and the tau eigensolve run faster on one.
+# BLAS reads these when numpy loads it, so they are set before any import.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+del _name
+
 from ._version import __version__
 from .angular import AngularMomentum
 from .bath import BathConfig, BroadeningPolicy, PhononMode, delta, g2, occupation

@@ -1,8 +1,14 @@
 """Input decks: YAML loading, schema validation, resolution to run objects.
 
-A deck is a single YAML document validated against the bundled JSON
-schema (schema/deck.schema.json) for its structure, keys and enums, and
-then checked by ``_semantic_diagnostics``, which also checks every number
+A deck is a single YAML document, read by ``_parse``, which builds the
+safe loader's dicts, lists and scalars straight from the YAML parser's
+events, with no node tree in between, and leaves the YAML features it
+does not build (anchors, merge keys, tags on collections, ...) to the
+stock safe loader.
+
+The deck is validated against the bundled JSON schema
+(schema/deck.schema.json) for its structure, keys and enums, and then
+checked by ``_semantic_diagnostics``, which also checks every number
 (type, finiteness, sign) one array at a time with numpy. The schema is
 applied by ``_schema_errors``, a small interpreter of the Draft 2020-12
 keywords the schema uses, worded as jsonschema words them. Validation
@@ -20,6 +26,7 @@ import logging
 import numbers
 import sys
 import time
+import types
 from dataclasses import dataclass
 from importlib import resources
 
@@ -514,44 +521,123 @@ def resolve(raw: dict) -> RunConfig:
     )
 
 
+# libyaml parses when PyYAML was built with it; the events are the same
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _FLOAT_TAG = "tag:yaml.org,2002:float"
+# a plain scalar whose first character is one of these tries the float
+# pattern before any other, so a match makes it a float
+_FLOAT_FIRST = frozenset(
+    c for c, resolvers in _LOADER.yaml_implicit_resolvers.items()
+    if c and resolvers[0][0] == _FLOAT_TAG
+)
+_FLOAT_PATTERN = dict(_LOADER.yaml_implicit_resolvers["."])[_FLOAT_TAG]
+# a frame's key slot in a sequence, and in a mapping before its key arrives
+_ITEM, _KEY = object(), object()
 
 
-# libyaml composes when PyYAML was built with it; the objects are the same
-class _DeckLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
-    """Safe loader that builds a sequence of float scalars in one pass.
+class _StockOnly(Exception):
+    """The text needs something the event builder leaves to the stock loader."""
 
-    A large deck is mostly rows of floats, which the stock constructor
-    builds one construct_object call at a time. float() agrees with
-    construct_yaml_float wherever it succeeds; other spellings (.inf,
-    sexagesimal 1:30.5) raise ValueError and take the stock path.
-    construct_object registers the returned list, so anchors and aliases
-    keep their identity.
+
+def _scalar(loader, event):
+    """The value of one scalar event, as the stock loader constructs it.
+
+    float() agrees with construct_yaml_float wherever it succeeds; the
+    other float spellings (.inf, .NaN, 1:30.5) take the constructor.
     """
-
-    def construct_float_row(self, node):
-        if all(isinstance(c, yaml.ScalarNode) and c.tag == _FLOAT_TAG for c in node.value):
+    value, tag = event.value, event.tag
+    if tag is None or tag == "!":
+        if event.implicit[0] and value[:1] in _FLOAT_FIRST and _FLOAT_PATTERN.match(value):
             try:
-                return [float(c.value) for c in node.value]
+                return float(value)
             except ValueError:
-                pass
-        return self.construct_yaml_seq(node)
+                tag = _FLOAT_TAG
+        else:
+            tag = loader.resolve(yaml.ScalarNode, value, event.implicit)
+    construct = loader.yaml_constructors.get(tag)
+    if construct is None:  # !!merge, !!value, an unknown tag
+        raise _StockOnly
+    node = yaml.ScalarNode(tag, value, event.start_mark, event.end_mark, style=event.style)
+    try:
+        data = construct(loader, node)
+    except Exception as exc:
+        # the stock loader composes the whole document before it constructs
+        # anything, so a later syntax error wins over this one; it decides
+        raise _StockOnly from exc
+    if isinstance(data, types.GeneratorType):  # a collection tag on a scalar
+        raise _StockOnly
+    return data
 
 
-_DeckLoader.add_constructor("tag:yaml.org,2002:seq", _DeckLoader.construct_float_row)
+def _build(loader):
+    """The single document of loader's event stream as dicts, lists and scalars.
+
+    Raises _StockOnly at an anchor, an alias, a tag on a collection, a
+    non-scalar key, a merge key or a second document.
+    """
+    next_event = loader.get_event
+    next_event()  # StreamStartEvent
+    if isinstance(next_event(), yaml.StreamEndEvent):
+        return None
+    # open collections, and for each the key awaiting its value
+    frames, keys = [], []
+    while True:
+        event = next_event()
+        kind = type(event)
+        if kind is yaml.ScalarEvent:
+            if event.anchor is not None:
+                raise _StockOnly
+            value = _scalar(loader, event)
+        elif kind is yaml.SequenceEndEvent or kind is yaml.MappingEndEvent:
+            keys.pop()
+            value = frames.pop()
+        elif kind is yaml.SequenceStartEvent or kind is yaml.MappingStartEvent:
+            if event.anchor is not None or event.tag is not None or keys and keys[-1] is _KEY:
+                raise _StockOnly
+            is_seq = kind is yaml.SequenceStartEvent
+            frames.append([] if is_seq else {})
+            keys.append(_ITEM if is_seq else _KEY)
+            continue
+        else:  # AliasEvent
+            raise _StockOnly
+        if not frames:
+            break
+        key = keys[-1]
+        if key is _ITEM:
+            frames[-1].append(value)
+        elif key is _KEY:
+            keys[-1] = value
+        else:
+            frames[-1][key] = value
+            keys[-1] = _KEY
+    next_event()  # DocumentEndEvent
+    if not isinstance(next_event(), yaml.StreamEndEvent):
+        raise _StockOnly
+    return value
 
 
-def _parse(fh):
-    """yaml.load with the deck loader and the cyclic collector paused.
+def _parse(text: str):
+    """The deck's data, as yaml.load with the safe loader builds it.
 
-    Parsing allocates hundreds of thousands of nodes and floats and no
-    reference cycles, so collections during it only cost time; the
-    caller's collector state is restored however the load ends.
+    The data is built from the parser's events, so no node tree is
+    composed, and a YAML syntax error is raised by the same parser at the
+    same event; text that needs more (see _build), or a scalar whose
+    constructor fails, is loaded again by the stock loader, so its data
+    and errors are the stock loader's. Parsing allocates hundreds of
+    thousands of floats and no reference cycles, so the cyclic collector
+    is paused, and the caller's state is restored however the load ends.
     """
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return yaml.load(fh, Loader=_DeckLoader)
+        loader = _LOADER(text)
+        try:
+            return _build(loader)
+        except _StockOnly:
+            pass
+        finally:
+            loader.dispose()
+        return yaml.load(text, Loader=_LOADER)
     finally:
         if enabled:
             gc.enable()
@@ -561,7 +647,7 @@ def load_config(path: str) -> RunConfig:
     """Read, validate and resolve a deck file. Raises with all diagnostics."""
     t0 = time.perf_counter()
     with open(path) as fh:
-        raw = _parse(fh)
+        raw = _parse(fh.read())
     if not isinstance(raw, dict):
         raise DeckValidationError(["deck must be a mapping at the top level"])
     t1 = time.perf_counter()

@@ -394,31 +394,37 @@ def build_generator(
         tables[block.rows.size][i] = block.rows * dim + block.cols
 
     # fresh 2 MB temporaries per chunk cost page faults, so the chunk's
-    # factors and products reuse four buffers; the gathers clip because
+    # factors and products reuse three buffers; the gathers clip because
     # mode="raise" buffers out (the indices are in range by construction).
     # A run of tasks with one ja shares alpha and its sign, so V_a and
-    # W_a^{-s_a} are one matrix: V_a against the stack of W_b, and the
-    # stack of V_b as one tall matrix against W_a; the bits equal those of
-    # the stacked a @ b + c @ d
+    # W_a^{-s_a} are one matrix, and each term is one tall product: the
+    # stack of V_b against W_a, and the stack of W_b^T against V_a^T,
+    # which gives (V_a W_b)^T into the spent V_b rows. The bits equal
+    # those of the stacked V_a W_b + V_b W_a.
     virt_flat = virt.reshape(-1, dim, dim)
+    virt_t = virt_flat.transpose(0, 2, 1).copy()
+    vstack_t = vstack.transpose(0, 2, 1).copy()
     jb, ja = 2 * ib + k_b, 2 * ia + k_a
-    bufs = np.empty((4, min(PAIR_CHUNK, ia.size), dim, dim), dtype=complex)
+    bufs = np.empty((3, min(PAIR_CHUNK, ia.size), dim, dim), dtype=complex)
     jumps = 0
     for start in range(0, ia.size, PAIR_CHUNK):
         c = slice(start, start + PAIR_CHUNK)
         ia_c, ja_c = ia[c], ja[c]
         n = ia_c.size
-        left, right, amps, other = bufs[:, :n]
+        left, right, amps = bufs[:, :n]
         np.take(vstack, ib[c], axis=0, mode="clip", out=left)
-        np.take(virt_flat, jb[c], axis=0, mode="clip", out=right)
+        np.take(virt_t, jb[c], axis=0, mode="clip", out=right)
         starts = np.flatnonzero(np.diff(ja_c, prepend=-1))
         for r0, r1 in zip(starts, [*starts[1:], n]):
-            np.matmul(vstack[ia_c[r0]], right[r0:r1], out=amps[r0:r1])
             np.matmul(
                 left[r0:r1].reshape(-1, dim), virt_flat[ja_c[r0]],
-                out=other[r0:r1].reshape(-1, dim),
+                out=amps[r0:r1].reshape(-1, dim),
             )
-        amps += other
+            np.matmul(
+                right[r0:r1].reshape(-1, dim), vstack_t[ia_c[r0]],
+                out=left[r0:r1].reshape(-1, dim),
+            )
+        amps += left.transpose(0, 2, 1)
         # every (block, task) hit of the chunk, block-major with the tasks
         # in order, and the kernel weights of all of them in one delta call
         span = np.arange(lo[c].min(), hi[c].max())[:, None]

@@ -8,6 +8,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,9 +20,10 @@ from jsonschema import Draft202012Validator
 from conftest import DECK_PATHS
 
 import spinphonon
+from spinphonon import config
 from spinphonon.config import (
     DeckValidationError,
-    _DeckLoader,
+    _parse,
     _schema,
     _schema_errors,
     load_config,
@@ -531,30 +533,76 @@ LOADER_SNIPPETS = (
     "a: [true, 1, 1.0, null, x, 0x10, 1e5]",
     "a:\n  - 1.0\n  - 2.5\n",
 )
+# the features the event builder leaves to the stock loader, other tags,
+# and text the stock loader refuses
+LOADER_FEATURES = {
+    "scalar_anchor": "a: &x 1.5\nb: *x\n",
+    "duplicate_anchor": "a: &x 1.5\nb: &x 2.5\n",
+    "sequence_anchor": "a: &r [1.0, 2.0]\nb: *r\n",
+    "mapping_anchor": "a: &m {x: 1.0, y: [2]}\nb: *m\n",
+    "merge_key": "base: &b {x: 1.0, y: 2}\nderived:\n  <<: *b\n  y: 3\n",
+    "set": "a: !!set {x, y}\n",
+    "binary": 'a: !!binary "aGVsbG8="\n',
+    "sequence_tag_on_a_scalar": "a: !!seq x\n",
+    "timestamp": "a: 2001-12-14t21:59:43.10-05:00\nb: 2002-12-14\n",
+    "duplicate_key": "a: 1\nb: 2\na: 3.5\n",
+    "null_keys": "~: 1\n? null\n: [2.5]\n",
+    "complex_key": "? [a, b]\n: c\n",
+    "nested_flow": "a: {b: [1.0, {c: [2, 3.5]}, []], d: {}}\n",
+    "empty_file": "",
+    "two_documents": "a: 1\n---\nb: 2\n",
+    "unterminated_flow_sequence": "a: [1.0, 2.0\n",
+    "bad_bool": "a: !!bool maybe\n",
+    # the stock loader composes the whole document before it constructs
+    "bad_bool_then_syntax_error": "a: !!bool maybe\nb: [1\n",
+}
+STOCK_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def _outcome(load, text):
+    """What load makes of text: its data, or its exception's type and message."""
+    try:
+        return load(text)
+    except Exception as exc:  # YAMLError, or a constructor's own ValueError or KeyError
+        return type(exc), str(exc)
 
 
 @pytest.mark.parametrize(
     "text",
     [*(p.read_text() for p in DECK_PATHS.values()), _matrix_deck_text(20, seed=5),
-     *LOADER_SNIPPETS],
-    ids=[*DECK_PATHS, "matrix_deck_20_modes", *LOADER_SNIPPETS],
+     *LOADER_SNIPPETS, *LOADER_FEATURES.values()],
+    ids=[*DECK_PATHS, "matrix_deck_20_modes", *LOADER_SNIPPETS, *LOADER_FEATURES],
 )
 def test_deck_loader_builds_what_the_safe_loader_builds(text):
-    assert _same(yaml.load(text, Loader=_DeckLoader), yaml.load(text, Loader=yaml.SafeLoader))
+    stock = _outcome(lambda t: yaml.load(t, Loader=STOCK_LOADER), text)
+    assert _same(_outcome(_parse, text), stock)
 
 
 def test_deck_loader_keeps_an_anchored_row_one_object():
     text = "a: &r [1.0, 2.0]\nb: *r\n"
-    for loader in (yaml.SafeLoader, _DeckLoader):
-        data = yaml.load(text, Loader=loader)
+    for load in (lambda t: yaml.load(t, Loader=STOCK_LOADER), _parse):
+        data = load(text)
         assert data == {"a": [1.0, 2.0], "b": [1.0, 2.0]}
         assert data["a"] is data["b"]
 
 
 def test_deck_loader_refuses_a_float_tagged_sequence_as_the_safe_loader_does():
-    for loader in (yaml.SafeLoader, _DeckLoader):
+    for load in (lambda t: yaml.load(t, Loader=STOCK_LOADER), _parse):
         with pytest.raises(yaml.constructor.ConstructorError, match="expected a scalar node"):
-            yaml.load("a: [!!float [1.0], 2.0]", Loader=loader)
+            load("a: [!!float [1.0], 2.0]")
+
+
+def test_parse_peak_memory_stays_near_the_size_of_the_data():
+    # a composed node tree peaks at about nine times the data it yields
+    text = _matrix_deck_text(20, seed=7)
+    tracemalloc.start()
+    try:
+        data = _parse(text)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(data["coupling"]["operators"]) == 20
+    assert peak < 2 * size
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc_on", "gc_off"])
@@ -584,12 +632,11 @@ def test_no_cyclic_collection_runs_while_yaml_parses_a_deck(tmp_path, monkeypatc
     path = tmp_path / "deck.yaml"
     path.write_text(_matrix_deck_text(20, seed=6))
     parsing, starts = [False], []
-    real_load = yaml.load
 
-    def load(*args, **kwargs):
+    def parse(*args, **kwargs):
         parsing[0] = True
         try:
-            return real_load(*args, **kwargs)
+            return _parse(*args, **kwargs)
         finally:
             parsing[0] = False
 
@@ -597,11 +644,15 @@ def test_no_cyclic_collection_runs_while_yaml_parses_a_deck(tmp_path, monkeypatc
         if phase == "start" and parsing[0]:
             starts.append(info["generation"])
 
-    monkeypatch.setattr(yaml, "load", load)
+    monkeypatch.setattr(config, "_parse", parse)
+    # a collection every few new containers, were the collector running
+    threshold = gc.get_threshold()
+    gc.set_threshold(10, 10, 10)
     gc.callbacks.append(record)
     try:
         cfg = load_config(path)
     finally:
         gc.callbacks.remove(record)
+        gc.set_threshold(*threshold)
     assert len(cfg.modes) == 20
     assert starts == []

@@ -34,3 +34,23 @@ def test_cli_runs_without_jsonschema_or_scipy_special(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
     assert (tmp_path / "j15_2_rates.csv").exists()
+
+
+def test_run_writes_the_same_bytes_whether_or_not_the_blas_threads_are_set(tmp_path):
+    # BLAS reads its thread count at load, so each run is a fresh interpreter;
+    # the package sets one thread where the caller set none
+    code = "import sys\nfrom spinphonon.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    src = pathlib.Path(spinphonon.__file__).resolve().parents[1]
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    unset = {k: v for k, v in os.environ.items() if k not in blas}
+    outputs = []
+    for name, env in (("unset", unset), ("one", dict(unset, **dict.fromkeys(blas, "1")))):
+        out = tmp_path / name
+        done = subprocess.run(
+            [sys.executable, "-c", code, "run", str(DECK_PATHS["j15_2"]), "--output-dir", str(out)],
+            env=dict(env, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append([(out / f).read_bytes() for f in ("j15_2_rates.csv", "j15_2_fits.txt")])
+    assert outputs[0] == outputs[1]
