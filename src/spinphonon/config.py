@@ -2,9 +2,10 @@
 
 A deck is a single YAML document, read by ``_parse``, which builds the
 safe loader's dicts, lists and scalars straight from the YAML parser's
-events, with no node tree in between, and leaves the YAML features it
-does not build (anchors, merge keys, tags on collections, ...) to the
-stock safe loader.
+events, with no node tree in between, reads each one-line flow sequence
+of plain floats (a matrix row) from the text with float() in place of
+one event a number, and leaves the YAML features it does not build
+(anchors, merge keys, tags on collections, ...) to the stock safe loader.
 
 The deck is validated against the bundled JSON schema
 (schema/deck.schema.json) for its structure, keys and enums, and then
@@ -24,6 +25,7 @@ import itertools
 import json
 import logging
 import numbers
+import re
 import sys
 import time
 import types
@@ -531,6 +533,13 @@ _FLOAT_FIRST = frozenset(
     if c and resolvers[0][0] == _FLOAT_TAG
 )
 _FLOAT_PATTERN = dict(_LOADER.yaml_implicit_resolvers["."])[_FLOAT_TAG]
+# a float row entry: a plain scalar the resolver makes a float and float()
+# reads as construct_yaml_float does. A sign goes only before a digit
+# (-.5 is a string), the exponent needs its sign (1.0e5 is a string), and
+# underscores are left to the parser.
+_ROW_NUMBER = r"(?:[-+]?[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][-+][0-9]+)?"
+# a float row: a flow sequence of such entries on one line
+_FLOAT_ROW = re.compile(rf"\[ *{_ROW_NUMBER}(?: *, *{_ROW_NUMBER})* *\]")
 # a frame's key slot in a sequence, and in a mapping before its key arrives
 _ITEM, _KEY = object(), object()
 
@@ -569,13 +578,20 @@ def _scalar(loader, event):
     return data
 
 
-def _build(loader):
+def _build(loader, text: str = "", starts=()):
     """The single document of loader's event stream as dicts, lists and scalars.
 
+    starts are the offsets in text of the float rows that loader's stream
+    has blanked to []; each must arrive, in order, as an untagged sequence
+    value, which is then read from text with float().
+
     Raises _StockOnly at an anchor, an alias, a tag on a collection, a
-    non-scalar key, a merge key or a second document.
+    non-scalar key, a merge key, a second document, or a row that did not
+    arrive (it sat in a comment or in a quoted, block or plain scalar).
     """
     next_event = loader.get_event
+    rows = iter(starts)
+    row = next(rows, -1)
     next_event()  # StreamStartEvent
     if isinstance(next_event(), yaml.StreamEndEvent):
         return None
@@ -595,9 +611,15 @@ def _build(loader):
             if event.anchor is not None or event.tag is not None or keys and keys[-1] is _KEY:
                 raise _StockOnly
             is_seq = kind is yaml.SequenceStartEvent
-            frames.append([] if is_seq else {})
-            keys.append(_ITEM if is_seq else _KEY)
-            continue
+            if is_seq and event.start_mark.index == row:
+                if type(next_event()) is not yaml.SequenceEndEvent:
+                    raise _StockOnly
+                value = list(map(float, text[row + 1 : text.index("]", row)].split(",")))
+                row = next(rows, -1)
+            else:
+                frames.append([] if is_seq else {})
+                keys.append(_ITEM if is_seq else _KEY)
+                continue
         else:  # AliasEvent
             raise _StockOnly
         if not frames:
@@ -610,53 +632,99 @@ def _build(loader):
         else:
             frames[-1][key] = value
             keys[-1] = _KEY
+    if row != -1:
+        raise _StockOnly
     next_event()  # DocumentEndEvent
     if not isinstance(next_event(), yaml.StreamEndEvent):
         raise _StockOnly
     return value
 
 
-def _parse(text: str):
+def _blank_rows(text: str, starts: list) -> bytes:
+    """text in UTF-8 with each float row blanked to [] and spaces.
+
+    Appends each row's offset to starts. A row keeps its length, so every
+    later mark (index, line, column) stays where it was in text.
+    """
+
+    def blank(match):
+        starts.append(match.start())
+        return "[]".ljust(match.end() - match.start())
+
+    return _FLOAT_ROW.sub(blank, text).encode()
+
+
+def _load_events(stream, text: str = "", starts=()):
+    loader = _LOADER(stream)
+    try:
+        return _build(loader, text, starts)
+    finally:
+        loader.dispose()
+
+
+def _parse(text: str, stats: dict | None = None):
     """The deck's data, as yaml.load with the safe loader builds it.
 
     The data is built from the parser's events, so no node tree is
-    composed, and a YAML syntax error is raised by the same parser at the
-    same event; text that needs more (see _build), or a scalar whose
-    constructor fails, is loaded again by the stock loader, so its data
-    and errors are the stock loader's. Parsing allocates hundreds of
-    thousands of floats and no reference cycles, so the cyclic collector
-    is paused, and the caller's state is restored however the load ends.
+    composed. Each one-line flow sequence of plain floats (a matrix row,
+    modes_cm1) is blanked before the parser sees it and read from text
+    with float(), so it costs two events, not one a number. A text that
+    starts with a byte-order mark skips this row pass, because the C and
+    the pure-Python parser count their marks from different places.
+
+    On any doubt (a row that does not arrive as a sequence value, a
+    syntax error, anything _build leaves to the stock loader) the text is
+    read again unblanked, then, if _build still refuses it, by the stock
+    loader; so data and errors are the stock loader's, and a syntax error
+    is raised by the same parser at the same event. Parsing allocates
+    hundreds of thousands of floats and no reference cycles, so the
+    cyclic collector is paused, and the caller's state is restored
+    however the load ends. If stats is given, stats["float_rows"] is set
+    to the number of rows read directly.
     """
     enabled = gc.isenabled()
     gc.disable()
     try:
-        loader = _LOADER(text)
-        try:
-            return _build(loader)
-        except _StockOnly:
-            pass
-        finally:
-            loader.dispose()
-        return yaml.load(text, Loader=_LOADER)
+        data, rows = _read(text)
     finally:
         if enabled:
             gc.enable()
+    if stats is not None:
+        stats["float_rows"] = rows
+    return data
+
+
+def _read(text: str):
+    """_parse's data and the number of float rows it read directly."""
+    if not text.startswith("\ufeff"):
+        starts = []
+        try:
+            return _load_events(_blank_rows(text, starts), text, starts), len(starts)
+        except (_StockOnly, yaml.YAMLError, UnicodeEncodeError):
+            pass
+    try:
+        return _load_events(text), 0
+    except _StockOnly:
+        return yaml.load(text, Loader=_LOADER), 0
 
 
 def load_config(path: str) -> RunConfig:
     """Read, validate and resolve a deck file. Raises with all diagnostics."""
     t0 = time.perf_counter()
+    stats = {}
     with open(path) as fh:
-        raw = _parse(fh.read())
+        raw = _parse(fh.read(), stats)
     if not isinstance(raw, dict):
         raise DeckValidationError(["deck must be a mapping at the top level"])
     t1 = time.perf_counter()
     config = resolve(raw)
     t2 = time.perf_counter()
     log.info(
-        "deck loaded in %.3f s: parse %.3f s, validate and resolve %.3f s",
+        "deck loaded in %.3f s: parse %.3f s (%d float rows read directly), "
+        "validate and resolve %.3f s",
         t2 - t0,
         t1 - t0,
+        stats["float_rows"],
         t2 - t1,
     )
     return config

@@ -228,6 +228,8 @@ def test_run_verbose_logs_where_setup_went(tmp_path, caplog):
     caplog.set_level(logging.INFO)
     assert main(["-v", "run", str(DECK_PATHS["spin_half"]), "--output-dir", str(tmp_path)]) == 0
     assert "deck loaded in" in caplog.text and "validate and resolve" in caplog.text
+    # field_t, modes_cm1, the two rows of each coupling matrix, temperatures_k
+    assert "(7 float rows read directly)" in caplog.text
     assert re.search(r"sweep finished: 10 rows; .*, write \d+\.\d{3} s", caplog.text)
     # and the order-4 prefilter tasks and rate-carrying jumps, summed over
     # the deck's temperatures

@@ -16,6 +16,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
+from yaml.constructor import SafeConstructor
 
 from conftest import DECK_PATHS
 
@@ -498,8 +499,11 @@ def test_every_schema_keyword_is_implemented():
         list(_schema_errors("x", {"type": "string", "pattern": "^y"}))
 
 
-def _matrix_deck_text(n_modes: int, seed: int) -> str:
-    """A J = 15/2 deck with n_modes random Hermitian matrix couplings, in flow rows."""
+def _matrix_deck_text(n_modes: int, seed: int, width: float = math.inf) -> str:
+    """A J = 15/2 deck with n_modes random Hermitian matrix couplings, in flow rows.
+
+    Each row is one line, as the benchmark writes it, unless width wraps it.
+    """
     rng = np.random.default_rng(seed)
     ops = []
     for _ in range(n_modes):
@@ -510,7 +514,7 @@ def _matrix_deck_text(n_modes: int, seed: int) -> str:
     deck["model"] = {"two_j": 15, "stevens_terms_cm1": [[2, 0, -1.0]]}
     deck["bath"]["modes_cm1"] = np.sort(rng.uniform(1.0, 300.0, n_modes)).tolist()
     deck["coupling"]["operators"] = ops
-    return yaml.safe_dump(deck, default_flow_style=None, sort_keys=False)
+    return yaml.safe_dump(deck, default_flow_style=None, sort_keys=False, width=width)
 
 
 def _same(a, b) -> bool:
@@ -556,7 +560,49 @@ LOADER_FEATURES = {
     # the stock loader composes the whole document before it constructs
     "bad_bool_then_syntax_error": "a: !!bool maybe\nb: [1\n",
 }
+# text the float row pass blanks, or must leave to the parser: a row where
+# the parser sees no sequence, tags, anchors and keys, spellings on either
+# side of the row pattern, and text around rows that the parser refuses
+FLOAT_ROW_CASES = {
+    "row_in_a_comment": "a: [1.0, 2.0] # [3.0, 4.0]\n# [5.0]\nb: [6.0]\n",
+    "row_in_a_double_quoted_scalar": 'a: "[1.0, 2.0]"\nb: [3.0]\n',
+    "row_in_a_single_quoted_scalar": "a: '[1.0, 2.0]'\nb: [3.0]\n",
+    "row_in_a_block_scalar": "a: |\n  [1.0, 2.0]\n  x\nb: [3.0]\n",
+    "row_in_a_plain_scalar": "a: x [1.0, 2.0]\nb: [3.0]\n",
+    "row_continuing_a_plain_scalar": "a: x\n  [1.0, 2.0]\nb: [3.0]\n",
+    "anchored_row": "a: &r [1.0, 2.0]\nb: [3.0]\n",
+    "seq_tagged_row": "a: !!seq [1.0, 2.0]\nb: [3.0]\n",
+    "str_tagged_row": "a: !!str [1.0, 2.0]\n",
+    "row_as_a_key": "[1.0]: x\n",
+    "row_as_an_explicit_key": "? [1.0]\n: x\n",
+    "row_as_a_flow_key": "a: {[1.0, 2.0]: x}\n",
+    "row_of_an_int_and_a_float": "a: [1, 2.0]\n",
+    "signed_dot_float": "a: [-.5, 1.0]\nb: [+.5]\n",
+    "underscore": "a: [1_0.5]\n",
+    "unsigned_exponent": "a: [1.0e5]\n",
+    "spellings": "a: [1.0e+5, .5, 1., -0.0, +2.5E-3, 0.0e-0]\n",
+    "no_spaces": "a: [1.0,2.0]\n",
+    "inner_spaces": "a: [ 1.0 , 2.0 ]\n",
+    "trailing_comma": "a: [1.0, 2.0,]\n",
+    "row_split_over_two_lines": "a: [1.0,\n  2.0]\nb: [3.0]\n",
+    "nested_rows": "a: [[1.0, 2.0], [3.5], [], [[4.0]]]\n",
+    "rows_in_a_flow_mapping": "a: {b: [1.0, 2.0], c: [3.0], d: x}\n",
+    "inf_in_a_row": "a: [.inf, 1.0]\n",
+    "sexagesimal_in_a_row": "a: [1:30.5, 1.0]\n",
+    "row_as_the_document": "[1.0, 2.0]\n",
+    "block_sequence_of_rows": "a:\n- [1.0, 2.0]\n- [3.0, 4.0]\n",
+    "junk_after_a_row": "a: [1.0, 2.0] x\n",
+    "junk_against_a_row": "a: [1.0, 2.0]x\n",
+    "unterminated_row_after_a_good_one": "a: [1.0, 2.0]\nb: [3.0, 4.0\n",
+    "second_document_after_rows": "a: [1.0]\n---\nb: [2.0]\n",
+    "non_ascii_comment": "# é, cm⁻¹ ✓\na: [1.0, 2.0] # ü\nb: [3.0]\n",
+    "leading_bom": "\ufeffa: [1.0, 2.0]\n",
+    "crlf_line_ends": "a: [1.0, 2.0]\r\nb:\r\n  - [3.0, -4.5e-3]\r\n",
+    "lone_surrogate_after_a_row": "a: [1.0]\n# \ud800\n",
+}
 STOCK_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# libyaml, and the pure-Python parser PyYAML falls back to without it
+LOADERS = tuple(dict.fromkeys((STOCK_LOADER, yaml.SafeLoader)))
 
 
 def _outcome(load, text):
@@ -570,12 +616,44 @@ def _outcome(load, text):
 @pytest.mark.parametrize(
     "text",
     [*(p.read_text() for p in DECK_PATHS.values()), _matrix_deck_text(20, seed=5),
-     *LOADER_SNIPPETS, *LOADER_FEATURES.values()],
-    ids=[*DECK_PATHS, "matrix_deck_20_modes", *LOADER_SNIPPETS, *LOADER_FEATURES],
+     _matrix_deck_text(20, seed=5, width=80),
+     *LOADER_SNIPPETS, *LOADER_FEATURES.values(), *FLOAT_ROW_CASES.values()],
+    ids=[*DECK_PATHS, "matrix_deck_20_modes", "matrix_deck_20_modes_wrapped",
+         *LOADER_SNIPPETS, *LOADER_FEATURES, *FLOAT_ROW_CASES],
 )
-def test_deck_loader_builds_what_the_safe_loader_builds(text):
-    stock = _outcome(lambda t: yaml.load(t, Loader=STOCK_LOADER), text)
-    assert _same(_outcome(_parse, text), stock)
+def test_deck_loader_builds_what_the_safe_loader_builds(text, monkeypatch):
+    for loader in LOADERS:
+        monkeypatch.setattr(config, "_LOADER", loader)
+        stock = _outcome(lambda t: yaml.load(t, Loader=loader), text)
+        assert _same(_outcome(_parse, text), stock), loader.__name__
+
+
+@given(st.from_regex(config._ROW_NUMBER, fullmatch=True))
+def test_a_row_number_is_a_float_the_safe_loader_reads_as_float_does(number):
+    # -.5 would fail here: the resolver makes it a string, float() a number
+    loader = STOCK_LOADER("")
+    assert config._FLOAT_PATTERN.match(number)
+    assert loader.resolve(yaml.ScalarNode, number, (True, False)) == config._FLOAT_TAG
+    node = yaml.ScalarNode(config._FLOAT_TAG, number)
+    assert repr(float(number)) == repr(SafeConstructor.construct_yaml_float(loader, node))
+
+
+def test_the_float_rows_of_a_matrix_deck_make_no_scalar_events(monkeypatch):
+    text = _matrix_deck_text(20, seed=8)
+    scalar, values = config._scalar, []
+
+    def counted(loader, event):
+        values.append(event.value)
+        return scalar(loader, event)
+
+    monkeypatch.setattr(config, "_scalar", counted)
+    stats = {}
+    data = _parse(text, stats)
+    assert _same(data, yaml.load(text, Loader=STOCK_LOADER))
+    # real and imag rows of each mode, then modes_cm1 and temperatures_k
+    assert stats["float_rows"] == 20 * 2 * 16 + 2
+    # the one float left is in the Stevens term [2, 0, -1.0], not a row of floats
+    assert [v for v in values if config._FLOAT_PATTERN.match(v)] == ["-1.0"]
 
 
 def test_deck_loader_keeps_an_anchored_row_one_object():
