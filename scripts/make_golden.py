@@ -75,7 +75,7 @@ def verify_against_oracle(cfg) -> None:
         for order, order_jumps in jumps.items():
             res = build_generator(order, eng.couplings, bath, eng.es, **kw)
             ref = oracles.lindblad_from_jumps(order_jumps, eng.es.dim)
-            err = np.abs(res.superoperator.matrix - ref).max() / np.abs(ref).max()
+            err = np.abs(res.superoperator.dense() - ref).max() / np.abs(ref).max()
             sums = res.pair_sums(*eng.pair.indices)
             ref_sums = oracles.pair_rate_sums(order_jumps, *eng.pair.indices)
             got_sums = (sums.half_t1_rate, sums.dephasing_rate)

@@ -102,7 +102,7 @@ def extract_tau(sup: Superoperator, pair: KramersPair) -> TauResult:
     floor and report as tau = inf (blocked on this generator's scale).
     """
     probe = _population_difference_vec(sup.dim, pair)
-    w, vl, vr = eig(sup.matrix, left=True, right=True)
+    w, vl, vr = eig(sup.dense(), left=True, right=True)
     denom = np.einsum("in,in->n", vl.conj(), vr)
     # a defective pair (w_n . v_n ~ 0) cannot carry a clean amplitude
     usable = np.abs(denom) > 1e-12 * np.linalg.norm(vl, axis=0) * np.linalg.norm(vr, axis=0)

@@ -26,26 +26,34 @@ The generator element form is the standard completely positive one,
   R_ab,cd = sum_k gamma_k [ L_ac L*_bd - 1/2 d_bd (L+L)_ac
                                        - 1/2 d_ac (L+L)_db ],
 
-and the build keeps two accumulators: the Gram matrix M1[(ac),(bd)] of
-sqrt(gamma) vec(L), off which K = sum gamma L+L, R and the 1/T1 weights
-are read in _finalize, and, while the w = 0 block (where every population
+and the build keeps two accumulators: per secular block, the Gram matrix
+of sqrt(gamma) vec(L) over the block's pairs (the block's part of
+M1[(ac),(bd)]), off which K = sum gamma L+L, R and the 1/T1 weights are
+read in _finalize, and, while the w = 0 block (where every population
 sits) is added, the pure-dephasing matrix
 D[a, b] = 1/2 sum_k gamma_k |L_k,aa - L_k,bb|^2. GeneratorResult.pair_sums
 reads a pair's 1/(2 T1) and 1/T2* as sums of non-negative terms, and
 1/T2 = 1/(2 T1) + 1/T2*.
+R never couples different Bohr frequencies, so Superoperator stores it
+as one s x s matrix per secular block (Sum s^2 entries, 2,368 for the
+J = 15/2, B20 = -1 spectrum, not d^4 = 65,536); dense() writes the
+d^2 x d^2 matrix.
 The order-4 build is array code on one thread. Its (channel, alpha,
 beta) tasks come in a fixed order and are processed in chunks of
-PAIR_CHUNK, in buffers allocated once per build, so the loop makes no
-large temporaries. In a chunk, the tasks fall into runs that share alpha
-and its phonon sign, so V^alpha and W^{alpha,-s_a} are one matrix per run:
-each run costs one BLAS product per amplitude term. The amplitude entries
-of all blocks of one size (one class) are taken by one gather through a
-table of flat positions, with one keep mask per class, and each run of
-one block's jumps costs one Gram product, added to that block's dense
-s x s accumulator. The accumulators land in M1 once, before _finalize.
-Each M1 entry sums its chunks' Grams in chunk order, so PAIR_CHUNK and
-the task order define the order of every addition, and with it every
-bit of the result.
+PAIR_CHUNK. In a chunk, the tasks fall into runs that share alpha and
+its phonon sign, so V^alpha and W^{alpha,-s_a} are one matrix per run:
+each run costs one BLAS product per amplitude term (and piece). The
+amplitudes are computed in pieces of at most AMPLITUDE_PIECE tasks, in
+two buffers allocated once per build, and each piece's entries on the
+blocks it hits are gathered at once into the chunk's arrays of its
+block-size classes, so the working set is bounded by the piece and the
+blocks, not by the chunk or by d^4. Each run of one block's jumps then
+costs one Gram product, added to that block's dense s x s accumulator.
+Each accumulator sums its chunks' Grams in chunk order, so PAIR_CHUNK
+and the task order define the order of every addition, and with it
+every bit of the result. Each row of a product depends on its own task
+alone, so the piece size changes no bit (the tests check pieces of 1, 3
+and 5).
 """
 
 from dataclasses import dataclass, field
@@ -67,8 +75,12 @@ DEFAULT_REGULARIZER_CM1 = 1.0
 # "vanished" threshold in cm^-1
 SINGULARITY_TOL_CM1 = 1e-12
 
-# mode pairs per chunk of the order-4 build; bounds the amplitude stack
+# mode pairs per chunk of the order-4 build: one Gram product per block
+# run of a chunk, so this fixes the order of the additions (and the bits)
 PAIR_CHUNK = 512
+# tasks per amplitude piece: bounds the two amplitude buffers; at least
+# 44, so that j15_2's one chunk is one piece; the bits do not depend on it
+AMPLITUDE_PIECE = 128
 
 # Each jump amplitude carries round-off of about eps ||L||, so a pure
 # dephasing sum (non-negative by construction) below this multiple of
@@ -91,37 +103,70 @@ class BasisMismatchError(ValueError):
 class SecularBlock:
     """All ordered index pairs (d, b) sharing one Bohr frequency.
 
-    rows and cols hold the pairs' d and b, and m1_index the flat positions
-    in M1 of the block's s x s entries of the Gram matrix (row-major over
-    the pairs); secular_partition builds them once per block.
+    rows and cols hold the pairs' d and b, sorted row-major; the block's
+    parts of the Gram matrix and of R are s x s matrices over these pairs.
     """
 
     frequency_cm1: float
     rows: NDArray[np.int64] = field(repr=False, compare=False)
     cols: NDArray[np.int64] = field(repr=False, compare=False)
-    m1_index: NDArray[np.int64] = field(repr=False, compare=False)
+
+
+def whole_block(dim: int) -> SecularBlock:
+    """Every ordered pair of dim states, row-major, as one block (frequency nan).
+
+    A generator stored on it is the dense d^2 x d^2 matrix.
+    """
+    rows, cols = np.divmod(np.arange(dim * dim), dim)
+    return SecularBlock(frequency_cm1=float("nan"), rows=rows, cols=cols)
 
 
 @dataclass(frozen=True)
 class Superoperator:
-    """Vectorized generator R (row-major vec, d^2 x d^2) on d states."""
+    """Generator R (row-major vec) on dim states, stored by secular block.
 
-    matrix: NDArray[np.complex128]
+    blocks holds (block, r) pairs with r[i, j] = R_(p_i),(p_j) over the
+    block's pairs p; R is zero between blocks.
+    """
+
+    blocks: tuple[tuple[SecularBlock, NDArray[np.complex128]], ...]
     dim: int
+
+    def dense(self) -> NDArray[np.complex128]:
+        """R as a d^2 x d^2 matrix."""
+        d = self.dim
+        out = np.zeros((d * d, d * d), dtype=complex)
+        for block, r in self.blocks:
+            flat = block.rows * d + block.cols
+            out[np.ix_(flat, flat)] = r
+        return out
+
+    def __add__(self, other: "Superoperator") -> "Superoperator":
+        """R + R', block by block; both must be stored on the same blocks."""
+        if len(self.blocks) != len(other.blocks) or not all(
+            np.array_equal(a.rows, b.rows) and np.array_equal(a.cols, b.cols)
+            for (a, _), (b, _) in zip(self.blocks, other.blocks)
+        ):
+            raise ValueError("generators stored on different blocks")
+        return Superoperator(
+            blocks=tuple((a, r + q) for (a, r), (_, q) in zip(self.blocks, other.blocks)),
+            dim=self.dim,
+        )
 
     def trace_defect(self) -> float:
         """max |sum_a R_(aa),(cd)| over columns, relative to ||R||."""
-        d = self.dim
-        rows = self.matrix.reshape(d, d, d * d)
-        col_sums = np.abs(rows[np.arange(d), np.arange(d), :].sum(axis=0))
-        norm = np.linalg.norm(self.matrix)
-        return float(col_sums.max() / max(norm, 1e-300))
+        col_sums = [np.abs(r[b.rows == b.cols].sum(axis=0)).max() for b, r in self.blocks]
+        norm = np.sqrt(sum(np.vdot(r, r).real for _, r in self.blocks))
+        return float(max(col_sums) / max(norm, 1e-300))
 
     def population_block(self) -> NDArray[np.float64]:
         """R_(bb),(aa) as a real (d, d) rate matrix."""
-        d = self.dim
-        idx = np.arange(d) * d + np.arange(d)
-        return np.real(self.matrix[np.ix_(idx, idx)])
+        out = np.zeros((self.dim, self.dim))
+        for block, r in self.blocks:
+            pop = block.rows == block.cols
+            states = block.rows[pop]
+            out[np.ix_(states, states)] = r[np.ix_(pop, pop)].real
+        return out
 
 
 @dataclass(frozen=True)
@@ -192,15 +237,8 @@ def secular_partition(
     for cluster in split_at_gaps(freqs, tol_cm1):
         members = pairs[cluster]
         rows, cols = members[np.lexsort((members[:, 1], members[:, 0]))].T
-        flat = rows * d + cols
-        blocks.append(
-            SecularBlock(
-                frequency_cm1=float(freqs[cluster].mean()),
-                rows=rows,
-                cols=cols,
-                m1_index=(flat[:, None] * (d * d) + flat).ravel(),
-            )
-        )
+        frequency = float(freqs[cluster].mean())
+        blocks.append(SecularBlock(frequency_cm1=frequency, rows=rows, cols=cols))
     return blocks
 
 
@@ -253,20 +291,55 @@ def _mode_pairs(
     return ia, ib
 
 
-def _finalize(m1: NDArray[np.complex128], dim: int):
-    """R and W, both read off the Gram matrix M1 here and nowhere else.
+def _finalize(blocks: Sequence[SecularBlock], acc, dim: int):
+    """R by block and W, both read off the Gram accumulators here and nowhere else.
 
-    With m[a, c, b, d] = M1[(a,c),(b,d)] = sum_k gamma_k L_ac conj(L_bd):
-    K[c, d] = sum_a conj m[a, c, a, d], R[a,b,c,d] = m[a,c,b,d]
-    - 1/2 d_bd K[a,c] - 1/2 d_ac K[d,b] and W[r, a] = m[r, a, r, a].
+    acc[g] is block g's part of M1[(a,c),(b,d)] = sum_k gamma_k L_ac
+    conj(L_bd), which is 0 unless (a, c) and (b, d) share a block. Then
+    K[c, d] = sum_a conj M1[(a,c),(a,d)], R_(ab),(cd) = M1[(a,c),(b,d)]
+    - 1/2 d_bd K[a,c] - 1/2 d_ac K[d,b] and W[r, a] = M1[(r,a),(r,a)].
+    E_a - E_b = E_c - E_d exactly when E_a - E_c = E_b - E_d, so R is
+    stored on the Gram matrix's blocks. Should a tolerance chain Bohr
+    frequencies so that some Gram entry falls outside them, R is stored
+    as whole_block instead, which holds every entry.
     """
-    m = m1.reshape(dim, dim, dim, dim)
-    diag = np.arange(dim)
-    k = np.conj(m[diag, :, diag, :]).sum(axis=0, initial=0.0)
-    r4 = m.transpose(0, 2, 1, 3).copy()
-    r4[:, diag, :, diag] -= 0.5 * k
-    r4[diag, :, diag, :] -= 0.5 * k.T
-    return r4.reshape(dim * dim, dim * dim), np.real(np.diagonal(m1)).reshape(dim, dim)
+    d = dim
+    gram = np.concatenate([g.ravel() for g in acc])
+    flats = [blk.rows * d + blk.cols for blk in blocks]
+    sizes = np.array([f.size for f in flats])
+    # per flat pair: its block and its place there; per block: its start in gram
+    owner, place = np.empty((2, d * d), dtype=np.intp)
+    owner[np.concatenate(flats)] = np.repeat(np.arange(len(blocks)), sizes)
+    place[np.concatenate(flats)] = np.concatenate([np.arange(s) for s in sizes])
+    start = np.cumsum(sizes**2) - sizes**2
+
+    def m1(x, y):
+        # M1[x, y] of flat pairs x and y (0 off the blocks), and whether on one
+        g = owner[x]
+        inside = g == owner[y]
+        out = np.zeros(x.shape, dtype=complex)
+        out[inside] = gram[(start[g] + place[x] * sizes[g] + place[y])[inside]]
+        return out, inside
+
+    x, c, e = np.indices((d, d, d))
+    k = np.conj(m1(x * d + c, x * d + e)[0]).sum(axis=0, initial=0.0)
+    pairs = np.arange(d * d)
+    weights = m1(pairs, pairs)[0].real.reshape(d, d).copy()
+
+    for r_blocks in (blocks, [whole_block(d)]):
+        r_flats = [blk.rows * d + blk.cols for blk in r_blocks]
+        a, b = np.divmod(np.concatenate([np.repeat(f, f.size) for f in r_flats]), d)
+        c, e = np.divmod(np.concatenate([np.tile(f, f.size) for f in r_flats]), d)
+        r, inside = m1(a * d + c, b * d + e)
+        if inside.sum() == gram.size:
+            break
+    same = b == e
+    r[same] -= 0.5 * k[a[same], c[same]]
+    same = a == c
+    r[same] -= 0.5 * k[e[same], b[same]]
+    ends = np.cumsum([f.size**2 for f in r_flats])[:-1]
+    mats = (m.reshape(f.size, f.size) for m, f in zip(np.split(r, ends), r_flats))
+    return Superoperator(blocks=tuple(zip(r_blocks, mats)), dim=d), weights
 
 
 def _add_runs(acc, dephasing, blocks: Sequence[SecularBlock], b, gammas, y) -> int:
@@ -311,16 +384,16 @@ def build_generator(
 
     Organized for throughput: the virtual-state factors W are built once
     per mode and sign, and the order-4 tasks are processed in chunks of
-    PAIR_CHUNK. In a chunk, each run of tasks sharing alpha and its sign
-    costs one BLAS product per amplitude term, each block-size class one
-    gather of the amplitude entries and one keep mask, each block run one
-    Gram product, and the kernel weights one array delta call. Each
-    secular block sums its Grams in a dense accumulator, which lands in
-    the Gram matrix M1 once; R, K and the pair 1/T1 sums are read off M1,
-    and the pure-dephasing matrix D of the pair 1/T2* sums is added as the
-    w = 0 block's runs are (GeneratorResult.pair_sums). PAIR_CHUNK and
-    the task order define the order of every addition into M1 and D, and
-    with it every bit of the result.
+    PAIR_CHUNK, their amplitudes in pieces of AMPLITUDE_PIECE tasks. In a
+    chunk, each run of tasks sharing alpha and its sign costs one BLAS
+    product per amplitude term and piece, each block-size class one keep
+    mask, each block run one Gram product, and the kernel weights one
+    array delta call. Each secular block sums its Grams in a dense
+    accumulator, off which _finalize reads R (by block), K and the pair
+    1/T1 sums; the pure-dephasing matrix D of the pair 1/T2* sums is added
+    as the w = 0 block's runs are (GeneratorResult.pair_sums). PAIR_CHUNK
+    and the task order define the order of every addition into the
+    accumulators and D, and with it every bit of the result.
     jump_count counts the jumps whose rate gamma ||L||^2 is positive and
     prefilter_tasks the order-4 tasks whose target hits a block window.
 
@@ -354,7 +427,7 @@ def build_generator(
             )
             for i, (block, gam_block) in enumerate(zip(blocks, gam))
         )
-        return _result_from(_m1_from(blocks, acc, dim), dephasing, jumps, dim)
+        return _result_from(blocks, acc, dephasing, jumps, dim)
 
     # the kernel is exactly zero outside this window, so the prefilter
     # drops only tasks that carry no weight
@@ -367,6 +440,7 @@ def build_generator(
         ia, ib = _mode_pairs(signs, len(bath.modes), allow_same_mode)
         tasks.append(np.stack([np.full(ia.size, signs[0]), np.full(ia.size, signs[1]), ia, ib]))
     s_a, s_b, ia, ib = np.concatenate(tasks, axis=1)
+    del tasks
     target = channel_target(s_a, s_b, w_modes[ia], w_modes[ib])
     lo = np.searchsorted(block_freqs, target - window, side="left")
     hi = np.searchsorted(block_freqs, target + window, side="right")
@@ -374,85 +448,103 @@ def build_generator(
     s_a, s_b, ia, ib, target, lo, hi = (x[hit] for x in (s_a, s_b, ia, ib, target, lo, hi))
     occ = channel_occupation(s_a, s_b, n_bar[ia], n_bar[ib])
 
-    # virt[m, k] = W^{m,s} with s = +1 (k = 0) or -1 (k = 1), built only for
-    # the (mode, sign) pairs in use: task amplitude V_a W_b^{-s_b} + V_b W_a^{-s_a}
-    k_a, k_b = (1 + s_a) // 2, (1 + s_b) // 2
-    used = np.zeros((len(bath.modes), 2), dtype=bool)
-    used[ia, k_a] = used[ib, k_b] = True
-    m_used, k_used = np.nonzero(used)
-    virt = np.zeros((len(bath.modes), 2, dim, dim), dtype=complex)
-    if m_used.size:
-        virt[m_used, k_used] = vstack[m_used] / _denominators(
-            es.energies_cm1, w_modes[m_used], 1 - 2 * k_used, regularizer_cm1
-        )
+    # virt_t[2 m + k] = (W^{m,s})^T with s = +1 (k = 0) or -1 (k = 1), built
+    # one sign at a time and only for the (mode, sign) pairs in use: the
+    # task amplitude is V_a W_b^{-s_b} + V_b W_a^{-s_a}, which task p reads
+    # from virt_t[ja[p]] and virt_t[jb[p]]
+    ja, jb = 2 * ia + (1 + s_a) // 2, 2 * ib + (1 + s_b) // 2
+    del s_a, s_b
+    used = np.zeros(2 * len(bath.modes), dtype=bool)
+    used[ja] = used[jb] = True
+    virt_t = np.zeros((2 * len(bath.modes), dim, dim), dtype=complex)
+    for k in (0, 1):
+        m = np.flatnonzero(used[k::2])
+        if m.size:
+            virt_t[2 * m + k] = (
+                vstack[m] / _denominators(es.energies_cm1, w_modes[m], 1 - 2 * k, regularizer_cm1)
+            ).transpose(0, 2, 1)
 
-    # the blocks of one size s form a class whose amplitude entries one
-    # gather takes, through the table of each block's flat d x d positions
+    # the blocks of one size s form a class whose amplitude entries a
+    # piece's product gives through one gather, at the flat d x d
+    # positions of each block's pairs: tables[s][0] holds them, and
+    # tables[s][1] the transposed ones
     sizes = np.array([b.rows.size for b in blocks])
-    tables = {s: np.zeros((len(blocks), s), dtype=np.intp) for s in sorted(set(sizes))}
+    tables = {s: np.zeros((2, len(blocks), s), dtype=np.intp) for s in sorted(set(sizes))}
     for i, block in enumerate(blocks):
-        tables[block.rows.size][i] = block.rows * dim + block.cols
+        tables[block.rows.size][:, i] = block.rows * dim + block.cols, block.cols * dim + block.rows
 
-    # fresh 2 MB temporaries per chunk cost page faults, so the chunk's
-    # factors and products reuse three buffers; the gathers clip because
+    # fresh temporaries per piece cost page faults, so each piece's
+    # factors and products reuse two buffers; the gathers clip because
     # mode="raise" buffers out (the indices are in range by construction).
     # A run of tasks with one ja shares alpha and its sign, so V_a and
     # W_a^{-s_a} are one matrix, and each term is one tall product: the
-    # stack of V_b against W_a, and the stack of W_b^T against V_a^T,
-    # which gives (V_a W_b)^T into the spent V_b rows. The bits equal
-    # those of the stacked V_a W_b + V_b W_a.
-    virt_flat = virt.reshape(-1, dim, dim)
-    virt_t = virt_flat.transpose(0, 2, 1).copy()
-    vstack_t = vstack.transpose(0, 2, 1).copy()
-    jb, ja = 2 * ib + k_b, 2 * ia + k_a
-    bufs = np.empty((3, min(PAIR_CHUNK, ia.size), dim, dim), dtype=complex)
+    # stack of W_b^T against V_a^T, which gives (V_a W_b)^T, and the stack
+    # of V_b against W_a. Term 2's entries are gathered at the transposed
+    # positions before term 1 reuses the buffer, then term 1's are added;
+    # the bits equal those of the stacked V_a W_b + V_b W_a. A run ends
+    # where ja changes and at every chunk and piece start.
+    piece = min(AMPLITUDE_PIECE, PAIR_CHUNK, ia.size)
+    operand, product = np.empty((2, piece, dim, dim), dtype=complex)
+    flat_product = product.reshape(-1)
+    cut = np.arange(ia.size) % PAIR_CHUNK % max(piece, 1) == 0
+    cut[1:] |= ja[1:] != ja[:-1]
+    run_starts = np.flatnonzero(cut)
     jumps = 0
     for start in range(0, ia.size, PAIR_CHUNK):
         c = slice(start, start + PAIR_CHUNK)
-        ia_c, ja_c = ia[c], ja[c]
-        n = ia_c.size
-        left, right, amps = bufs[:, :n]
-        np.take(vstack, ib[c], axis=0, mode="clip", out=left)
-        np.take(virt_t, jb[c], axis=0, mode="clip", out=right)
-        starts = np.flatnonzero(np.diff(ja_c, prepend=-1))
-        for r0, r1 in zip(starts, [*starts[1:], n]):
-            np.matmul(
-                left[r0:r1].reshape(-1, dim), virt_flat[ja_c[r0]],
-                out=amps[r0:r1].reshape(-1, dim),
-            )
-            np.matmul(
-                right[r0:r1].reshape(-1, dim), vstack_t[ia_c[r0]],
-                out=left[r0:r1].reshape(-1, dim),
-            )
-        amps += left.transpose(0, 2, 1)
+        n = ia[c].size
         # every (block, task) hit of the chunk, block-major with the tasks
         # in order, and the kernel weights of all of them in one delta call
         span = np.arange(lo[c].min(), hi[c].max())[:, None]
         b_hit, t_hit = np.nonzero((lo[c] <= span) & (span < hi[c]))
         b_hit += span[0, 0]
         gam = RATE_PREFACTOR * delta(block_freqs[b_hit], target[c][t_hit], pol) * occ[c][t_hit]
-        entries = amps.reshape(n, dim * dim)
+        # per class, its hits sorted by task (so a piece's hits are one
+        # slice), their entries ys and their positions in the product buffer
+        classes = []
         for s, table in tables.items():
-            cls = sizes[b_hit] == s
-            b_cls = b_hit[cls]
-            y = entries[t_hit[cls][:, None], table[b_cls]]
-            jumps += _add_runs(acc, dephasing, blocks, b_cls, gam[cls], y)
-    return _result_from(_m1_from(blocks, acc, dim), dephasing, jumps, dim, ia.size)
-
-
-def _m1_from(blocks: Sequence[SecularBlock], acc, dim: int) -> NDArray[np.complex128]:
-    """Scatter the blocks' Gram accumulators into one M1; other entries are 0."""
-    m1 = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for block, block_acc in zip(blocks, acc):
-        m1.reshape(-1)[block.m1_index] = block_acc.ravel()
-    return m1
+            cls = np.flatnonzero(sizes[b_hit] == s)
+            by_task = np.argsort(t_hit[cls], kind="stable")
+            t_cls, b_cls = t_hit[cls][by_task], b_hit[cls][by_task]
+            cuts = np.searchsorted(t_cls, range(0, n + piece, piece)).tolist()
+            at = (t_cls % piece * dim * dim)[:, None] + table[:, b_cls]
+            classes.append((cls, by_task, cuts, at, np.empty((cls.size, s), dtype=complex)))
+        for k, p0 in enumerate(range(start, start + n, piece)):
+            p1 = min(p0 + piece, start + n)
+            i0, i1 = np.searchsorted(run_starts, (p0, p1))
+            edges = [*(run_starts[i0:i1] - p0).tolist(), p1 - p0]
+            runs = list(zip(edges[:-1], edges[1:]))
+            # term 2, (V_a W_b)^T = W_b^T V_a^T, lands in ys first
+            np.take(virt_t, jb[p0:p1], axis=0, mode="clip", out=operand[: p1 - p0])
+            for r0, r1 in runs:
+                np.matmul(
+                    operand[r0:r1].reshape(-1, dim), vstack[ia[p0 + r0]].T,
+                    out=product[r0:r1].reshape(-1, dim),
+                )
+            for _, _, cuts, at, ys in classes:
+                sl = slice(cuts[k], cuts[k + 1])
+                np.take(flat_product, at[1, sl], mode="clip", out=ys[sl])
+            # then term 1, V_b W_a, is added
+            np.take(vstack, ib[p0:p1], axis=0, mode="clip", out=operand[: p1 - p0])
+            for r0, r1 in runs:
+                np.matmul(
+                    operand[r0:r1].reshape(-1, dim), virt_t[ja[p0 + r0]].T,
+                    out=product[r0:r1].reshape(-1, dim),
+                )
+            for _, _, cuts, at, ys in classes:
+                sl = slice(cuts[k], cuts[k + 1])
+                ys[sl] += flat_product[at[0, sl]]
+        for cls, by_task, _, _, ys in classes:
+            y = np.empty_like(ys)
+            y[by_task] = ys
+            jumps += _add_runs(acc, dephasing, blocks, b_hit[cls], gam[cls], y)
+    return _result_from(blocks, acc, dephasing, jumps, dim, ia.size)
 
 
 def _result_from(
-    m1, dephasing, jumps: int, dim: int, prefilter_tasks: int = 0
+    blocks, acc, dephasing, jumps: int, dim: int, prefilter_tasks: int = 0
 ) -> GeneratorResult:
-    matrix, weights = _finalize(m1, dim)
-    sup = Superoperator(matrix=matrix, dim=dim)
+    sup, weights = _finalize(blocks, acc, dim)
     defect = sup.trace_defect()
     if defect > 1e-10:
         raise RuntimeError(f"generator violates trace preservation: {defect:.3e}")

@@ -9,6 +9,8 @@ way before inversion.
 import logging
 import math
 import os
+import resource
+import sys
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -19,7 +21,7 @@ from .config import FitRequest, RunConfig
 from .constants import C_CM_S, KB_CM1_PER_K, MU_B_CM1_PER_T
 from .coupling import CouplingOperator, from_raw_matrix
 from .dynamics import FitResult, RateReport, extract_tau, fit_regimes, pair_sums_to_times
-from .generators import PairRateSums, Superoperator, build_generator, secular_partition
+from .generators import PairRateSums, build_generator, secular_partition
 from .spin_model import (
     easy_axis_of,
     eigensystem_for,
@@ -150,8 +152,7 @@ class PointEngine:
         if 2 in orders:
             out[2] = self._report(res2.superoperator, res2.pair_sums(*key), temperature_k, 2)
         if 4 in orders:
-            sup2, sup4 = res2.superoperator, res4.superoperator
-            cumulative = Superoperator(matrix=sup2.matrix + sup4.matrix, dim=sup4.dim)
+            cumulative = res2.superoperator + res4.superoperator
             s2, s4 = res2.pair_sums(*key), res4.pair_sums(*key)
             sums = PairRateSums(
                 half_t1_rate=s2.half_t1_rate + s4.half_t1_rate,
@@ -176,11 +177,12 @@ class PointEngine:
 
 
 def log_stage_times(what: str, n_rows: int, timers: dict[str, float], counts: Counter):
-    """Log where the summed time went, engines and output writing, and the
-    summed order-4 task and jump counts, as one INFO line."""
+    """Log where the summed time went, engines and output writing, the
+    summed order-4 task and jump counts and the process's peak resident
+    set so far, as one INFO line."""
     log.info(
         "%s finished: %d rows; prepare %.3f s, generate %.3f s, extract %.3f s, write %.3f s; "
-        "order-4 prefilter tasks %d, jumps %d",
+        "order-4 prefilter tasks %d, jumps %d; peak RSS %.1f MB",
         what,
         n_rows,
         timers["prepare_s"],
@@ -189,7 +191,14 @@ def log_stage_times(what: str, n_rows: int, timers: dict[str, float], counts: Co
         timers["write_s"],
         counts["order4_tasks"],
         counts["order4_jumps"],
+        peak_rss_mb(),
     )
+
+
+def peak_rss_mb() -> float:
+    """The process's peak resident set in MB (ru_maxrss: KiB on Linux, bytes on macOS)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2**20 if sys.platform == "darwin" else 2**10)
 
 
 def _fmt(x: float) -> str:

@@ -401,7 +401,7 @@ def propagate(sup, rho0, t_grid_s):
         dt = t - t_prev
         if dt > 0:
             if dt not in step_cache:
-                step_cache[dt] = expm(sup.matrix * dt)
+                step_cache[dt] = expm(sup.dense() * dt)
             vec = step_cache[dt] @ vec
         t_prev = t
         out[i] = vec.reshape(d, d)

@@ -27,7 +27,7 @@ from spinphonon.bath import BathConfig, BroadeningPolicy, PhononMode
 from spinphonon.config import resolve
 from spinphonon.coupling import from_raw_matrix
 from spinphonon.dynamics import TauResult, extract_tau, fit_regimes
-from spinphonon.generators import Superoperator, build_generator
+from spinphonon.generators import build_generator
 from spinphonon.runner import PointEngine
 from spinphonon.spin_model import (
     SpinModel,
@@ -66,15 +66,13 @@ def _build(order, eng, t_k, **extra):
 
 
 def _cumulative(r2, r4):
-    return Superoperator(
-        matrix=r2.superoperator.matrix + r4.superoperator.matrix, dim=r2.superoperator.dim
-    )
+    return r2.superoperator + r4.superoperator
 
 
 def _population_block(sup):
     d = sup.dim
     idx = [p * d + p for p in range(d)]
-    return sup.matrix[np.ix_(idx, idx)]
+    return sup.dense()[np.ix_(idx, idx)]
 
 
 def _exact_engine(name, zero_field=False):
@@ -110,7 +108,7 @@ def test_trace_spectrum_and_positivity_on_every_deck(
             r4 = _build(4, eng, t_k)
             for sup in (r2.superoperator, _cumulative(r2, r4)):
                 assert sup.trace_defect() <= 1e-10
-                w = np.linalg.eigvals(sup.matrix)
+                w = np.linalg.eigvals(sup.dense())
                 scale = np.abs(w).max()
                 assert w.real.max() <= 1e-10 * scale
                 # pure state with support on every level, all coherences;
@@ -155,7 +153,7 @@ def test_population_blocks_and_decay_match_brute_force(
     a, b = seng.pair.a, seng.pair.b
     rho0 = np.zeros((2, 2), dtype=complex)
     rho0[a, a] = 1.0
-    vals, vecs = np.linalg.eig(sup.matrix)
+    vals, vecs = np.linalg.eig(sup.dense())
     stat = vecs[:, np.argmin(np.abs(vals))].reshape(2, 2)
     stat = stat / np.trace(stat)
     m_inf = (stat[a, a] - stat[b, b]).real
@@ -204,7 +202,7 @@ def test_generator_coherence_decay_matches_the_pair_sums_everywhere(
         for t_k in eng.config.temperatures_k:
             for order in (2, 4):
                 res = _build(order, eng, t_k)
-                decay = -res.superoperator.matrix.diagonal().real.reshape(d, d)
+                decay = -res.superoperator.dense().diagonal().real.reshape(d, d)
                 tol = 16.0 * eps * res.weights.sum()
                 for a, b in permutations(range(d), 2):
                     sums = res.pair_sums(a, b)
@@ -308,8 +306,9 @@ def test_fourth_order_build_is_fast_and_worker_independent():
     one = build_generator(4, couplings, bath, es, regularizer_cm1=1.0, workers=1)
     assert time.perf_counter() - t0 < 60.0
     four = build_generator(4, couplings, bath, es, regularizer_cm1=1.0, workers=4)
-    ref = np.abs(one.superoperator.matrix).max()
-    assert np.abs(one.superoperator.matrix - four.superoperator.matrix).max() <= 1e-12 * ref
+    assert np.array_equal(one.superoperator.dense(), four.superoperator.dense())
+    assert np.array_equal(one.weights, four.weights)
+    assert np.array_equal(one.dephasing, four.dephasing)
     assert one.jump_count == four.jump_count
 
 

@@ -12,7 +12,7 @@ from spinphonon import cli
 from spinphonon.cli import SCAN_COLUMNS, main
 from spinphonon.config import load_config
 from spinphonon.generators import build_generator
-from spinphonon.runner import PointEngine, _fmt
+from spinphonon.runner import PointEngine, _fmt, peak_rss_mb
 
 
 def test_validate_ok(capsys):
@@ -245,7 +245,21 @@ def test_run_verbose_logs_where_setup_went(tmp_path, caplog):
     ]
     tasks, jumps = (sum(getattr(r, f) for r in builds) for f in ("prefilter_tasks", "jump_count"))
     assert 0 < jumps and 0 < tasks
-    assert f"s; order-4 prefilter tasks {tasks}, jumps {jumps}\n" in caplog.text
+    assert f"s; order-4 prefilter tasks {tasks}, jumps {jumps}; peak RSS " in caplog.text
+
+
+def test_verbose_finished_lines_report_the_peak_resident_set(tmp_path, caplog):
+    caplog.set_level(logging.INFO)
+    deck = str(DECK_PATHS["spin_half"])
+    assert main(["-v", "run", deck, "--output-dir", str(tmp_path)]) == 0
+    args = ["-v", "scan-regularizer", deck, "--values", "0.5", "--output-dir", str(tmp_path)]
+    assert main(args) == 0
+    logged = [
+        float(mb) for mb in re.findall(r" finished: .*; peak RSS (\d+\.\d) MB$", caplog.text, re.M)
+    ]
+    assert len(logged) == 2
+    # ru_maxrss only grows, and an interpreter with numpy holds over 10 MB
+    assert 10.0 < logged[0] <= logged[1] <= peak_rss_mb() + 0.05
 
 
 def test_scan_verbose_logs_where_the_time_went(tmp_path, caplog):

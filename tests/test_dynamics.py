@@ -11,7 +11,7 @@ from spinphonon.dynamics import (
     pair_sums_to_times,
 )
 from spinphonon.constants import KB_CM1_PER_K
-from spinphonon.generators import PairRateSums, Superoperator, _result_from
+from spinphonon.generators import PairRateSums, Superoperator, _result_from, whole_block
 from spinphonon.spin_model import KramersPair
 
 PAIR01 = KramersPair(a=0, b=1, jz_a=0.5, jz_b=-0.5)
@@ -23,8 +23,13 @@ def hop(p, q, rate, dim):
     return oracles.Jump(gamma=rate, matrix=m)
 
 
+def dense_superoperator(matrix, dim):
+    """A d^2 x d^2 matrix stored as one whole block."""
+    return Superoperator(blocks=((whole_block(dim), matrix),), dim=dim)
+
+
 def superoperator(jumps, dim):
-    return Superoperator(matrix=oracles.lindblad_from_jumps(jumps, dim), dim=dim)
+    return dense_superoperator(oracles.lindblad_from_jumps(jumps, dim), dim)
 
 
 def two_state_superoperator(up, down):
@@ -43,7 +48,7 @@ def test_extract_tau_two_state_exchange():
 
 
 def test_extract_tau_zero_generator_is_blocked():
-    sup = Superoperator(matrix=np.zeros((4, 4), dtype=complex), dim=2)
+    sup = dense_superoperator(np.zeros((4, 4), dtype=complex), 2)
     res = extract_tau(sup, PAIR01)
     assert res.tau_s == np.inf
     assert res.overlap_score == pytest.approx(1.0, abs=1e-12)
@@ -114,10 +119,11 @@ def test_identity_residual_closed():
 def test_pair_t2_two_state_closed_form():
     up, down = 1.0, 2.0
     _, jumps = two_state_superoperator(up, down)
-    # the Gram matrix M1 = sum gamma vec(L) vec(L)^+ the build accumulates
+    # the Gram matrix M1 = sum gamma vec(L) vec(L)^+ the build accumulates,
+    # here on one whole block
     m1 = sum(j.gamma * np.outer(j.matrix.ravel(), j.matrix.ravel().conj()) for j in jumps)
     # hops have no diagonal elements, so no pure dephasing
-    sums = _result_from(m1, np.zeros((2, 2)), len(jumps), 2).pair_sums(0, 1)
+    sums = _result_from([whole_block(2)], [m1], np.zeros((2, 2)), len(jumps), 2).pair_sums(0, 1)
     _, t2, _ = pair_sums_to_times(sums)
     # coherence decays at half the population exchange rate
     assert t2 == pytest.approx(2.0 / (up + down), rel=1e-12)
@@ -150,7 +156,7 @@ def test_propagate_rejects_bad_inputs():
 
 def test_propagate_flags_trace_violating_generator():
     sup, _ = two_state_superoperator(1.0, 1.0)
-    bad = Superoperator(matrix=sup.matrix + 0.05 * np.eye(4), dim=2)
+    bad = dense_superoperator(sup.dense() + 0.05 * np.eye(4), 2)
     with pytest.raises(oracles.PositivityError):
         oracles.propagate(bad, np.eye(2, dtype=complex) / 2.0, [0.0, 1.0])
 

@@ -1,5 +1,7 @@
 """Generator assembly against brute-force references and structural checks."""
 
+import time
+import tracemalloc
 from dataclasses import replace
 from itertools import permutations
 from types import SimpleNamespace
@@ -209,7 +211,7 @@ def _assert_build_matches(eng, order, bath, channels, allow_same_mode, jumps, re
         secular_tol_cm1=cfg.secular_tol_cm1, regularizer_cm1=cfg.regularizer_cm1,
         channels=channels, allow_same_mode=allow_same_mode,
     )
-    assert np.abs(res.superoperator.matrix - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.abs(res.superoperator.dense() - ref).max() <= 1e-12 * np.abs(ref).max()
     assert res.jump_count == len(jumps)
     _assert_pair_sums_match(res, jumps, eng.es.dim)
 
@@ -238,7 +240,7 @@ def _assert_build_matches(eng, order, bath, channels, allow_same_mode, jumps, re
 def test_order4_over_several_chunks_matches_oracle_jumps(
     request, monkeypatch, deck, t_k, channels, allow_same_mode
 ):
-    # chunks of 1, 3 and 5 tasks reuse the chunk buffers, end on partial
+    # chunks of 1, 3 and 5 tasks reuse the amplitude buffers, end on partial
     # chunks and cut (channel, alpha) runs at chunk boundaries, so runs of
     # every length occur. four_level keeps 6 tasks after the prefilter and
     # 13 with every channel and same-mode pairs, which add length-1 runs
@@ -254,6 +256,125 @@ def test_order4_over_several_chunks_matches_oracle_jumps(
     for chunk in (1, 3, 5):
         monkeypatch.setattr(generators, "PAIR_CHUNK", chunk)
         _assert_build_matches(eng, 4, bath, channels, allow_same_mode, jumps, ref)
+
+
+@pytest.mark.parametrize(
+    "deck, t_k, channels, allow_same_mode",
+    [
+        ("four_level", 2.0, ALL_CHANNELS, True),
+        ("four_level_dense", 2.0, ALL_CHANNELS, True),
+        ("j15_2", 9.5, ("absorption_emission",), False),
+    ],
+    ids=["four_level-all_channels_same_mode", "four_level_dense-all_channels_same_mode", "j15_2"],
+)
+def test_order4_bits_do_not_depend_on_the_amplitude_piece(
+    request, monkeypatch, deck, t_k, channels, allow_same_mode
+):
+    # chunks of 7 tasks (PAIR_CHUNK fixes the order of the additions, and
+    # so the bits) against pieces of 1, 3 and 5: pieces end inside chunks
+    # and cut (sign, alpha) runs, and the default piece spans each chunk
+    eng = request.getfixturevalue(f"{deck}_engine")
+    cfg = eng.config
+    bath = bath_for(cfg, t_k)
+    kw = dict(
+        secular_tol_cm1=cfg.secular_tol_cm1, regularizer_cm1=cfg.regularizer_cm1,
+        channels=channels, allow_same_mode=allow_same_mode,
+    )
+    monkeypatch.setattr(generators, "PAIR_CHUNK", 7)
+    ref = build_generator(4, eng.couplings, bath, eng.es, **kw)
+    assert ref.prefilter_tasks > 7 and ref.jump_count > 0
+    for piece in (1, 3, 5):
+        monkeypatch.setattr(generators, "AMPLITUDE_PIECE", piece)
+        res = build_generator(4, eng.couplings, bath, eng.es, **kw)
+        assert np.array_equal(res.superoperator.dense(), ref.superoperator.dense())
+        assert np.array_equal(res.weights, ref.weights)
+        assert np.array_equal(res.dephasing, ref.dephasing)
+        assert res.jump_count == ref.jump_count
+
+
+def test_generator_is_stored_whole_where_the_tolerance_chains_frequencies(j15_2_engine):
+    # at 8 cm^-1 the j15_2 Bohr frequencies chain into 11 clusters, and R
+    # has entries between two of them; stored as one whole block, every
+    # element still matches the oracle built on the same clusters
+    eng = j15_2_engine
+    d, tol = eng.es.dim, 8.0
+    blocks = secular_partition(eng.es, tol)
+    assert len(blocks) == 11
+    bath = bath_for(eng.config, 9.5)
+    jumps = oracles.jumps_4(
+        oracles.coupling_matrices(eng.couplings, bath), eng.es.energies_cm1, bath, tol,
+        channels=ALL_CHANNELS, allow_same_mode=True, eta_cm1=eng.config.regularizer_cm1,
+    )
+    ref = oracles.lindblad_from_jumps(jumps, d)
+    inside = np.zeros((d * d, d * d), dtype=bool)
+    for b in blocks:
+        flat = b.rows * d + b.cols
+        inside[np.ix_(flat, flat)] = True
+    assert np.abs(ref[~inside]).max() > 1e-2 * np.abs(ref).max()
+    res = build_generator(
+        4, eng.couplings, bath, eng.es, secular_tol_cm1=tol,
+        regularizer_cm1=eng.config.regularizer_cm1, channels=ALL_CHANNELS, allow_same_mode=True,
+    )
+    ((block, _),) = res.superoperator.blocks
+    assert block.rows.size == d * d
+    assert np.abs(res.superoperator.dense() - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert res.jump_count == len(jumps)
+
+
+def test_generators_add_block_by_block_on_the_same_blocks_only(four_level_engine):
+    eng = four_level_engine
+    bath = bath_for(eng.config, 2.0)
+    fine = build_generator(2, eng.couplings, bath, eng.es).superoperator
+    coarse = build_generator(2, eng.couplings, bath, eng.es, secular_tol_cm1=5.0).superoperator
+    assert len(fine.blocks) == 13 and len(coarse.blocks) == 3
+    assert np.array_equal((fine + fine).dense(), 2.0 * fine.dense())
+    with pytest.raises(ValueError):
+        fine + coarse
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_weights_and_dephasing_own_their_data(four_level_engine, order):
+    # a view into a d^2 x d^2 array would keep it alive with the result
+    eng = four_level_engine
+    cfg = eng.config
+    res = build_generator(
+        order, eng.couplings, bath_for(cfg, 2.0), eng.es, regularizer_cm1=cfg.regularizer_cm1,
+    )
+    d = eng.es.dim
+    for arr in (res.weights, res.dephasing):
+        assert arr.shape == (d, d)
+        assert arr.base is None or arr.base.nbytes <= d * d * 8
+
+
+def test_order4_peak_memory_stays_near_the_size_of_its_inputs():
+    # the inputs are the stacked couplings and the virtual-state factors W,
+    # one matrix per mode and per mode and sign: 3 * 64 matrices. Three
+    # amplitude buffers of 512 tasks alone would be 8 times that
+    rng = np.random.default_rng(5)
+    es = eigensystem_for(
+        SpinModel(angular_momentum=AngularMomentum(15), stevens_terms=(StevensTerm(2, 0, -1.0),))
+    )
+    d, n = es.dim, 64
+    modes = tuple(PhononMode(i, w) for i, w in enumerate(np.sort(rng.uniform(1.0, 300.0, size=n))))
+    couplings = []
+    for i in range(n):
+        m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        couplings.append(from_raw_matrix((m + m.conj().T) / 2.0, "mj", es, mode_index=i))
+    bath = BathConfig(
+        modes=modes, temperature_k=10.0,
+        broadening=BroadeningPolicy(kind="gaussian", width_cm1=3.0, cutoff_sigmas=5.0),
+    )
+    inputs = 3 * n * d * d * np.dtype(complex).itemsize
+    t0 = time.perf_counter()
+    tracemalloc.start()
+    try:
+        res = build_generator(4, couplings, bath, es)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - t0 < 2.0
+    assert res.prefilter_tasks > 2 * generators.PAIR_CHUNK
+    assert peak < 8 * inputs
 
 
 def test_singularity_raises_without_regularizer(spin_half_engine, spin_half_config):
@@ -288,7 +409,10 @@ def test_worker_counts_agree_bitwise(four_level_engine, four_level_config):
                           workers=1, **kw)
     four = build_generator(4, four_level_engine.couplings, bath, four_level_engine.es,
                            workers=4, **kw)
-    assert np.array_equal(one.superoperator.matrix, four.superoperator.matrix)
+    assert np.array_equal(one.superoperator.dense(), four.superoperator.dense())
+    assert np.array_equal(one.weights, four.weights)
+    assert np.array_equal(one.dephasing, four.dephasing)
+    assert one.jump_count == four.jump_count
 
 
 def test_rate_pair_sums_match_materialized_jumps(four_level_engine, four_level_config):

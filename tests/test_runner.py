@@ -8,7 +8,7 @@ from conftest import DECK_PATHS, GOLDEN, bath_for
 
 from spinphonon import runner
 from spinphonon.config import load_config, resolve
-from spinphonon.generators import Superoperator, build_generator
+from spinphonon.generators import build_generator
 from spinphonon.runner import CSV_COLUMNS, PointEngine, SweepPointError, run_sweep
 
 
@@ -76,9 +76,7 @@ def test_order4_rows_are_cumulative(four_level_config, four_level_engine):
         channels=four_level_config.channels,
         allow_same_mode=four_level_config.allow_same_mode, **kw,
     )
-    cumulative = Superoperator(
-        matrix=r2.superoperator.matrix + r4.superoperator.matrix, dim=r2.superoperator.dim
-    )
+    cumulative = r2.superoperator + r4.superoperator
     from spinphonon.dynamics import extract_tau
 
     tau = extract_tau(cumulative, eng.pair)
