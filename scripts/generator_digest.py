@@ -1,0 +1,95 @@
+"""Print one sha256 per generator build, so two checkouts' bits can be diffed.
+
+Each line names a deck, field, temperature, order and channel set, and
+hashes what build_generator returns there: dense(), weights, dephasing,
+jump_count and prefilter_tasks. Order 2 is built once per point; order 4
+with the deck's channels, with every channel, and with every channel
+and same-mode pairs. "The bits did not change" is then an empty diff:
+
+  PYTHONPATH=<old>/src python scripts/generator_digest.py > old.txt
+  PYTHONPATH=<new>/src python scripts/generator_digest.py > new.txt
+  diff old.txt new.txt
+
+It covers the bundled decks (decks/*.yaml) and the deck paths given as
+arguments. --chunk and --piece set generators.PAIR_CHUNK and
+AMPLITUDE_PIECE; --temperatures, --field-t and --width-cm1 replace every
+deck's temperatures, fields and kernel width, for example
+
+  python scripts/generator_digest.py big.yaml --temperatures 5 10 20
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import pathlib
+from dataclasses import replace
+
+import numpy as np
+
+from spinphonon import generators
+from spinphonon.bath import BathConfig
+from spinphonon.config import load_config
+from spinphonon.runner import PointEngine
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+ALL_CHANNELS = ("absorption_emission", "double_absorption", "double_emission")
+
+
+def digest(res) -> str:
+    h = hashlib.sha256()
+    for arr in (res.superoperator.dense(), res.weights, res.dephasing):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    h.update(f"{res.jump_count} {res.prefilter_tasks}".encode())
+    return h.hexdigest()
+
+
+def deck_lines(path: pathlib.Path, args):
+    cfg = load_config(path)
+    if args.width_cm1 is not None:
+        cfg = replace(cfg, broadening=replace(cfg.broadening, width_cm1=args.width_cm1))
+    fields = [tuple(args.field_t)] if args.field_t else cfg.fields_t or [cfg.model.field_t]
+    temperatures = args.temperatures or cfg.temperatures_k
+    channel_sets = {
+        "deck": (cfg.channels, cfg.allow_same_mode),
+        "all": (ALL_CHANNELS, False),
+        "all+same": (ALL_CHANNELS, True),
+    }
+    for field in fields:
+        eng = PointEngine(cfg, field)
+        for t_k in temperatures:
+            bath = BathConfig(modes=cfg.modes, temperature_k=t_k, broadening=cfg.broadening)
+            kw = dict(
+                blocks=eng.blocks, secular_tol_cm1=cfg.secular_tol_cm1,
+                regularizer_cm1=cfg.regularizer_cm1,
+            )
+            point = f"{path.name} field={list(field)} T={t_k}"
+            res = generators.build_generator(2, eng.couplings, bath, eng.es, **kw)
+            yield f"{point} order=2 {digest(res)}"
+            for name, (channels, same) in channel_sets.items():
+                res = generators.build_generator(
+                    4, eng.couplings, bath, eng.es, channels=channels, allow_same_mode=same, **kw
+                )
+                yield f"{point} order=4 channels={name} {digest(res)}"
+
+
+def main(argv=None) -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("decks", nargs="*", type=pathlib.Path, help="extra deck files")
+    ap.add_argument("--chunk", type=int, help="generators.PAIR_CHUNK")
+    ap.add_argument("--piece", type=int, help="generators.AMPLITUDE_PIECE")
+    ap.add_argument("--temperatures", type=float, nargs="+", help="K, for every deck")
+    ap.add_argument("--field-t", type=float, nargs=3, help="one field (T), for every deck")
+    ap.add_argument("--width-cm1", type=float, help="kernel width, for every deck")
+    args = ap.parse_args(argv)
+    if args.chunk is not None:
+        generators.PAIR_CHUNK = args.chunk
+    if args.piece is not None:
+        generators.AMPLITUDE_PIECE = args.piece
+    for path in [*sorted((ROOT / "decks").glob("*.yaml")), *args.decks]:
+        for line in deck_lines(path, args):
+            print(line, flush=True)
+
+
+if __name__ == "__main__":
+    main()

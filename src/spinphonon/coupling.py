@@ -24,6 +24,8 @@ SYMMETRIZE_ACCEPT = 1e-8
 SYMMETRIZE_REJECT = 1e-6
 
 RAW_BASES = ("mj", "eigen")
+# matrices per step of from_raw_matrices
+STACK_MODES = 16
 
 
 def basis_tag(es: Eigensystem) -> str:
@@ -86,23 +88,51 @@ def from_raw_matrix(
 
     Deviations from Hermiticity up to SYMMETRIZE_ACCEPT are symmetrized
     silently, up to SYMMETRIZE_REJECT symmetrized with a warning, beyond
-    that rejected.
+    that rejected. This is from_raw_matrices on a stack of one.
+    """
+    (op,) = from_raw_matrices([matrix], basis, es, mode_indices=[mode_index])
+    return op
+
+
+def from_raw_matrices(
+    matrices,
+    basis: str,
+    es: Eigensystem,
+    *,
+    mode_indices,
+) -> tuple[CouplingOperator, ...]:
+    """Ingest a stack of raw coupling matrices, all in one basis, in one pass.
+
+    Each matrix is checked, symmetrized and (from "mj") conjugated into
+    the eigenbasis as from_raw_matrix does it; the errors and warnings
+    name the mode. matrices[i] belongs to mode mode_indices[i].
     """
     if basis not in RAW_BASES:
         raise ValueError(f"unknown basis {basis!r}; choose from {RAW_BASES}")
-    m = np.asarray(matrix, dtype=complex)
-    if m.shape != (es.dim, es.dim):
-        raise ValueError(f"matrix shape {m.shape} does not match dimension {es.dim}")
-    dev = np.max(np.abs(m - m.conj().T))
-    if dev > SYMMETRIZE_REJECT:
-        raise ValueError(
-            f"matrix deviates from Hermitian by {dev:.3e} (limit {SYMMETRIZE_REJECT:.0e})"
-        )
-    if dev > SYMMETRIZE_ACCEPT:
-        log.warning("coupling matrix symmetrized; Hermiticity deviation %.3e", dev)
-    m = 0.5 * (m + m.conj().T)
-    if basis == "mj":
-        u = es.eigenvectors
-        m = u.conj().T @ m @ u
-        m = 0.5 * (m + m.conj().T)  # scrub round-off from the basis change
-    return CouplingOperator(mode_index=mode_index, matrix=m, basis=basis_tag(es))
+    mode_indices = list(mode_indices)
+    m = np.asarray(matrices, dtype=complex)
+    if m.shape != (len(mode_indices), es.dim, es.dim):
+        raise ValueError(f"matrix shape {m.shape[1:]} does not match dimension {es.dim}")
+    tag, u = basis_tag(es), es.eigenvectors
+    ops = []
+    # a few modes at a time, which bounds the temporaries
+    for first in range(0, len(mode_indices), STACK_MODES):
+        part, modes = m[first : first + STACK_MODES], mode_indices[first : first + STACK_MODES]
+        dev = np.abs(part - part.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+        for i, dev_i in zip(modes, dev.tolist()):
+            if dev_i > SYMMETRIZE_REJECT:
+                raise ValueError(
+                    f"coupling for mode {i}: matrix deviates from Hermitian by {dev_i:.3e} "
+                    f"(limit {SYMMETRIZE_REJECT:.0e})"
+                )
+            if dev_i > SYMMETRIZE_ACCEPT:
+                log.warning(
+                    "coupling matrix for mode %d symmetrized; Hermiticity deviation %.3e",
+                    i, dev_i,
+                )
+        part = 0.5 * (part + part.conj().transpose(0, 2, 1))
+        if basis == "mj":
+            part = u.conj().T @ part @ u
+            part = 0.5 * (part + part.conj().transpose(0, 2, 1))  # scrub basis-change round-off
+        ops.extend(CouplingOperator(mode_index=i, matrix=v, basis=tag) for i, v in zip(modes, part))
+    return tuple(ops)

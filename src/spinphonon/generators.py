@@ -51,11 +51,28 @@ blocks, not by the chunk or by d^4. Each run of one block's jumps then
 costs one Gram product, added to that block's dense s x s accumulator.
 Each accumulator sums its chunks' Grams in chunk order, so PAIR_CHUNK
 and the task order define the order of every addition, and with it
-every bit of the result. Each row of a product depends on its own task
-alone, so the piece size changes no bit (the tests check pieces of 1, 3
-and 5).
+every bit of the result.
+
+Row windows. A task's target hits a window [lo, hi) of consecutive
+blocks, and it reads term 1 of its amplitude (V_b W_a) only at those
+blocks' rows and term 2 ((V_a W_b)^T) only at their cols; on the
+200-mode J = 15/2 system that is 55.5 % of the rows. So a product is
+computed only at those rows: per distinct window, the build lists its
+rows and each of its blocks' entries as offsets into them, once
+(_row_windows), and a run's product is the stack of its tasks' rows.
+This changes no bit because of a BLAS property: a row of
+np.matmul(A, B) does not depend on which other rows A holds, so the
+rows of a stacked product equal those of each task's full product, and
+the piece size changes no bit either (the tests check pieces of 1, 2, 3
+and 5, and the property itself). The property fails for a product of
+one row: numpy sends a (1, d) @ (d, d) product down another path
+(gemv), whose bits differ. So a run that reads a single row is
+multiplied as two rows, the second taken from the next run or from a
+spare row of the buffers (the two-row guard).
 """
 
+import functools
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -81,6 +98,8 @@ PAIR_CHUNK = 512
 # tasks per amplitude piece: bounds the two amplitude buffers; at least
 # 44, so that j15_2's one chunk is one piece; the bits do not depend on it
 AMPLITUDE_PIECE = 128
+# modes per step of the virtual-state factors W: bounds their temporaries
+VIRT_MODES = 8
 
 # Each jump amplitude carries round-off of about eps ||L||, so a pure
 # dephasing sum (non-negative by construction) below this multiple of
@@ -218,12 +237,13 @@ class GeneratorResult:
 
 def secular_partition(
     es: Eigensystem, tol_cm1: float = DEFAULT_SECULAR_TOL_CM1
-) -> list[SecularBlock]:
+) -> "SecularPartition":
     """Group all ordered index pairs by Bohr frequency w_db = E_d - E_b.
 
     Pairs are sorted by frequency and split where consecutive gaps exceed
-    tol_cm1, so every pair lands in exactly one block. Kramers partners at
-    zero field share the w = 0 block with the populations.
+    tol_cm1, so every pair lands in exactly one block, and the blocks come
+    in frequency order. Kramers partners at zero field share the w = 0
+    block with the populations.
     """
     e = es.energies_cm1
     d = e.size
@@ -239,7 +259,7 @@ def secular_partition(
         rows, cols = members[np.lexsort((members[:, 1], members[:, 0]))].T
         frequency = float(freqs[cluster].mean())
         blocks.append(SecularBlock(frequency_cm1=frequency, rows=rows, cols=cols))
-    return blocks
+    return _partition(blocks)
 
 
 def _aligned_couplings(
@@ -270,101 +290,220 @@ def _denominators(energies: NDArray[np.float64], omega, sign, eta: float) -> NDA
     return d_real + 1j * eta
 
 
-def _mode_pairs(
-    signs: tuple[int, int], n_modes: int, allow_same_mode: bool
-) -> tuple[NDArray[np.int64], NDArray[np.int64]]:
-    """(alpha, beta) index arrays of one channel, alpha-major.
+class SecularPartition(tuple):
+    """Secular blocks in frequency order, with the index maps that every
+    build on them shares.
 
-    Mixed signs tell absorb-alpha/emit-beta from its mirror, so they run
-    over ordered pairs; equal signs are pair-exchange symmetric and take
-    alpha > beta, with the same-mode pairs (if allowed) appended.
+    The maps depend on the blocks alone, so each is computed once per
+    partition, on first use: pops[g] holds block g's population positions
+    (its pairs (a, a)), and gram_maps the gathers with which _finalize
+    reads K, W and R off the Gram accumulators. PointEngine keeps one
+    partition per field, so every temperature and order shares them.
     """
-    ia, ib = np.divmod(np.arange(n_modes * n_modes), n_modes)
-    if signs[0] != signs[1]:
-        keep = (ia != ib) | allow_same_mode
-        return ia[keep], ib[keep]
-    keep = ib < ia
-    ia, ib = ia[keep], ib[keep]
-    if allow_same_mode:
-        same = np.arange(n_modes)
-        ia, ib = np.concatenate([ia, same]), np.concatenate([ib, same])
-    return ia, ib
+
+    @functools.cached_property
+    def pops(self) -> list[NDArray[np.intp]]:
+        return [np.flatnonzero(b.rows == b.cols) for b in self]
+
+    @functools.cached_property
+    def gram_maps(self) -> "_GramMaps":
+        return _GramMaps(self)
 
 
-def _finalize(blocks: Sequence[SecularBlock], acc, dim: int):
+def _partition(blocks: Sequence[SecularBlock]) -> SecularPartition:
+    if isinstance(blocks, SecularPartition):
+        return blocks
+    return SecularPartition(sorted(blocks, key=lambda b: b.frequency_cm1))
+
+
+class _GramMaps:
+    """Where _finalize finds each entry of K, W and R in the Gram entries.
+
+    gram, the blocks' accumulators raveled in block order, holds
+    M1[(a,c),(b,d)] = sum_k gamma_k L_ac conj(L_bd), which is 0 unless
+    (a, c) and (b, d) share a block. Then K[c, d] = sum_a conj
+    M1[(a,c),(a,d)], R_(ab),(cd) = M1[(a,c),(b,d)] - 1/2 d_bd K[a,c]
+    - 1/2 d_ac K[d,b] and W[r, a] = M1[(r,a),(r,a)]. E_a - E_b = E_c - E_d
+    exactly when E_a - E_c = E_b - E_d, so R is stored on the Gram
+    matrix's blocks. Should a tolerance chain Bohr frequencies so that
+    some Gram entry falls outside them, R is stored as whole_block
+    instead, which holds every entry.
+    """
+
+    def __init__(self, blocks: SecularPartition):
+        sizes = np.array([b.rows.size for b in blocks])
+        d = self.dim = math.isqrt(int(sizes.sum()))
+        flats = [blk.rows * d + blk.cols for blk in blocks]
+        # per flat pair: its block and its place there; per block: its start in gram
+        owner, place = np.empty((2, d * d), dtype=np.intp)
+        owner[np.concatenate(flats)] = np.repeat(np.arange(len(blocks)), sizes)
+        place[np.concatenate(flats)] = np.concatenate([np.arange(s) for s in sizes])
+        start = np.cumsum(sizes**2) - sizes**2
+
+        def m1(x, y):
+            # where M1[x, y] of flat pairs x and y is in gram, where it is on one block
+            g = owner[x]
+            inside = g == owner[y]
+            return _small((start[g] + place[x] * sizes[g] + place[y])[inside]), inside
+
+        x, c, e = np.indices((d, d, d))
+        self.k_at, self.k_inside = m1(x * d + c, x * d + e)
+        pairs = np.arange(d * d)
+        self.w_at = m1(pairs, pairs)[0]
+        for r_blocks in (blocks, [whole_block(d)]):
+            r_flats = [blk.rows * d + blk.cols for blk in r_blocks]
+            a, b = np.divmod(np.concatenate([np.repeat(f, f.size) for f in r_flats]), d)
+            c, e = np.divmod(np.concatenate([np.tile(f, f.size) for f in r_flats]), d)
+            self.r_at, self.r_inside = m1(a * d + c, b * d + e)
+            if self.r_at.size == sizes @ sizes:
+                break
+        self.r_blocks = tuple(r_blocks)
+        # the entries that K corrects, and the K entries (flat) they take
+        same_bd, same_ac = np.flatnonzero(b == e), np.flatnonzero(a == c)
+        self.same_bd, self.k_ac = _small(same_bd), _small((a * d + c)[same_bd])
+        self.same_ac, self.k_db = _small(same_ac), _small((e * d + b)[same_ac])
+        self.ends = np.cumsum([f.size**2 for f in r_flats])[:-1]
+
+
+def _small(index: NDArray[np.intp]) -> NDArray[np.unsignedinteger]:
+    # the maps live as long as their partition, so they keep the smallest
+    # index type (uint16 for J = 15/2), not intp
+    return index.astype(np.min_scalar_type(index.max(initial=0)))
+
+
+def _finalize(blocks: SecularPartition, acc):
     """R by block and W, both read off the Gram accumulators here and nowhere else.
 
-    acc[g] is block g's part of M1[(a,c),(b,d)] = sum_k gamma_k L_ac
-    conj(L_bd), which is 0 unless (a, c) and (b, d) share a block. Then
-    K[c, d] = sum_a conj M1[(a,c),(a,d)], R_(ab),(cd) = M1[(a,c),(b,d)]
-    - 1/2 d_bd K[a,c] - 1/2 d_ac K[d,b] and W[r, a] = M1[(r,a),(r,a)].
-    E_a - E_b = E_c - E_d exactly when E_a - E_c = E_b - E_d, so R is
-    stored on the Gram matrix's blocks. Should a tolerance chain Bohr
-    frequencies so that some Gram entry falls outside them, R is stored
-    as whole_block instead, which holds every entry.
+    acc[g] is block g's part of M1; blocks.gram_maps says which of its
+    entries make each entry of K, W and R.
     """
-    d = dim
+    maps = blocks.gram_maps
+    d = maps.dim
     gram = np.concatenate([g.ravel() for g in acc])
-    flats = [blk.rows * d + blk.cols for blk in blocks]
-    sizes = np.array([f.size for f in flats])
-    # per flat pair: its block and its place there; per block: its start in gram
-    owner, place = np.empty((2, d * d), dtype=np.intp)
-    owner[np.concatenate(flats)] = np.repeat(np.arange(len(blocks)), sizes)
-    place[np.concatenate(flats)] = np.concatenate([np.arange(s) for s in sizes])
-    start = np.cumsum(sizes**2) - sizes**2
-
-    def m1(x, y):
-        # M1[x, y] of flat pairs x and y (0 off the blocks), and whether on one
-        g = owner[x]
-        inside = g == owner[y]
-        out = np.zeros(x.shape, dtype=complex)
-        out[inside] = gram[(start[g] + place[x] * sizes[g] + place[y])[inside]]
-        return out, inside
-
-    x, c, e = np.indices((d, d, d))
-    k = np.conj(m1(x * d + c, x * d + e)[0]).sum(axis=0, initial=0.0)
-    pairs = np.arange(d * d)
-    weights = m1(pairs, pairs)[0].real.reshape(d, d).copy()
-
-    for r_blocks in (blocks, [whole_block(d)]):
-        r_flats = [blk.rows * d + blk.cols for blk in r_blocks]
-        a, b = np.divmod(np.concatenate([np.repeat(f, f.size) for f in r_flats]), d)
-        c, e = np.divmod(np.concatenate([np.tile(f, f.size) for f in r_flats]), d)
-        r, inside = m1(a * d + c, b * d + e)
-        if inside.sum() == gram.size:
-            break
-    same = b == e
-    r[same] -= 0.5 * k[a[same], c[same]]
-    same = a == c
-    r[same] -= 0.5 * k[e[same], b[same]]
-    ends = np.cumsum([f.size**2 for f in r_flats])[:-1]
-    mats = (m.reshape(f.size, f.size) for m, f in zip(np.split(r, ends), r_flats))
-    return Superoperator(blocks=tuple(zip(r_blocks, mats)), dim=d), weights
+    m1 = np.zeros(maps.k_inside.shape, dtype=complex)
+    m1[maps.k_inside] = gram[maps.k_at]
+    k = np.conj(m1).sum(axis=0, initial=0.0).ravel()
+    weights = gram[maps.w_at].real.reshape(d, d).copy()
+    r = np.zeros(maps.r_inside.shape, dtype=complex)
+    r[maps.r_inside] = gram[maps.r_at]
+    r[maps.same_bd] -= 0.5 * k[maps.k_ac]
+    r[maps.same_ac] -= 0.5 * k[maps.k_db]
+    mats = (
+        m.reshape(blk.rows.size, blk.rows.size)
+        for m, blk in zip(np.split(r, maps.ends), maps.r_blocks)
+    )
+    return Superoperator(blocks=tuple(zip(maps.r_blocks, mats)), dim=d), weights
 
 
-def _add_runs(acc, dephasing, blocks: Sequence[SecularBlock], b, gammas, y) -> int:
+def _add_runs(acc, dephasing, pops, b, gammas, y) -> int:
     """Add the Grams of the jumps gamma_p, y_p into acc, and their D into dephasing.
 
     y_p holds jump p's entries on block b_p (at its rows, cols) and the
     jumps come block-major, so each run of one block costs one Gram
-    product, added into that block's accumulator acc[b_p]. A jump is kept
-    only when its total rate gamma_p ||L_p||_F^2 on its block is positive,
-    so every counted jump carries rate. Returns the number kept.
+    product, added into that block's accumulator acc[b_p]; pops[b_p] are
+    the block's population positions. A jump is kept only when its total
+    rate gamma_p ||L_p||_F^2 on its block is positive, so every counted
+    jump carries rate. Returns the number kept.
     """
     keep = gammas * (y.real**2 + y.imag**2).sum(axis=1) > 0.0
-    b, gammas, y = b[keep], gammas[keep], y[keep]
+    if not keep.all():
+        b, gammas, y = b[keep], gammas[keep], y[keep]
+    if not b.size:
+        return 0
     gy, yc = gammas[:, None] * y, y.conj()
-    starts = np.flatnonzero(np.diff(b, prepend=-1))
+    starts = [0, *(np.flatnonzero(b[1:] != b[:-1]) + 1).tolist()]
     for r0, r1 in zip(starts, [*starts[1:], b.size]):
-        block = blocks[b[r0]]
         # G_ij = sum_p gamma_p y_pi conj(y_pj)
         acc[b[r0]] += gy[r0:r1].T @ yc[r0:r1]
         # the w = 0 block holds every population, in state order
-        diag = y[r0:r1, block.rows == block.cols]
-        if diag.shape[1]:
+        pop = pops[b[r0]]
+        if pop.size:
+            diag = y[r0:r1, pop]
             diff = diag[:, :, None] - diag[:, None, :]
             dephasing += 0.5 * np.einsum("p,pab->ab", gammas[r0:r1], diff.real**2 + diff.imag**2)
     return b.size
+
+
+def _prefilter(channels, allow_same_mode: bool, w_modes, n_bar, window: float, block_freqs):
+    """The order-4 tasks whose target hits some block window, in task order.
+
+    Every (channel, alpha, beta) task comes in a fixed order, which defines
+    the reduction order. The kernel is exactly zero outside window, so
+    the prefilter drops only tasks that carry no weight. Each channel's
+    pairs are filtered before the channels are joined. Task p's amplitude
+    V_a W_b^{-s_b} + V_b W_a^{-s_a} is read from vstack[ja[p] // 2],
+    virt_t[ja[p]] and the same at jb[p] (ja = 2 alpha + (1 + s_a) / 2);
+    target[p] is its energy-conserving frequency, key[p] its block window
+    (_row_windows) and occ[p] its thermal factor.
+    """
+    n = w_modes.size
+    parts = []
+    for channel in channels:
+        s_a, s_b = channel_signs(channel)
+        # the target of every ordered pair (alpha, beta), at alpha * n + beta
+        target = channel_target(s_a, s_b, w_modes[:, None], w_modes[None, :]).ravel()
+        lo = np.searchsorted(block_freqs, target - window, side="left")
+        hi = np.searchsorted(block_freqs, target + window, side="right")
+        hit = hi > lo
+        if s_a != s_b:
+            # mixed signs tell absorb-alpha/emit-beta from its mirror, so
+            # they run over ordered pairs
+            flat = np.flatnonzero(hit if allow_same_mode else hit & ~np.eye(n, dtype=bool).ravel())
+        else:
+            # equal signs are pair-exchange symmetric and take alpha > beta,
+            # with the same-mode pairs (if allowed) appended
+            flat = np.flatnonzero(hit & np.tri(n, k=-1, dtype=bool).ravel())
+            if allow_same_mode:
+                same = np.arange(n) * (n + 1)
+                flat = np.concatenate([flat, same[hit[same]]])
+        ia, ib = np.divmod(flat, n)
+        parts.append((
+            2 * ia + (1 + s_a) // 2, 2 * ib + (1 + s_b) // 2, target[flat],
+            lo[flat] * (block_freqs.size + 1) + hi[flat],
+            channel_occupation(s_a, s_b, n_bar[ia], n_bar[ib]),
+        ))
+    if not parts:
+        none = np.zeros(0, dtype=np.intp)
+        return none, none, np.zeros(0), none, np.zeros(0)
+    return tuple(x[0] if len(x) == 1 else np.concatenate(x) for x in zip(*parts))
+
+
+def _row_windows(blocks: SecularPartition, key, dim: int):
+    """The amplitude rows each task reads, and where its block entries sit in them.
+
+    A task whose target hits the block window [lo, hi), key lo * (number
+    of blocks + 1) + hi, reads term 1's product at the rows of those
+    blocks and term 2's at their cols. Tasks are keyed by window: win[p]
+    is task p's window, [w_lo[w], w_hi[w]) window w's blocks. For term k
+    (0: rows, 1: cols), window w's sorted rows are
+    rows[k][first[k][w]:][:count[k][w]]. The pair (w, block g) has index
+    wg0[w] + g - w_lo[w] in tables[s][k], which holds the block's entries
+    as flat offsets into the window's compacted product (row position *
+    dim + column). None of this depends on the temperature.
+    """
+    keys, win = np.unique(key, return_inverse=True)
+    w_lo, w_hi = np.divmod(keys, len(blocks) + 1)
+    wg0 = np.cumsum(w_hi - w_lo) - (w_hi - w_lo)
+    tables = {
+        s: np.zeros((2, int((w_hi - w_lo).sum()), s), dtype=np.intp)
+        for s in sorted({b.rows.size for b in blocks})
+    }
+    rows = ([], [])
+    for w, (l0, l1) in enumerate(zip(w_lo.tolist(), w_hi.tolist())):
+        members = blocks[l0:l1]
+        term1 = np.unique(np.concatenate([b.rows for b in members]))
+        term2 = np.unique(np.concatenate([b.cols for b in members]))
+        rows[0].append(term1)
+        rows[1].append(term2)
+        for g, b in enumerate(members, start=int(wg0[w])):
+            tables[b.rows.size][:, g] = (
+                np.searchsorted(term1, b.rows) * dim + b.cols,
+                np.searchsorted(term2, b.cols) * dim + b.rows,
+            )
+    count = [np.array([r.size for r in term], dtype=np.intp) for term in rows]
+    first = [np.cumsum(c) - c for c in count]
+    rows = [np.concatenate([np.zeros(0, dtype=np.intp), *term]) for term in rows]
+    return win, w_lo, w_hi, wg0, rows, first, count, tables
 
 
 def build_generator(
@@ -388,14 +527,23 @@ def build_generator(
     chunk, each run of tasks sharing alpha and its sign costs one BLAS
     product per amplitude term and piece, each block-size class one keep
     mask, each block run one Gram product, and the kernel weights one
-    array delta call. Each secular block sums its Grams in a dense
-    accumulator, off which _finalize reads R (by block), K and the pair
-    1/T1 sums; the pure-dephasing matrix D of the pair 1/T2* sums is added
-    as the w = 0 block's runs are (GeneratorResult.pair_sums). PAIR_CHUNK
-    and the task order define the order of every addition into the
-    accumulators and D, and with it every bit of the result.
+    array delta call. A task's products are computed only at the rows
+    that the blocks of its window read (_row_windows), so a run's product
+    is a stack of those rows; a run of one row is multiplied as two rows,
+    because numpy sends a one-row product down another BLAS path whose
+    bits differ. That the rows are bit for bit those of the full products
+    rests on a row of np.matmul(A, B) not depending on the other rows of
+    A (two rows or more; tests/test_generators.py checks it on the BLAS
+    at hand). Each secular block sums its Grams in a dense accumulator,
+    off which _finalize reads R (by block), K and the pair 1/T1 sums; the
+    pure-dephasing matrix D of the pair 1/T2* sums is added as the w = 0
+    block's runs are (GeneratorResult.pair_sums). PAIR_CHUNK and the task
+    order define the order of every addition into the accumulators and
+    D, and with it every bit of the result.
     jump_count counts the jumps whose rate gamma ||L||^2 is positive and
     prefilter_tasks the order-4 tasks whose target hits a block window.
+    blocks given as a SecularPartition (as secular_partition returns it)
+    keep their index maps from build to build.
 
     workers is accepted for compatibility and ignored: the array build on
     one thread is faster than any thread pool over it.
@@ -404,10 +552,9 @@ def build_generator(
         raise ValueError("order must be 2 or 4")
     vstack = _aligned_couplings(couplings, bath, es)
     dim = vstack.shape[1]
-    if blocks is None:
-        blocks = secular_partition(es, secular_tol_cm1)
-    # the prefilter bisects on block frequencies, so keep them sorted
-    blocks = sorted(blocks, key=lambda b: b.frequency_cm1)
+    # the prefilter bisects on block frequencies, so the partition keeps
+    # them sorted
+    blocks = _partition(secular_partition(es, secular_tol_cm1) if blocks is None else blocks)
     block_freqs = np.array([b.frequency_cm1 for b in blocks])
 
     w_modes = bath.frequencies_cm1
@@ -422,129 +569,133 @@ def build_generator(
         gam = RATE_PREFACTOR * g2(block_freqs, bath)
         jumps = sum(
             _add_runs(
-                acc, dephasing, blocks, np.full(len(bath.modes), i), gam_block,
+                acc, dephasing, blocks.pops, np.full(len(bath.modes), i), gam_block,
                 vstack[:, block.rows, block.cols],
             )
             for i, (block, gam_block) in enumerate(zip(blocks, gam))
         )
-        return _result_from(blocks, acc, dephasing, jumps, dim)
+        return _result_from(blocks, acc, dephasing, jumps)
 
-    # the kernel is exactly zero outside this window, so the prefilter
-    # drops only tasks that carry no weight
-    window = pol.window_cm1
-    # every (channel, alpha, beta) task in a fixed order, which defines the
-    # reduction order; keep those whose target hits some block window
-    tasks = [np.zeros((4, 0), dtype=int)]
-    for channel in channels:
-        signs = channel_signs(channel)
-        ia, ib = _mode_pairs(signs, len(bath.modes), allow_same_mode)
-        tasks.append(np.stack([np.full(ia.size, signs[0]), np.full(ia.size, signs[1]), ia, ib]))
-    s_a, s_b, ia, ib = np.concatenate(tasks, axis=1)
-    del tasks
-    target = channel_target(s_a, s_b, w_modes[ia], w_modes[ib])
-    lo = np.searchsorted(block_freqs, target - window, side="left")
-    hi = np.searchsorted(block_freqs, target + window, side="right")
-    hit = hi > lo
-    s_a, s_b, ia, ib, target, lo, hi = (x[hit] for x in (s_a, s_b, ia, ib, target, lo, hi))
-    occ = channel_occupation(s_a, s_b, n_bar[ia], n_bar[ib])
+    ja, jb, target, key, occ = _prefilter(
+        channels, allow_same_mode, w_modes, n_bar, pol.window_cm1, block_freqs
+    )
 
     # virt_t[2 m + k] = (W^{m,s})^T with s = +1 (k = 0) or -1 (k = 1), built
-    # one sign at a time and only for the (mode, sign) pairs in use: the
-    # task amplitude is V_a W_b^{-s_b} + V_b W_a^{-s_a}, which task p reads
-    # from virt_t[ja[p]] and virt_t[jb[p]]
-    ja, jb = 2 * ia + (1 + s_a) // 2, 2 * ib + (1 + s_b) // 2
-    del s_a, s_b
+    # a few modes at a time and only for the (mode, sign) pairs in use
     used = np.zeros(2 * len(bath.modes), dtype=bool)
     used[ja] = used[jb] = True
     virt_t = np.zeros((2 * len(bath.modes), dim, dim), dtype=complex)
     for k in (0, 1):
-        m = np.flatnonzero(used[k::2])
-        if m.size:
+        modes = np.flatnonzero(used[k::2])
+        for i in range(0, modes.size, VIRT_MODES):
+            m = modes[i : i + VIRT_MODES]
             virt_t[2 * m + k] = (
                 vstack[m] / _denominators(es.energies_cm1, w_modes[m], 1 - 2 * k, regularizer_cm1)
             ).transpose(0, 2, 1)
 
-    # the blocks of one size s form a class whose amplitude entries a
-    # piece's product gives through one gather, at the flat d x d
-    # positions of each block's pairs: tables[s][0] holds them, and
-    # tables[s][1] the transposed ones
+    # term 1, V_b W_a, is read at its blocks' rows and term 2, (V_a W_b)^T,
+    # at their cols: per window, the rows of both and the blocks' entries
+    # in them (one table per block-size class s)
+    win, w_lo, w_hi, wg0, rows, first, count, tables = _row_windows(blocks, key, dim)
+    del key
     sizes = np.array([b.rows.size for b in blocks])
-    tables = {s: np.zeros((2, len(blocks), s), dtype=np.intp) for s in sorted(set(sizes))}
-    for i, block in enumerate(blocks):
-        tables[block.rows.size][:, i] = block.rows * dim + block.cols, block.cols * dim + block.rows
+    # the operand rows come from these stacks: term 1 from V_b, term 2
+    # from W_b^T (row r of matrix j is row j * dim + r)
+    sources = (vstack.reshape(-1, dim), virt_t.reshape(-1, dim))
 
     # fresh temporaries per piece cost page faults, so each piece's
-    # factors and products reuse two buffers; the gathers clip because
-    # mode="raise" buffers out (the indices are in range by construction).
+    # factors and products reuse two buffers, of the most rows a piece
+    # reads (top) and one spare row for the two-row products; the gathers
+    # clip because mode="raise" buffers out (the indices are in range by
+    # construction).
     # A run of tasks with one ja shares alpha and its sign, so V_a and
     # W_a^{-s_a} are one matrix, and each term is one tall product: the
-    # stack of W_b^T against V_a^T, which gives (V_a W_b)^T, and the stack
-    # of V_b against W_a. Term 2's entries are gathered at the transposed
-    # positions before term 1 reuses the buffer, then term 1's are added;
-    # the bits equal those of the stacked V_a W_b + V_b W_a. A run ends
-    # where ja changes and at every chunk and piece start.
-    piece = min(AMPLITUDE_PIECE, PAIR_CHUNK, ia.size)
-    operand, product = np.empty((2, piece, dim, dim), dtype=complex)
+    # stack of W_b^T rows against V_a^T, which gives rows of (V_a W_b)^T,
+    # and the stack of V_b rows against W_a. Term 2's entries are gathered
+    # before term 1 reuses the buffer, then term 1's are added; the bits
+    # equal those of the stacked V_a W_b + V_b W_a. A run ends where ja
+    # changes and at every chunk and piece start.
+    piece = min(AMPLITUDE_PIECE, PAIR_CHUNK, ja.size)
+    cut = np.arange(ja.size) % PAIR_CHUNK % max(piece, 1) == 0
+    pieces = np.flatnonzero(cut)
+    top = max(np.add.reduceat(cnt[win], pieces).max() for cnt in count) if pieces.size else 0
+    operand, product = np.zeros((2, top + 1, dim), dtype=complex)
     flat_product = product.reshape(-1)
-    cut = np.arange(ia.size) % PAIR_CHUNK % max(piece, 1) == 0
     cut[1:] |= ja[1:] != ja[:-1]
     run_starts = np.flatnonzero(cut)
+    # each run's alpha and sign, and the right factors V_a^T and W_a
+    run_ja = ja[run_starts].tolist()
+    vstack_t, virt_w = vstack.transpose(0, 2, 1), virt_t.transpose(0, 2, 1)
     jumps = 0
-    for start in range(0, ia.size, PAIR_CHUNK):
+    for start in range(0, ja.size, PAIR_CHUNK):
         c = slice(start, start + PAIR_CHUNK)
-        n = ia[c].size
+        n = ja[c].size
         # every (block, task) hit of the chunk, block-major with the tasks
         # in order, and the kernel weights of all of them in one delta call
-        span = np.arange(lo[c].min(), hi[c].max())[:, None]
-        b_hit, t_hit = np.nonzero((lo[c] <= span) & (span < hi[c]))
+        wc = win[c]
+        lo, hi = w_lo[wc], w_hi[wc]
+        span = np.arange(lo.min(), hi.max())[:, None]
+        b_hit, t_hit = np.nonzero((lo <= span) & (span < hi))
         b_hit += span[0, 0]
         gam = RATE_PREFACTOR * delta(block_freqs[b_hit], target[c][t_hit], pol) * occ[c][t_hit]
+        wg_hit = wg0[wc][t_hit] + b_hit - lo[t_hit]
+        # per term: the operand's source rows for the chunk's tasks in
+        # order, and where each task's rows start (edge[k][t]) and, in its
+        # piece's product, the flat offset of its first row (at0[k])
+        picks, edge, at0 = [], [], []
+        for k, src in enumerate((jb[c] // 2, jb[c])):
+            cnt = count[k][wc]
+            e = np.concatenate([[0], np.cumsum(cnt)])
+            pos = np.repeat(first[k][wc] - e[:-1], cnt) + np.arange(e[-1])
+            picks.append(np.repeat(src * dim, cnt) + rows[k][pos])
+            edge.append(e.tolist())
+            at0.append((e[:-1] - e[: n : piece].repeat(piece)[:n]) * dim)
+        at0 = np.array(at0)
         # per class, its hits sorted by task (so a piece's hits are one
         # slice), their entries ys and their positions in the product buffer
         classes = []
         for s, table in tables.items():
             cls = np.flatnonzero(sizes[b_hit] == s)
             by_task = np.argsort(t_hit[cls], kind="stable")
-            t_cls, b_cls = t_hit[cls][by_task], b_hit[cls][by_task]
+            t_cls, wg_cls = t_hit[cls][by_task], wg_hit[cls][by_task]
             cuts = np.searchsorted(t_cls, range(0, n + piece, piece)).tolist()
-            at = (t_cls % piece * dim * dim)[:, None] + table[:, b_cls]
+            at = at0[:, t_cls, None] + table[:, wg_cls]
             classes.append((cls, by_task, cuts, at, np.empty((cls.size, s), dtype=complex)))
-        for k, p0 in enumerate(range(start, start + n, piece)):
+        for q, p0 in enumerate(range(start, start + n, piece)):
             p1 = min(p0 + piece, start + n)
             i0, i1 = np.searchsorted(run_starts, (p0, p1))
-            edges = [*(run_starts[i0:i1] - p0).tolist(), p1 - p0]
-            runs = list(zip(edges[:-1], edges[1:]))
-            # term 2, (V_a W_b)^T = W_b^T V_a^T, lands in ys first
-            np.take(virt_t, jb[p0:p1], axis=0, mode="clip", out=operand[: p1 - p0])
-            for r0, r1 in runs:
-                np.matmul(
-                    operand[r0:r1].reshape(-1, dim), vstack[ia[p0 + r0]].T,
-                    out=product[r0:r1].reshape(-1, dim),
+            tasks = [*(run_starts[i0:i1] - start).tolist(), p1 - start]
+            # term 2 (k = 1), (V_a W_b)^T = W_b^T V_a^T, lands in ys first;
+            # then term 1 (k = 0), V_b W_a, is added
+            for k in (1, 0):
+                e = edge[k]
+                base, end = e[p0 - start], e[p1 - start]
+                np.take(
+                    sources[k], picks[k][base:end], axis=0, mode="clip", out=operand[: end - base]
                 )
-            for _, _, cuts, at, ys in classes:
-                sl = slice(cuts[k], cuts[k + 1])
-                np.take(flat_product, at[1, sl], mode="clip", out=ys[sl])
-            # then term 1, V_b W_a, is added
-            np.take(vstack, ib[p0:p1], axis=0, mode="clip", out=operand[: p1 - p0])
-            for r0, r1 in runs:
-                np.matmul(
-                    operand[r0:r1].reshape(-1, dim), virt_t[ja[p0 + r0]].T,
-                    out=product[r0:r1].reshape(-1, dim),
-                )
-            for _, _, cuts, at, ys in classes:
-                sl = slice(cuts[k], cuts[k + 1])
-                ys[sl] += flat_product[at[0, sl]]
+                for t0, t1, j in zip(tasks[:-1], tasks[1:], run_ja[i0:i1]):
+                    # two rows at least: see the docstring
+                    r0 = e[t0] - base
+                    r1 = max(e[t1] - base, r0 + 2)
+                    right = vstack_t[j // 2] if k else virt_w[j]
+                    np.matmul(operand[r0:r1], right, out=product[r0:r1])
+                for _, _, cuts, at, ys in classes:
+                    sl = slice(cuts[q], cuts[q + 1])
+                    if k:
+                        np.take(flat_product, at[1, sl], mode="clip", out=ys[sl])
+                    else:
+                        ys[sl] += flat_product[at[0, sl]]
         for cls, by_task, _, _, ys in classes:
             y = np.empty_like(ys)
             y[by_task] = ys
-            jumps += _add_runs(acc, dephasing, blocks, b_hit[cls], gam[cls], y)
-    return _result_from(blocks, acc, dephasing, jumps, dim, ia.size)
+            jumps += _add_runs(acc, dephasing, blocks.pops, b_hit[cls], gam[cls], y)
+    return _result_from(blocks, acc, dephasing, jumps, ja.size)
 
 
 def _result_from(
-    blocks, acc, dephasing, jumps: int, dim: int, prefilter_tasks: int = 0
+    blocks: Sequence[SecularBlock], acc, dephasing, jumps: int, prefilter_tasks: int = 0
 ) -> GeneratorResult:
-    sup, weights = _finalize(blocks, acc, dim)
+    sup, weights = _finalize(_partition(blocks), acc)
     defect = sup.trace_defect()
     if defect > 1e-10:
         raise RuntimeError(f"generator violates trace preservation: {defect:.3e}")

@@ -15,11 +15,13 @@ import time
 from collections import Counter
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from ._version import __version__ as _pkg_version
 from .bath import BathConfig
 from .config import FitRequest, RunConfig
 from .constants import C_CM_S, KB_CM1_PER_K, MU_B_CM1_PER_T
-from .coupling import CouplingOperator, from_raw_matrix
+from .coupling import CouplingOperator, from_raw_matrices
 from .dynamics import FitResult, RateReport, extract_tau, fit_regimes, pair_sums_to_times
 from .generators import PairRateSums, build_generator, secular_partition
 from .spin_model import (
@@ -102,7 +104,7 @@ class PointEngine:
                 "are too small or do not oppose"
             )
         self.blocks = secular_partition(self.es, config.secular_tol_cm1)
-        self.couplings = tuple(self._coupling(spec) for spec in config.coupling_specs)
+        self.couplings = self._coupling()
         self.timers = {
             "prepare_s": time.perf_counter() - t0, "generate_s": 0.0, "extract_s": 0.0
         }
@@ -110,14 +112,28 @@ class PointEngine:
         # prefilter, and the jumps among them that carry rate
         self.counts = Counter()
 
-    def _coupling(self, spec) -> CouplingOperator:
-        if spec.terms is not None:
-            matrix, basis = stevens_sum(spec.terms, self.model.angular_momentum), "mj"
-        else:
-            matrix, basis = spec.matrix, spec.matrix_basis
-        if basis == "mj" and self.frame is not None:
-            matrix = self.frame @ matrix @ self.frame.conj().T
-        return from_raw_matrix(matrix, basis, self.es, mode_index=spec.mode_index)
+    def _coupling(self) -> tuple[CouplingOperator, ...]:
+        """Every coupling operator in the eigenbasis, in one stacked pass per basis."""
+        specs = self.config.coupling_specs
+        matrices, by_basis = [], {}
+        for i, spec in enumerate(specs):
+            if spec.terms is not None:
+                matrix, basis = stevens_sum(spec.terms, self.model.angular_momentum), "mj"
+            else:
+                matrix, basis = spec.matrix, spec.matrix_basis
+            matrices.append(matrix)
+            by_basis.setdefault(basis, []).append(i)
+        out = [None] * len(specs)
+        for basis, picked in by_basis.items():
+            stack = np.stack([matrices[i] for i in picked])
+            if basis == "mj" and self.frame is not None:
+                stack = self.frame @ stack @ self.frame.conj().T
+            ops = from_raw_matrices(
+                stack, basis, self.es, mode_indices=[specs[i].mode_index for i in picked]
+            )
+            for i, op in zip(picked, ops):
+                out[i] = op
+        return tuple(out)
 
     def rates(
         self, temperature_k: float, orders, config: RunConfig | None = None

@@ -1,8 +1,16 @@
+import logging
+
 import numpy as np
 import pytest
 
 from spinphonon.angular import AngularMomentum
-from spinphonon.coupling import basis_tag, from_raw_matrix, from_stevens_derivatives
+from spinphonon.coupling import (
+    STACK_MODES,
+    basis_tag,
+    from_raw_matrices,
+    from_raw_matrix,
+    from_stevens_derivatives,
+)
 from spinphonon.spin_model import SpinModel, StevensTerm, eigensystem_for
 from spinphonon.stevens import build_stevens_operator
 
@@ -48,6 +56,43 @@ def test_raw_matrix_hermiticity_guard():
     v[0, 1] = 1.0  # strongly non-Hermitian
     with pytest.raises(ValueError):
         from_raw_matrix(v, "mj", ES)
+
+
+def _hermitian(rng, d):
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return m + m.conj().T
+
+
+def test_raw_matrices_in_one_stack_match_each_matrix_alone():
+    # more matrices than one step of the stacked pass, in both bases: the
+    # same bits as symmetrizing and conjugating each matrix on its own
+    rng = np.random.default_rng(3)
+    mats = np.stack([_hermitian(rng, 4) for _ in range(STACK_MODES + 3)])
+    mats[1, 0, 1] += 1e-9  # symmetrized silently
+    u = ES.eigenvectors
+    for basis in ("mj", "eigen"):
+        ops = from_raw_matrices(mats, basis, ES, mode_indices=range(10, 10 + len(mats)))
+        assert [op.mode_index for op in ops] == list(range(10, 10 + len(mats)))
+        for op, m in zip(ops, mats):
+            ref = 0.5 * (m + m.conj().T)
+            if basis == "mj":
+                ref = u.conj().T @ ref @ u
+                ref = 0.5 * (ref + ref.conj().T)
+            assert np.array_equal(op.matrix, ref)
+            assert op.basis == basis_tag(ES)
+
+
+def test_raw_matrices_name_the_mode_they_warn_about_or_refuse(caplog):
+    rng = np.random.default_rng(4)
+    mats = np.stack([_hermitian(rng, 4) for _ in range(3)])
+    mats[1, 0, 1] += 1e-7
+    with caplog.at_level(logging.WARNING, logger="spinphonon.coupling"):
+        from_raw_matrices(mats, "mj", ES, mode_indices=[4, 7, 9])
+    assert len(caplog.records) == 1
+    assert "mode 7" in caplog.records[0].getMessage()
+    mats[2, 1, 0] += 1e-3
+    with pytest.raises(ValueError, match="mode 9"):
+        from_raw_matrices(mats, "mj", ES, mode_indices=[4, 7, 9])
 
 
 def test_basis_tag_distinguishes_eigensystems():

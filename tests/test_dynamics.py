@@ -123,7 +123,7 @@ def test_pair_t2_two_state_closed_form():
     # here on one whole block
     m1 = sum(j.gamma * np.outer(j.matrix.ravel(), j.matrix.ravel().conj()) for j in jumps)
     # hops have no diagonal elements, so no pure dephasing
-    sums = _result_from([whole_block(2)], [m1], np.zeros((2, 2)), len(jumps), 2).pair_sums(0, 1)
+    sums = _result_from([whole_block(2)], [m1], np.zeros((2, 2)), len(jumps)).pair_sums(0, 1)
     _, t2, _ = pair_sums_to_times(sums)
     # coherence decays at half the population exchange rate
     assert t2 == pytest.approx(2.0 / (up + down), rel=1e-12)

@@ -22,6 +22,7 @@ from spinphonon.generators import (
     secular_partition,
 )
 from spinphonon.angular import AngularMomentum
+from spinphonon.runner import PointEngine
 from spinphonon.spin_model import SpinModel, StevensTerm, eigensystem_for
 
 ALL_CHANNELS = ("absorption_emission", "double_absorption", "double_emission")
@@ -292,6 +293,54 @@ def test_order4_bits_do_not_depend_on_the_amplitude_piece(
         assert res.jump_count == ref.jump_count
 
 
+def test_order4_bits_hold_where_tasks_read_one_amplitude_row(j15_2_config, monkeypatch):
+    # at 0.3 T with a 0.05 cm^-1 kernel, 10 of j15_2's 12 tasks read a
+    # single row of their products, so runs of one row occur at every piece
+    # size; each is multiplied as two rows (the two-row guard in the
+    # generators module docstring), and the bits do not depend on the piece
+    cfg = j15_2_config
+    eng = PointEngine(cfg, (0.0, 0.0, 0.3))
+    bath = BathConfig(
+        modes=cfg.modes, temperature_k=6.0,
+        broadening=replace(cfg.broadening, width_cm1=0.05),
+    )
+    kw = dict(blocks=eng.blocks, regularizer_cm1=cfg.regularizer_cm1)
+    jumps = _oracle_jumps(4, eng, bath)
+    _assert_build_matches(eng, 4, bath, cfg.channels, False, jumps,
+                          oracles.lindblad_from_jumps(jumps, eng.es.dim))
+    ref = build_generator(4, eng.couplings, bath, eng.es, **kw)
+    assert ref.prefilter_tasks == 12 and ref.jump_count > 0
+    for piece in (1, 2, 3):
+        monkeypatch.setattr(generators, "AMPLITUDE_PIECE", piece)
+        res = build_generator(4, eng.couplings, bath, eng.es, **kw)
+        assert np.array_equal(res.superoperator.dense(), ref.superoperator.dense()), piece
+        assert np.array_equal(res.weights, ref.weights), piece
+        assert np.array_equal(res.dephasing, ref.dephasing), piece
+        assert res.jump_count == ref.jump_count
+
+
+@pytest.mark.parametrize("d", [4, 16])
+def test_matmul_rows_do_not_depend_on_the_other_rows(d):
+    # the order-4 build multiplies only the amplitude rows that its blocks
+    # read, and its bits rest on this property of the BLAS: rows of
+    # A[sel] @ B are those of A @ B for any sel of two rows or more, with B
+    # contiguous or transposed, and into an out buffer as the build does
+    rng = np.random.default_rng(d)
+    a = rng.normal(size=(8 * d, d)) + 1j * rng.normal(size=(8 * d, d))
+    b = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    out = np.empty_like(a)
+    for right in (b, b.T):
+        full = a @ right
+        for size in [2, 3, *rng.integers(2, a.shape[0] + 1, size=40)]:
+            sel = np.sort(rng.choice(a.shape[0], size=size, replace=False))
+            np.matmul(a[sel], right, out=out[:size])
+            assert np.array_equal(out[:size], full[sel]), (
+                f"this BLAS rounds a row of a matrix product differently with other rows "
+                f"(d = {d}, {size} rows); the order-4 build's row windows rely on it "
+                "(see the spinphonon.generators module docstring, 'Row windows')"
+            )
+
+
 def test_generator_is_stored_whole_where_the_tolerance_chains_frequencies(j15_2_engine):
     # at 8 cm^-1 the j15_2 Bohr frequencies chain into 11 clusters, and R
     # has entries between two of them; stored as one whole block, every
@@ -319,6 +368,25 @@ def test_generator_is_stored_whole_where_the_tolerance_chains_frequencies(j15_2_
     assert block.rows.size == d * d
     assert np.abs(res.superoperator.dense() - ref).max() <= 1e-12 * np.abs(ref).max()
     assert res.jump_count == len(jumps)
+
+
+def test_partition_index_maps_are_made_once_and_change_no_bit(j15_2_engine):
+    # a SecularPartition keeps the maps _finalize and _add_runs read from
+    # build to build; blocks given as a plain list get fresh ones
+    eng = j15_2_engine
+    bath = bath_for(eng.config, 9.5)
+    blocks = secular_partition(eng.es)
+    kw = dict(regularizer_cm1=eng.config.regularizer_cm1)
+    first = build_generator(4, eng.couplings, bath, eng.es, blocks=blocks, **kw)
+    maps, pops = blocks.gram_maps, blocks.pops
+    build_generator(2, eng.couplings, bath, eng.es, blocks=blocks, **kw)
+    again = build_generator(4, eng.couplings, bath, eng.es, blocks=blocks, **kw)
+    assert blocks.gram_maps is maps and blocks.pops is pops
+    fresh = build_generator(4, eng.couplings, bath, eng.es, blocks=list(blocks), **kw)
+    for res in (again, fresh):
+        assert np.array_equal(res.superoperator.dense(), first.superoperator.dense())
+        assert np.array_equal(res.weights, first.weights)
+        assert np.array_equal(res.dephasing, first.dephasing)
 
 
 def test_generators_add_block_by_block_on_the_same_blocks_only(four_level_engine):
