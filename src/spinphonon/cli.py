@@ -21,7 +21,16 @@ from .bath import DEFAULT_CUTOFF_SIGMAS, BroadeningPolicy
 from .config import DeckValidationError, load_config
 from .dynamics import AmbiguousEigenvectorError
 from .generators import BasisMismatchError, SingularityError
-from .runner import PointEngine, SweepPointError, _fmt, _provenance, log_stage_times, run_sweep
+from .runner import (
+    Point,
+    PointEngine,
+    SweepPointError,
+    _fmt,
+    _provenance,
+    compute_points,
+    log_stage_times,
+    run_sweep,
+)
 from .spin_model import DiagonalizationError, InternalConsistencyError
 
 log = logging.getLogger(__name__)
@@ -108,10 +117,11 @@ def _cmd_run(args) -> int:
 
 
 def _scan(config, values, label, out_name, args) -> int:
-    """Shared scan loop: one sweep point per knob value, on one prepared engine.
+    """Shared scan: one point per knob value, on one prepared engine.
 
     The knobs (regularizer, kernel width) change no eigensystem, coupling
-    or secular block, so the engine is prepared once for the whole scan.
+    or secular block, so the engine is prepared once for the whole scan,
+    and runner.compute_points computes its points as it does a sweep's.
     """
     order = args.order if args.order is not None else max(config.orders)
     temperature = (
@@ -126,13 +136,12 @@ def _scan(config, values, label, out_name, args) -> int:
         engine = PointEngine(config)
     except Exception as exc:
         raise SweepPointError(f"preparing the scan: {exc}") from exc
-    for value, cfg in values:
-        try:
-            rep = engine.rates(temperature, (order,), cfg)[order]
-        except Exception as exc:
-            raise SweepPointError(
-                f"at {label}={value!r}, temperature_K={temperature!r}: {exc}"
-            ) from exc
+    points = [
+        Point(temperature, (order,), f"{label}={value!r}, temperature_K={temperature!r}", cfg)
+        for value, cfg in values
+    ]
+    for (value, _), reports in zip(values, compute_points(engine, points)):
+        rep = reports[order]
         lines.append(",".join([_fmt(value)] + [_fmt(getattr(rep, f)) for f in SCAN_COLUMNS]))
     # the provenance lines (config_hash) are part of the timed write
     t0 = time.perf_counter()

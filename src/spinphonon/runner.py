@@ -4,16 +4,28 @@ The sweep walks fields (outer), temperatures, then orders, so a 10
 temperature deck with orders=both yields 20 CSV rows. The order-4 row is
 cumulative: R = R2 + R4, and the T1/T2*/T2 rate sums are added the same
 way before inversion.
+
+The points of one field (its temperatures, or a scan's knob values) are
+independent, and compute_points is the one loop over them. It computes
+the first point itself; when the rest would take at least POOL_MIN_WORK_S
+at that pace and the process may use two or more CPUs, it forks up to one
+worker per CPU (never more than the points left), which inherit the
+prepared PointEngine and compute the remaining points by index. Each point
+is the same one-BLAS-thread computation on the same inputs in whichever
+process runs it, so the results, returned in point order, are bitwise the
+same whether or not a pool ran; stage times are summed over processes.
 """
 
 import logging
 import math
 import os
+import pickle
 import resource
 import sys
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -34,6 +46,11 @@ from .spin_model import (
 
 log = logging.getLogger(__name__)
 
+# The points after a field's first go to a pool only when, at the first
+# point's pace, they would take at least this long: about five times what
+# starting the pool costs, so decks whose whole sweep is cheaper stay serial.
+POOL_MIN_WORK_S = 0.25
+
 CSV_COLUMNS = ("temperature_K", "order", "tau_s", "t1_s", "t2_s", "t2star_s", "overlap_score")
 FIELD_COLUMNS = ("field_T_x", "field_T_y", "field_T_z")
 
@@ -47,6 +64,23 @@ _RATE_OF = {
 
 class SweepPointError(RuntimeError):
     """A sweep point or fit failed; the message names the point or fits[i]."""
+
+
+class WorkerError(RuntimeError):
+    """Stands in for a worker's exception that does not survive pickling.
+
+    str() is the original exception's message, so the SweepPointError that
+    names the point reads as it would have in the parent; type_name keeps
+    its class.
+    """
+
+    def __init__(self, type_name: str, message: str):
+        super().__init__(type_name, message)
+        self.type_name = type_name
+        self.message = message
+
+    def __str__(self) -> str:
+        return self.message
 
 
 @dataclass(frozen=True)
@@ -192,28 +226,178 @@ class PointEngine:
         )
 
 
+@dataclass(frozen=True)
+class Point:
+    """One point of a sweep or scan on a prepared engine.
+
+    where names the point in a SweepPointError ("at {where}: ..."); config,
+    if given, is passed on to PointEngine.rates.
+    """
+
+    temperature_k: float
+    orders: tuple[int, ...]
+    where: str
+    config: RunConfig | None = None
+
+
+def compute_points(engine: PointEngine, points: Sequence[Point]) -> list[dict[int, RateReport]]:
+    """Each point's rate reports, in point order.
+
+    The first point runs here. The rest run in forked workers when
+    _pool_workers says they are worth it, else here too; either way the
+    first failure in point order is raised as a SweepPointError naming its
+    point, and no worker outlives the call. Worker time and counts are
+    added to engine.timers and engine.counts, and counts["workers"] counts
+    the workers started.
+    """
+    busy = engine.timers["generate_s"] + engine.timers["extract_s"]
+    out = [_compute(engine, points[0])]
+    first_s = engine.timers["generate_s"] + engine.timers["extract_s"] - busy
+    workers = _pool_workers(len(points) - 1, first_s)
+    if workers:
+        return out + _in_workers(engine, points, workers)
+    return out + [_compute(engine, p) for p in points[1:]]
+
+
+def _compute(engine: PointEngine, point: Point) -> dict[int, RateReport]:
+    try:
+        return engine.rates(point.temperature_k, point.orders, point.config)
+    except Exception as exc:
+        raise _point_error(point, exc) from exc
+
+
+def _point_error(point: Point, exc: Exception) -> SweepPointError:
+    return SweepPointError(f"at {point.where}: {exc}")
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on; 1 where the platform cannot say."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity is not None else 1
+
+
+def _pool_workers(remaining: int, first_s: float) -> int:
+    """Workers for the points after the first: min(CPUs, remaining), or 0
+    (serial) unless at least two remain, two CPUs are usable, fork exists
+    and the remaining work, at the first point's pace, is POOL_MIN_WORK_S
+    or more."""
+    if remaining < 2 or first_s * remaining < POOL_MIN_WORK_S:
+        return 0
+    cpus = usable_cpus()
+    if cpus < 2:
+        return 0
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 0
+    return min(cpus, remaining)
+
+
+def _in_workers(
+    engine: PointEngine, points: Sequence[Point], workers: int
+) -> list[dict[int, RateReport]]:
+    """Points 1.. of points from a pool of forked workers, in point order.
+
+    Workers inherit engine and points when they fork and are sent only
+    indices. "fork" is asked for by name: spawn would pickle the engine
+    into each worker, and the default start method is not fork everywhere.
+    With fork the executor starts every worker before its own thread, so
+    no fork happens while a thread of it runs.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_adopt,
+        initargs=(engine, points),
+    )
+    try:
+        futures = [pool.submit(_worker_point, i) for i in range(1, len(points))]
+        out = []
+        for point, future in zip(points[1:], futures):
+            reports, error, timers, counts = future.result()
+            if error is not None:
+                raise _point_error(point, error) from error
+            for key, seconds in timers.items():
+                engine.timers[key] += seconds
+            engine.counts.update(counts)
+            out.append(reports)
+        return out
+    finally:
+        # the points not yet started are dropped, and every worker is joined
+        pool.shutdown(wait=True, cancel_futures=True)
+        engine.counts["workers"] += workers
+
+
+# (engine, points) inside a forked worker, set once by _adopt; the parent
+# never sets it
+_adopted: tuple[PointEngine, Sequence[Point]] | None = None
+
+
+def _adopt(engine: PointEngine, points: Sequence[Point]) -> None:
+    global _adopted
+    _adopted = engine, points
+
+
+def _worker_point(index: int):
+    """Run points[index] in a worker: its reports or its error (one the
+    parent can unpickle), and what it added to the engine's timers and
+    counts."""
+    engine, points = _adopted
+    point = points[index]
+    timers, counts = dict(engine.timers), Counter(engine.counts)
+    reports = error = None
+    try:
+        reports = engine.rates(point.temperature_k, point.orders, point.config)
+    except Exception as exc:
+        error = _portable(exc)
+    spent = {key: engine.timers[key] - timers[key] for key in timers}
+    return reports, error, spent, engine.counts - counts
+
+
+def _portable(exc: Exception) -> Exception:
+    """exc if it comes back from pickling, else a WorkerError with its type
+    name and message: the result reader of a pool cannot survive an
+    exception it fails to unpickle."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return WorkerError(type(exc).__name__, str(exc))
+    return exc
+
+
 def log_stage_times(what: str, n_rows: int, timers: dict[str, float], counts: Counter):
-    """Log where the summed time went, engines and output writing, the
-    summed order-4 task and jump counts and the process's peak resident
-    set so far, as one INFO line."""
+    """Log where the time went, summed over the engines, their workers and
+    the output writing (so it can exceed the wall time), the processes
+    used, the summed order-4 task and jump counts, and the peak resident
+    set so far of this process and of its largest finished child, as one
+    INFO line."""
+    processes = 1 + counts["workers"]
     log.info(
-        "%s finished: %d rows; prepare %.3f s, generate %.3f s, extract %.3f s, write %.3f s; "
-        "order-4 prefilter tasks %d, jumps %d; peak RSS %.1f MB",
+        "%s finished: %d rows; prepare %.3f s, generate %.3f s, extract %.3f s, "
+        "write %.3f s, summed over %d process%s; order-4 prefilter tasks %d, jumps %d; "
+        "peak RSS %.1f MB, children %.1f MB",
         what,
         n_rows,
         timers["prepare_s"],
         timers["generate_s"],
         timers["extract_s"],
         timers["write_s"],
+        processes,
+        "es" if processes > 1 else "",
         counts["order4_tasks"],
         counts["order4_jumps"],
         peak_rss_mb(),
+        peak_rss_mb(resource.RUSAGE_CHILDREN),
     )
 
 
-def peak_rss_mb() -> float:
-    """The process's peak resident set in MB (ru_maxrss: KiB on Linux, bytes on macOS)."""
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+def peak_rss_mb(who: int = resource.RUSAGE_SELF) -> float:
+    """Peak resident set in MB of this process, or with RUSAGE_CHILDREN of
+    its largest finished child (ru_maxrss: KiB on Linux, bytes on macOS)."""
+    peak = resource.getrusage(who).ru_maxrss
     return peak / (2**20 if sys.platform == "darwin" else 2**10)
 
 
@@ -303,7 +487,8 @@ def _write_fit_report(path: str, fits, config: RunConfig, field_note: str):
 def run_sweep(config: RunConfig, *, output_dir: str = ".", workers: int | None = None) -> SweepResult:
     """Execute the deck's sweep and write the rates CSV and fit report.
 
-    workers is accepted and ignored, like the deck's numeric.workers.
+    workers is accepted and ignored, like the deck's numeric.workers: how
+    many processes compute a field's points is compute_points' choice.
     """
     fields = config.fields_t if config.fields_t is not None else (config.model.field_t,)
     sweeping_fields = config.fields_t is not None
@@ -317,13 +502,11 @@ def run_sweep(config: RunConfig, *, output_dir: str = ".", workers: int | None =
             raise
         except Exception as exc:
             raise SweepPointError(f"preparing field_T={list(field)}: {exc}") from exc
-        for temperature in config.temperatures_k:
-            try:
-                reports = engine.rates(temperature, config.orders)
-            except Exception as exc:
-                raise SweepPointError(
-                    f"at temperature_K={temperature}, field_T={list(field)}: {exc}"
-                ) from exc
+        points = [
+            Point(t, config.orders, f"temperature_K={t}, field_T={list(field)}")
+            for t in config.temperatures_k
+        ]
+        for reports in compute_points(engine, points):
             rows.extend(SweepRow(field, reports[o]) for o in config.orders)
         timers.update(engine.timers)
         counts.update(engine.counts)

@@ -1,6 +1,8 @@
 import logging
 import math
+import pickle
 import re
+import resource
 from dataclasses import replace
 
 import pytest
@@ -10,7 +12,8 @@ from conftest import DECK_PATHS, bath_for
 
 from spinphonon import cli
 from spinphonon.cli import SCAN_COLUMNS, main
-from spinphonon.config import load_config
+from spinphonon.config import DeckValidationError, load_config
+from spinphonon.dynamics import AmbiguousEigenvectorError
 from spinphonon.generators import build_generator
 from spinphonon.runner import PointEngine, _fmt, peak_rss_mb
 
@@ -254,12 +257,15 @@ def test_verbose_finished_lines_report_the_peak_resident_set(tmp_path, caplog):
     assert main(["-v", "run", deck, "--output-dir", str(tmp_path)]) == 0
     args = ["-v", "scan-regularizer", deck, "--values", "0.5", "--output-dir", str(tmp_path)]
     assert main(args) == 0
-    logged = [
-        float(mb) for mb in re.findall(r" finished: .*; peak RSS (\d+\.\d) MB$", caplog.text, re.M)
-    ]
-    assert len(logged) == 2
+    found = re.findall(
+        r" finished: .*; peak RSS (\d+\.\d) MB, children (\d+\.\d) MB$", caplog.text, re.M
+    )
+    assert len(found) == 2
+    logged = [float(mb) for mb, _ in found]
     # ru_maxrss only grows, and an interpreter with numpy holds over 10 MB
     assert 10.0 < logged[0] <= logged[1] <= peak_rss_mb() + 0.05
+    # the largest child finished so far, pool worker or not
+    assert all(float(mb) <= peak_rss_mb(resource.RUSAGE_CHILDREN) + 0.05 for _, mb in found)
 
 
 def test_scan_verbose_logs_where_the_time_went(tmp_path, caplog):
@@ -291,3 +297,20 @@ def test_scan_prepares_one_engine_and_matches_fresh_engines(tmp_path, monkeypatc
         cfg = replace(config, regularizer_cm1=value)
         rep = PointEngine(cfg).rates(config.temperatures_k[0], (4,))[4]
         assert row == ",".join([_fmt(value)] + [_fmt(getattr(rep, f)) for f in cli.SCAN_COLUMNS])
+
+
+@pytest.mark.parametrize(
+    "error",
+    [cls("a message") for cls in cli.NUMERIC_ERRORS if cls is not AmbiguousEigenvectorError]
+    + [
+        AmbiguousEigenvectorError("amplitude 0.4 < 0.5", [(-1.5 + 0.25j, 0.4), (-2.0 + 0j, 0.3)]),
+        DeckValidationError(["model.two_j: must be odd", "bath.modes_cm1: empty"]),
+    ],
+    ids=lambda e: type(e).__name__,
+)
+def test_every_refusal_survives_a_trip_through_pickle(error):
+    # a sweep's worker processes send their errors back pickled
+    back = pickle.loads(pickle.dumps(error))
+    assert type(back) is type(error) and str(back) == str(error)
+    for extra in ("table", "diagnostics"):
+        assert getattr(back, extra, None) == getattr(error, extra, None)
