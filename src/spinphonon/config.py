@@ -1,11 +1,9 @@
 """Input decks: YAML loading, schema validation, resolution to run objects.
 
-A deck is a single YAML document, read by ``_parse``, which builds the
-safe loader's dicts, lists and scalars straight from the YAML parser's
-events, with no node tree in between, reads each one-line flow sequence
-of plain floats (a matrix row) from the text with float() in place of
-one event a number, and leaves the YAML features it does not build
-(anchors, merge keys, tags on collections, ...) to the stock safe loader.
+A deck is a single YAML document, read by ``_parse`` with the stock safe
+loader, except that each one-line flow sequence of plain floats (a
+matrix row) is handed to the loader as one tagged scalar and read from
+the text with float(), in place of one node a number.
 
 The deck is validated against the bundled JSON schema
 (schema/deck.schema.json) for its structure, keys and enums, and then
@@ -28,7 +26,7 @@ import numbers
 import re
 import sys
 import time
-import types
+from array import array
 from dataclasses import dataclass
 from importlib import resources
 
@@ -527,16 +525,8 @@ def resolve(raw: dict) -> RunConfig:
     )
 
 
-# libyaml parses when PyYAML was built with it; the events are the same
+# libyaml parses when PyYAML was built with it
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-_FLOAT_TAG = "tag:yaml.org,2002:float"
-# a plain scalar whose first character is one of these tries the float
-# pattern before any other, so a match makes it a float
-_FLOAT_FIRST = frozenset(
-    c for c, resolvers in _LOADER.yaml_implicit_resolvers.items()
-    if c and resolvers[0][0] == _FLOAT_TAG
-)
-_FLOAT_PATTERN = dict(_LOADER.yaml_implicit_resolvers["."])[_FLOAT_TAG]
 # a float row entry: a plain scalar the resolver makes a float and float()
 # reads as construct_yaml_float does. A sign goes only before a digit
 # (-.5 is a string), the exponent needs its sign (1.0e5 is a string), and
@@ -544,147 +534,25 @@ _FLOAT_PATTERN = dict(_LOADER.yaml_implicit_resolvers["."])[_FLOAT_TAG]
 _ROW_NUMBER = r"(?:[-+]?[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][-+][0-9]+)?"
 # a float row: a flow sequence of such entries on one line
 _FLOAT_ROW = re.compile(rf"\[ *{_ROW_NUMBER}(?: *, *{_ROW_NUMBER})* *\]")
-# a frame's key slot in a sequence, and in a mapping before its key arrives
-_ITEM, _KEY = object(), object()
-
-
-class _StockOnly(Exception):
-    """The text needs something the event builder leaves to the stock loader."""
-
-
-def _scalar(loader, event):
-    """The value of one scalar event, as the stock loader constructs it.
-
-    float() agrees with construct_yaml_float wherever it succeeds; the
-    other float spellings (.inf, .NaN, 1:30.5) take the constructor.
-    """
-    value, tag = event.value, event.tag
-    if tag is None or tag == "!":
-        if event.implicit[0] and value[:1] in _FLOAT_FIRST and _FLOAT_PATTERN.match(value):
-            try:
-                return float(value)
-            except ValueError:
-                tag = _FLOAT_TAG
-        else:
-            tag = loader.resolve(yaml.ScalarNode, value, event.implicit)
-    construct = loader.yaml_constructors.get(tag)
-    if construct is None:  # !!merge, !!value, an unknown tag
-        raise _StockOnly
-    node = yaml.ScalarNode(tag, value, event.start_mark, event.end_mark, style=event.style)
-    try:
-        data = construct(loader, node)
-    except Exception as exc:
-        # the stock loader composes the whole document before it constructs
-        # anything, so a later syntax error wins over this one; it decides
-        raise _StockOnly from exc
-    if isinstance(data, types.GeneratorType):  # a collection tag on a scalar
-        raise _StockOnly
-    return data
-
-
-def _build(loader, text: str = "", starts=()):
-    """The single document of loader's event stream as dicts, lists and scalars.
-
-    starts are the offsets in text of the float rows that loader's stream
-    has blanked to []; each must arrive, in order, as an untagged sequence
-    value, which is then read from text with float().
-
-    Raises _StockOnly at an anchor, an alias, a tag on a collection, a
-    non-scalar key, a merge key, a second document, or a row that did not
-    arrive (it sat in a comment or in a quoted, block or plain scalar).
-    """
-    next_event = loader.get_event
-    rows = iter(starts)
-    row = next(rows, -1)
-    next_event()  # StreamStartEvent
-    if isinstance(next_event(), yaml.StreamEndEvent):
-        return None
-    # open collections, and for each the key awaiting its value
-    frames, keys = [], []
-    while True:
-        event = next_event()
-        kind = type(event)
-        if kind is yaml.ScalarEvent:
-            if event.anchor is not None:
-                raise _StockOnly
-            value = _scalar(loader, event)
-        elif kind is yaml.SequenceEndEvent or kind is yaml.MappingEndEvent:
-            keys.pop()
-            value = frames.pop()
-        elif kind is yaml.SequenceStartEvent or kind is yaml.MappingStartEvent:
-            if event.anchor is not None or event.tag is not None or keys and keys[-1] is _KEY:
-                raise _StockOnly
-            is_seq = kind is yaml.SequenceStartEvent
-            if is_seq and event.start_mark.index == row:
-                if type(next_event()) is not yaml.SequenceEndEvent:
-                    raise _StockOnly
-                value = list(map(float, text[row + 1 : text.index("]", row)].split(",")))
-                row = next(rows, -1)
-            else:
-                frames.append([] if is_seq else {})
-                keys.append(_ITEM if is_seq else _KEY)
-                continue
-        else:  # AliasEvent
-            raise _StockOnly
-        if not frames:
-            break
-        key = keys[-1]
-        if key is _ITEM:
-            frames[-1].append(value)
-        elif key is _KEY:
-            keys[-1] = value
-        else:
-            frames[-1][key] = value
-            keys[-1] = _KEY
-    if row != -1:
-        raise _StockOnly
-    next_event()  # DocumentEndEvent
-    if not isinstance(next_event(), yaml.StreamEndEvent):
-        raise _StockOnly
-    return value
-
-
-def _blank_rows(text: str, starts: list) -> bytes:
-    """text in UTF-8 with each float row blanked to [] and spaces.
-
-    Appends each row's offset to starts. A row keeps its length, so every
-    later mark (index, line, column) stays where it was in text.
-    """
-
-    def blank(match):
-        starts.append(match.start())
-        return "[]".ljust(match.end() - match.start())
-
-    return _FLOAT_ROW.sub(blank, text).encode()
-
-
-def _load_events(stream, text: str = "", starts=()):
-    loader = _LOADER(stream)
-    try:
-        return _build(loader, text, starts)
-    finally:
-        loader.dispose()
+# what _read puts in place of float row i: this tag and the scalar i
+_ROW_TAG = "!spinphonon-row"
 
 
 def _parse(text: str, stats: dict | None = None):
     """The deck's data, as yaml.load with the safe loader builds it.
 
-    The data is built from the parser's events, so no node tree is
-    composed. Each one-line flow sequence of plain floats (a matrix row,
-    modes_cm1) is blanked before the parser sees it and read from text
-    with float(), so it costs two events, not one a number. A text that
-    starts with a byte-order mark skips this row pass, because the C and
-    the pure-Python parser count their marks from different places.
+    Each one-line flow sequence of plain floats (a matrix row, modes_cm1)
+    goes to the safe loader as the scalar "!spinphonon-row i", whose
+    constructor reads row i from the text with float(). That result is
+    kept only if the load succeeds and every row is constructed, each from
+    the scalar that ends where row i's does; else (a row in a comment, a
+    string or a key, the tag spelled in the deck, a syntax error, a
+    leading byte-order mark, which libyaml leaves out of its marks) the
+    safe loader reads the unchanged text, so data and errors are its own.
 
-    On any doubt (a row that does not arrive as a sequence value, a
-    syntax error, anything _build leaves to the stock loader) the text is
-    read again unblanked, then, if _build still refuses it, by the stock
-    loader; so data and errors are the stock loader's, and a syntax error
-    is raised by the same parser at the same event. Parsing allocates
-    hundreds of thousands of floats and no reference cycles, so the
-    cyclic collector is paused, and the caller's state is restored
-    however the load ends. If stats is given, stats["float_rows"] is set
-    to the number of rows read directly.
+    The cyclic collector is paused while the floats are allocated (they
+    make no cycles) and restored however the load ends. If stats is
+    given, stats["float_rows"] is set to the number of rows read directly.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -700,16 +568,46 @@ def _parse(text: str, stats: dict | None = None):
 
 def _read(text: str):
     """_parse's data and the number of float rows it read directly."""
-    if not text.startswith("\ufeff"):
-        starts = []
-        try:
-            return _load_events(_blank_rows(text, starts), text, starts), len(starts)
-        except (_StockOnly, yaml.YAMLError, UnicodeEncodeError):
-            pass
+    # per row: where it starts in text, where its scalar ends in the tagged
+    # text, and whether it was constructed
+    starts, ends, built = array("q"), array("q"), bytearray()
+    shift = 0
+
+    def tag(match):
+        nonlocal shift
+        token = f"{_ROW_TAG} {len(starts)}"
+        shift += len(token) - len(match[0])
+        starts.append(match.start())
+        ends.append(match.end() + shift)
+        built.append(0)
+        return token
+
+    def row(loader, node):
+        k = int(node.value)
+        # only the scalar put in place of row k ends where it does: not one
+        # that merely ends with k, nor the tag spelled in the deck itself
+        if node.end_mark.index != ends[k]:
+            raise ValueError(f"{_ROW_TAG} {node.value} is not a float row")
+        built[k] = 1
+        # a row's marks outweigh its floats, and the data never needs them
+        node.start_mark = node.end_mark = None
+        start = starts[k]
+        return list(map(float, text[start + 1 : text.index("]", start)].split(",")))
+
     try:
-        return _load_events(text), 0
-    except _StockOnly:
-        return yaml.load(text, Loader=_LOADER), 0
+        # the loader keeps its own copy of the tagged text
+        loader = _LOADER(_FLOAT_ROW.sub(tag, text))
+        loader.yaml_constructors = {**loader.yaml_constructors, _ROW_TAG: row}
+        try:
+            data = loader.get_single_data()
+        finally:
+            loader.dispose()
+    except Exception:  # whatever it was, the stock loader raises it below
+        pass
+    else:
+        if all(built):
+            return data, len(built)
+    return yaml.load(text, Loader=_LOADER), 0
 
 
 def load_config(path: str) -> RunConfig:

@@ -305,7 +305,7 @@ def _in_workers(
     no fork happens while a thread of it runs.
     """
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
     pool = ProcessPoolExecutor(
         workers,
@@ -317,7 +317,12 @@ def _in_workers(
         futures = [pool.submit(_worker_point, i) for i in range(1, len(points))]
         out = []
         for point, future in zip(points[1:], futures):
-            reports, error, timers, counts = future.result()
+            try:
+                reports, error, timers, counts = future.result()
+            except BrokenProcessPool as exc:
+                # a worker died (killed by the OOM killer, say): every point
+                # not yet read is lost, and the first of them is named
+                error = exc
             if error is not None:
                 raise _point_error(point, error) from error
             for key, seconds in timers.items():

@@ -599,8 +599,18 @@ FLOAT_ROW_CASES = {
     "leading_bom": "\ufeffa: [1.0, 2.0]\n",
     "crlf_line_ends": "a: [1.0, 2.0]\r\nb:\r\n  - [3.0, -4.5e-3]\r\n",
     "lone_surrogate_after_a_row": "a: [1.0]\n# \ud800\n",
+    "row_tag_in_a_deck_value": "a: [1.0]\nb: !spinphonon-row 0\n",
+    "row_tag_in_a_comment": "a: [1.0] # !spinphonon-row 0\n",
+    "row_tag_spelled_with_escapes": "# [1.0]\na: !spinphonon%2Drow 0\n",
+    "row_tag_spelled_with_a_handle": "%TAG !r! !spinphonon-\n---\n# [1.0]\na: !r!row 0\n",
+    "underscore_after_a_row": "a: [1.0]_1\n",
+    "row_after_a_json_key": '{"a":[1.0, 2.0]}\n',
+    "row_against_a_plain_key": "{a:[1.0]}\n",
+    "row_aliased_twice": "a: &r [1.0, 2.0]\nb: *r\nc: *r\n",
+    "row_under_a_duplicate_key": "a: [1.0]\nb: 2\na: [3.0, 4.0]\n",
 }
 STOCK_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+FLOAT_TAG = "tag:yaml.org,2002:float"
 # libyaml, and the pure-Python parser PyYAML falls back to without it
 LOADERS = tuple(dict.fromkeys((STOCK_LOADER, yaml.SafeLoader)))
 
@@ -632,28 +642,27 @@ def test_deck_loader_builds_what_the_safe_loader_builds(text, monkeypatch):
 def test_a_row_number_is_a_float_the_safe_loader_reads_as_float_does(number):
     # -.5 would fail here: the resolver makes it a string, float() a number
     loader = STOCK_LOADER("")
-    assert config._FLOAT_PATTERN.match(number)
-    assert loader.resolve(yaml.ScalarNode, number, (True, False)) == config._FLOAT_TAG
-    node = yaml.ScalarNode(config._FLOAT_TAG, number)
+    assert loader.resolve(yaml.ScalarNode, number, (True, False)) == FLOAT_TAG
+    node = yaml.ScalarNode(FLOAT_TAG, number)
     assert repr(float(number)) == repr(SafeConstructor.construct_yaml_float(loader, node))
 
 
 def test_the_float_rows_of_a_matrix_deck_make_no_scalar_events(monkeypatch):
     text = _matrix_deck_text(20, seed=8)
-    scalar, values = config._scalar, []
+    construct, values = SafeConstructor.yaml_constructors[FLOAT_TAG], []
 
-    def counted(loader, event):
-        values.append(event.value)
-        return scalar(loader, event)
+    def counted(loader, node):
+        values.append(node.value)
+        return construct(loader, node)
 
-    monkeypatch.setattr(config, "_scalar", counted)
+    monkeypatch.setitem(SafeConstructor.yaml_constructors, FLOAT_TAG, counted)
     stats = {}
     data = _parse(text, stats)
-    assert _same(data, yaml.load(text, Loader=STOCK_LOADER))
     # real and imag rows of each mode, then modes_cm1 and temperatures_k
     assert stats["float_rows"] == 20 * 2 * 16 + 2
     # the one float left is in the Stevens term [2, 0, -1.0], not a row of floats
-    assert [v for v in values if config._FLOAT_PATTERN.match(v)] == ["-1.0"]
+    assert values == ["-1.0"]
+    assert _same(data, yaml.load(text, Loader=STOCK_LOADER))
 
 
 def test_deck_loader_keeps_an_anchored_row_one_object():

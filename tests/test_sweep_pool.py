@@ -8,6 +8,7 @@ that hangs fails the test instead of the suite.
 import contextlib
 import logging
 import multiprocessing
+import os
 import pathlib
 import re
 import signal
@@ -155,6 +156,30 @@ def test_an_error_the_parent_cannot_unpickle_still_names_its_point(
     )
     assert isinstance(caught[True].__cause__, runner.WorkerError)
     assert caught[True].__cause__.type_name == "TwoArgumentError"
+
+
+def test_a_worker_that_dies_exits_3_naming_its_point(tmp_path, monkeypatch, capsys, paths):
+    deck = DECK_PATHS["four_level"]
+    # the first pooled point: its result is the first the parent reads
+    doomed = load_config(deck).temperatures_k[1]
+    parent = os.getpid()
+    rates = runner.PointEngine.rates
+
+    def dying(self, temperature_k, *args):
+        if temperature_k == doomed and os.getpid() != parent:
+            os._exit(1)  # no result, as from a worker the OOM killer ends
+        return rates(self, temperature_k, *args)
+
+    monkeypatch.setattr(runner.PointEngine, "rates", dying)
+    paths.pool(True)
+    with deadline():
+        code = main(["run", str(deck), "--output-dir", str(tmp_path)])
+    assert multiprocessing.active_children() == []
+    assert code == 3
+    assert paths.started == [2]
+    err = capsys.readouterr().err
+    assert f"numeric failure: at temperature_K={doomed}, field_T=" in err
+    assert "terminated abruptly" in err
 
 
 def test_a_first_point_failure_or_a_one_point_deck_starts_no_pool(tmp_path, paths):
