@@ -18,7 +18,7 @@ import yaml
 
 from . import __version__
 from .bath import DEFAULT_CUTOFF_SIGMAS, BroadeningPolicy
-from .config import DeckValidationError, load_config
+from .config import DeckValidationError, load_config, load_echo
 from .dynamics import AmbiguousEigenvectorError
 from .generators import BasisMismatchError, SingularityError
 from .runner import (
@@ -87,12 +87,12 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def _load(path: str):
+def _load(path: str, load=load_config):
     if not os.path.exists(path):
         print(f"deck not found: {path}", file=sys.stderr)
         raise SystemExit(2)
     try:
-        return load_config(path)
+        return load(path)
     except DeckValidationError as exc:
         for d in exc.diagnostics:
             print(d, file=sys.stderr)
@@ -103,8 +103,8 @@ def _load(path: str):
 
 
 def _cmd_validate(args) -> int:
-    config = _load(args.deck)
-    print(yaml.safe_dump(config.resolved, sort_keys=False, default_flow_style=None), end="")
+    echo = _load(args.deck, load_echo)
+    print(yaml.safe_dump(echo, sort_keys=False, default_flow_style=None), end="")
     return 0
 
 

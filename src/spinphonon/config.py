@@ -84,7 +84,12 @@ class FitRequest:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved deck: defaults applied, objects constructed."""
+    """Fully resolved deck: defaults applied, objects constructed.
+
+    resolved is the deck with every default filled in, each matrix_cm1
+    reduced to {"basis": ...}: the matrices themselves are held only by
+    coupling_specs, as arrays, and not as the deck's number lists.
+    """
 
     model: SpinModel
     modes: tuple[PhononMode, ...]
@@ -106,20 +111,15 @@ class RunConfig:
     def config_hash(self) -> str:
         """Short sha256 of the resolved deck; computed once per config.
 
-        It covers the compact sorted-key JSON of resolved, in which each
-        matrix_cm1 is reduced to its basis, then each matrix operator's
-        resolved matrix, in operator order, as little-endian complex128
-        bytes. So a matrix is hashed by its values, not by how the deck
-        spelled them (1 and 1.0, an omitted imag and explicit zeros hash
-        alike), and a deck of Stevens derivatives hashes its JSON alone.
+        It covers the compact sorted-key JSON of resolved, then each matrix
+        operator's resolved matrix, in operator order, as little-endian
+        complex128 bytes. So a matrix is hashed by its values, not by how
+        the deck spelled them (1 and 1.0, an omitted imag and explicit
+        zeros hash alike), and a deck of Stevens derivatives hashes its
+        JSON alone.
         """
-        coupling = self.resolved["coupling"]
-        operators = [
-            op if spec.matrix is None else dict(op, matrix_cm1={"basis": spec.matrix_basis})
-            for spec, op in zip(self.coupling_specs, coupling["operators"])
-        ]
-        deck = dict(self.resolved, coupling=dict(coupling, operators=operators))
-        digest = hashlib.sha256(json.dumps(deck, sort_keys=True, separators=(",", ":")).encode())
+        text = json.dumps(self.resolved, sort_keys=True, separators=(",", ":"))
+        digest = hashlib.sha256(text.encode())
         for spec in self.coupling_specs:
             if spec.matrix is not None:
                 digest.update(spec.matrix.astype("<c16").tobytes())
@@ -397,8 +397,11 @@ def validate_deck(raw: dict) -> list[str]:
     return diags
 
 
-def _resolved_echo(raw: dict) -> dict:
-    """The deck with every default filled in, for provenance and echo."""
+def _resolved_echo(raw: dict, specs: tuple[CouplingSpec, ...]) -> dict:
+    """The deck with every default filled in, for provenance and echo.
+
+    Each matrix_cm1 is reduced to the basis of its spec.
+    """
     model = dict(raw["model"])
     model.setdefault("g_j", 2.0)
     model.setdefault("stevens_terms_cm1", [])
@@ -432,10 +435,14 @@ def _resolved_echo(raw: dict) -> dict:
         fit.setdefault("window_k", None)
         fits.append(fit)
 
+    operators = [
+        op if spec.matrix is None else dict(op, matrix_cm1={"basis": spec.matrix_basis})
+        for spec, op in zip(specs, raw["coupling"]["operators"])
+    ]
     return {
         "model": model,
         "bath": dict(raw["bath"]),
-        "coupling": raw["coupling"],
+        "coupling": dict(raw["coupling"], operators=operators),
         "sweep": sweep,
         "outputs": outputs,
         "numeric": numeric,
@@ -465,11 +472,20 @@ def _coupling_spec(i: int, op: dict) -> CouplingSpec:
 
 
 def resolve(raw: dict) -> RunConfig:
-    """Validate a deck dict and build the runtime config from it."""
+    """Validate a deck dict and build the runtime config from it.
+
+    The config keeps none of raw's matrix lists: each matrix is read into
+    its CouplingSpec, and the echo (RunConfig.resolved) names only its basis.
+    """
     diags = validate_deck(raw)
     if diags:
         raise DeckValidationError(diags)
-    echo = _resolved_echo(raw)
+    specs = tuple(_coupling_spec(i, op) for i, op in enumerate(raw["coupling"]["operators"]))
+    echo = _resolved_echo(raw, specs)
+    # where the caller holds no other reference (load_config), the deck's
+    # number lists are freed here, before the config objects are built, so
+    # those objects do not settle among the lists' freed blocks
+    del raw
     m = echo["model"]
     model = SpinModel(
         angular_momentum=AngularMomentum(two_j=m["two_j"]),
@@ -483,10 +499,6 @@ def resolve(raw: dict) -> RunConfig:
     modes = tuple(
         PhononMode(index=i, omega_cm1=float(w)) for i, w in enumerate(echo["bath"]["modes_cm1"])
     )
-    specs = tuple(
-        _coupling_spec(i, op) for i, op in enumerate(echo["coupling"]["operators"])
-    )
-
     b = echo["numeric"]["broadening"]
     if b["kind"] == "exact":
         broadening = BroadeningPolicy.exact(b.get("width_cm1", EXACT_MATCH_TOL_CM1))
@@ -612,21 +624,46 @@ def _read(text: str):
 
 def load_config(path: str) -> RunConfig:
     """Read, validate and resolve a deck file. Raises with all diagnostics."""
+    return _load(path, resolve)
+
+
+def load_echo(path: str) -> dict:
+    """The resolved echo of a deck file, each matrix_cm1 as the deck gives it.
+
+    It is RunConfig.resolved with the deck's own coupling section; the
+    deck is read, validated and resolved as load_config does it.
+    """
+
+    def echo(raw: dict) -> dict:
+        return dict(resolve(raw).resolved, coupling=raw["coupling"])
+
+    return _load(path, echo)
+
+
+def _load(path: str, build):
+    """build(the deck file's data), logging where the time went."""
     t0 = time.perf_counter()
     stats = {}
-    with open(path) as fh:
-        raw = _parse(fh.read(), stats)
-    if not isinstance(raw, dict):
-        raise DeckValidationError(["deck must be a mapping at the top level"])
-    t1 = time.perf_counter()
-    config = resolve(raw)
+    # build gets the only reference to the data, so that resolve can free
+    # the deck's number lists as soon as it has read them
+    out = build(_read_file(path, stats))
     t2 = time.perf_counter()
     log.info(
         "deck loaded in %.3f s: parse %.3f s (%d float rows read directly), "
         "validate and resolve %.3f s",
         t2 - t0,
-        t1 - t0,
+        stats["parsed_at"] - t0,
         stats["float_rows"],
-        t2 - t1,
+        t2 - stats["parsed_at"],
     )
-    return config
+    return out
+
+
+def _read_file(path: str, stats: dict) -> dict:
+    """The deck file's data, which must be a mapping; sets stats["parsed_at"]."""
+    with open(path) as fh:
+        raw = _parse(fh.read(), stats)
+    if not isinstance(raw, dict):
+        raise DeckValidationError(["deck must be a mapping at the top level"])
+    stats["parsed_at"] = time.perf_counter()
+    return raw

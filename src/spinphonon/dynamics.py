@@ -106,12 +106,13 @@ def extract_tau(sup: Superoperator, pair: KramersPair) -> TauResult:
     floor and report as tau = inf (blocked on this generator's scale).
     """
     probe = _population_difference_vec(sup.dim, pair)
-    w, vl, vr = eig(sup.dense(), left=True, right=True)
+    # dense() is in Fortran order, which eig may overwrite in place of a copy
+    w, vl, vr = eig(sup.dense(), left=True, right=True, overwrite_a=True)
     denom = np.einsum("in,in->n", vl.conj(), vr)
     # a defective pair (w_n . v_n ~ 0) cannot carry a clean amplitude
     usable = np.abs(denom) > 1e-12 * np.linalg.norm(vl, axis=0) * np.linalg.norm(vr, axis=0)
     amps = np.zeros(w.size, dtype=np.complex128)
-    amps[usable] = (probe @ vr[:, usable]) * (vl[:, usable].conj().T @ probe) / denom[usable]
+    amps[usable] = (probe @ vr)[usable] * np.conj(probe @ vl)[usable] / denom[usable]
 
     floor = RATE_RESOLUTION_REL * float(np.max(np.abs(w))) if w.size else 0.0
     unresolved = -w.real <= floor

@@ -152,9 +152,9 @@ class Superoperator:
     dim: int
 
     def dense(self) -> NDArray[np.complex128]:
-        """R as a d^2 x d^2 matrix."""
+        """R as a d^2 x d^2 matrix, in Fortran order (as LAPACK takes it)."""
         d = self.dim
-        out = np.zeros((d * d, d * d), dtype=complex)
+        out = np.zeros((d * d, d * d), dtype=complex, order="F")
         for block, r in self.blocks:
             flat = block.rows * d + block.cols
             out[np.ix_(flat, flat)] = r

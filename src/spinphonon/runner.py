@@ -320,9 +320,10 @@ def _in_workers(
             try:
                 reports, error, timers, counts = future.result()
             except BrokenProcessPool as exc:
-                # a worker died (killed by the OOM killer, say): every point
-                # not yet read is lost, and the first of them is named
-                error = exc
+                # a worker died (killed by the OOM killer, say) and every
+                # point not yet done is lost; which point it ran is unknown
+                message = f"a worker process died; results from {point.where} on were lost"
+                raise SweepPointError(f"{message}: {exc}") from exc
             if error is not None:
                 raise _point_error(point, error) from error
             for key, seconds in timers.items():

@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import math
 import pickle
@@ -15,7 +16,7 @@ from spinphonon.cli import SCAN_COLUMNS, main
 from spinphonon.config import DeckValidationError, load_config
 from spinphonon.dynamics import AmbiguousEigenvectorError
 from spinphonon.generators import build_generator
-from spinphonon.runner import PointEngine, _fmt, peak_rss_mb
+from spinphonon.runner import PointEngine, _fmt, _provenance, peak_rss_mb
 
 
 def test_validate_ok(capsys):
@@ -23,6 +24,53 @@ def test_validate_ok(capsys):
     echo = yaml.safe_load(capsys.readouterr().out)
     assert echo["model"]["two_j"] == 1
     assert echo["numeric"]["workers"] == 1
+
+
+SPIN_HALF_ROWS = {
+    # every matrix row a float row, read from its tagged scalar
+    "float_rows": (
+        ("        real: [[0.0, 0.5], [0.5, 0.0]]\n",
+         "        real: [[0.0, 0.5], [0.5, 0.0]]\n        imag: [[0.0, -0.25], [0.25, 0.0]]\n"),
+    ),
+    # integer entries, which the stock constructor reads, and no imag
+    "integer_entries": (
+        ("[[0.0, 0.5], [0.5, 0.0]]", "[[0, 1], [1, 0]]"),
+        ("[[0.3, 0.0], [0.0, -0.3]]", "[[1, 0], [0, -1]]"),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name, rows_read, echo_sha256, config_hash",
+    [
+        (
+            "float_rows", 9,
+            "80c6f843e73228d221775a108d1d9c3abc4441294968d711e45722363752593b", "8453d5900589b87a",
+        ),
+        (
+            "integer_entries", 3,
+            "29bbbf5bb4afed3f24d88bfeed16ff52a3af01062683b15de73ef8100f1e1b61", "06f4b87e74c83f19",
+        ),
+    ],
+)
+def test_a_matrix_decks_echo_and_hash_keep_their_bytes(
+    tmp_path, capsys, caplog, name, rows_read, echo_sha256, config_hash
+):
+    # the digests were recorded when RunConfig.resolved still held the
+    # deck's matrices; validate now echoes them from the deck it parsed
+    text = DECK_PATHS["spin_half"].read_text()
+    for old, new in SPIN_HALF_ROWS[name]:
+        assert old in text
+        text = text.replace(old, new)
+    deck = tmp_path / "deck.yaml"
+    deck.write_text(text)
+    caplog.set_level(logging.INFO)
+    assert main(["-v", "validate", str(deck)]) == 0
+    assert f"({rows_read} float rows read directly)" in caplog.text
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == echo_sha256
+    assert yaml.safe_load(out)["coupling"] == yaml.safe_load(text)["coupling"]
+    assert f"# config_hash: {config_hash}" in _provenance(load_config(deck))
 
 
 def test_validate_reports_every_diagnostic(tmp_path, capsys):

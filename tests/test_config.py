@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -743,3 +744,48 @@ def test_no_cyclic_collection_runs_while_yaml_parses_a_deck(tmp_path, monkeypatc
         gc.set_threshold(*threshold)
     assert len(cfg.modes) == 20
     assert starts == []
+
+
+def _reachable(root) -> list:
+    """The objects reachable from root, not descending into code: types,
+    modules and functions."""
+    seen, todo = {}, [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen[id(obj)] = obj
+        todo.extend(gc.get_referents(obj))
+    return list(seen.values())
+
+
+def test_a_loaded_config_holds_no_row_of_its_decks_matrices(tmp_path, monkeypatch):
+    text = _matrix_deck_text(20, seed=8)
+    ops = yaml.safe_load(text)["coupling"]["operators"]
+    rows = {tuple(row) for op in ops for part in op["matrix_cm1"].values() for row in part}
+    del ops
+    assert len(rows) == 20 * 2 * 16
+    path = tmp_path / "deck.yaml"
+    path.write_text(text)
+
+    def rows_in(objects) -> int:
+        return sum(
+            type(x) is list and len(x) == 16 and all(type(v) is float for v in x)
+            and tuple(x) in rows
+            for x in objects
+        )
+
+    # the deck's lists are freed before resolve builds the config objects
+    alive, model = [], config.SpinModel
+
+    def spy(*args, **kwargs):
+        alive.append(rows_in(gc.get_objects()))
+        return model(*args, **kwargs)
+
+    monkeypatch.setattr(config, "SpinModel", spy)
+    cfg = load_config(path)
+    assert alive == [0]
+    assert rows_in(_reachable(cfg)) == 0
+    ops = cfg.resolved["coupling"]["operators"]
+    assert ops == [{"matrix_cm1": {"basis": "mj"}}] * 20
+    assert len(cfg.coupling_specs) == 20

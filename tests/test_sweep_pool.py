@@ -158,16 +158,18 @@ def test_an_error_the_parent_cannot_unpickle_still_names_its_point(
     assert caught[True].__cause__.type_name == "TwoArgumentError"
 
 
-def test_a_worker_that_dies_exits_3_naming_its_point(tmp_path, monkeypatch, capsys, paths):
+def _run_with_a_dying_worker(tmp_path, monkeypatch, capsys, paths, index):
+    """Exit code and stderr of `run` on four_level when the worker that
+    computes temperature index ends without a result, as from a worker the
+    OOM killer ends."""
     deck = DECK_PATHS["four_level"]
-    # the first pooled point: its result is the first the parent reads
-    doomed = load_config(deck).temperatures_k[1]
+    doomed = load_config(deck).temperatures_k[index]
     parent = os.getpid()
     rates = runner.PointEngine.rates
 
     def dying(self, temperature_k, *args):
         if temperature_k == doomed and os.getpid() != parent:
-            os._exit(1)  # no result, as from a worker the OOM killer ends
+            os._exit(1)
         return rates(self, temperature_k, *args)
 
     monkeypatch.setattr(runner.PointEngine, "rates", dying)
@@ -175,11 +177,29 @@ def test_a_worker_that_dies_exits_3_naming_its_point(tmp_path, monkeypatch, caps
     with deadline():
         code = main(["run", str(deck), "--output-dir", str(tmp_path)])
     assert multiprocessing.active_children() == []
-    assert code == 3
     assert paths.started == [2]
-    err = capsys.readouterr().err
-    assert f"numeric failure: at temperature_K={doomed}, field_T=" in err
+    return code, capsys.readouterr().err
+
+
+LOST = r"numeric failure: a worker process died; results from temperature_K=(\S+), field_T="
+
+
+def test_a_worker_that_dies_exits_3_naming_its_point(tmp_path, monkeypatch, capsys, paths):
+    # the first pooled point: its result is the first the parent reads
+    code, err = _run_with_a_dying_worker(tmp_path, monkeypatch, capsys, paths, 1)
+    assert code == 3
+    assert re.search(LOST, err)[1] == "1.41"
     assert "terminated abruptly" in err
+
+
+def test_a_later_worker_death_is_not_blamed_on_the_first_unread_point(
+    tmp_path, monkeypatch, capsys, paths
+):
+    # the worker of the fifth pooled point dies; the parent may be reading
+    # any point up to it, and names that one only as the first result lost
+    code, err = _run_with_a_dying_worker(tmp_path, monkeypatch, capsys, paths, 5)
+    assert code == 3
+    assert re.search(LOST, err)[1] in ("1.41", "2.0", "2.83", "4.0", "5.66")
 
 
 def test_a_first_point_failure_or_a_one_point_deck_starts_no_pool(tmp_path, paths):
