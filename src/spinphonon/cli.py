@@ -1,8 +1,8 @@
 """Command line frontend: validate decks, run sweeps, convergence scans.
 
 Exit codes: 0 success, 2 configuration problem (every diagnostic is
-printed, not just the first), 3 numeric failure (the offending
-temperature/field point is named in the message).
+printed, not just the first), 3 numeric failure (a runner.SweepPointError,
+whose message names the point, field, scan or fit that failed).
 """
 
 import argparse
@@ -13,14 +13,11 @@ import sys
 import time
 from dataclasses import replace
 
-import numpy as np
 import yaml
 
 from . import __version__
 from .bath import DEFAULT_CUTOFF_SIGMAS, BroadeningPolicy
 from .config import DeckValidationError, load_config, load_echo
-from .dynamics import AmbiguousEigenvectorError
-from .generators import BasisMismatchError, SingularityError
 from .runner import (
     Point,
     PointEngine,
@@ -31,19 +28,8 @@ from .runner import (
     log_stage_times,
     run_sweep,
 )
-from .spin_model import DiagonalizationError, InternalConsistencyError
 
 log = logging.getLogger(__name__)
-
-NUMERIC_ERRORS = (
-    SweepPointError,
-    SingularityError,
-    BasisMismatchError,
-    AmbiguousEigenvectorError,
-    DiagonalizationError,
-    InternalConsistencyError,
-    np.linalg.LinAlgError,
-)
 
 SCAN_COLUMNS = ("tau_s", "t1_s", "t2_s", "t2star_s", "overlap_score")
 
@@ -205,7 +191,7 @@ def main(argv=None) -> int:
         return handler(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except NUMERIC_ERRORS as exc:
+    except SweepPointError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
 

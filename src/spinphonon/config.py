@@ -59,10 +59,6 @@ class DeckValidationError(ValueError):
         self.diagnostics = list(diagnostics)
         super().__init__("invalid deck:\n" + "\n".join(f"  - {d}" for d in diagnostics))
 
-    def __reduce__(self):
-        # args holds the joined message, which cls() would split into characters
-        return type(self), (self.diagnostics,)
-
 
 @dataclass(frozen=True)
 class CouplingSpec:

@@ -38,10 +38,6 @@ class AmbiguousEigenvectorError(RuntimeError):
         super().__init__(message)
         self.table = table
 
-    def __reduce__(self):
-        # args holds only the message, so the default would call cls(message)
-        return type(self), (self.args[0], self.table)
-
 
 @dataclass(frozen=True)
 class TauResult:

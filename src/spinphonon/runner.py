@@ -14,12 +14,16 @@ prepared PointEngine and compute the remaining points by index. Each point
 is the same one-BLAS-thread computation on the same inputs in whichever
 process runs it, so the results, returned in point order, are bitwise the
 same whether or not a pool ran; stage times are summed over processes.
+
+A numeric failure leaves this module as a SweepPointError, the one
+exception the CLI turns into exit 3. Its message names where the sweep
+failed: a point (in this process or a worker, which sends it back as it
+is), a field that could not be prepared, a worker that died, or a fit.
 """
 
 import logging
 import math
 import os
-import pickle
 import resource
 import sys
 import time
@@ -63,24 +67,8 @@ _RATE_OF = {
 
 
 class SweepPointError(RuntimeError):
-    """A sweep point or fit failed; the message names the point or fits[i]."""
-
-
-class WorkerError(RuntimeError):
-    """Stands in for a worker's exception that does not survive pickling.
-
-    str() is the original exception's message, so the SweepPointError that
-    names the point reads as it would have in the parent; type_name keeps
-    its class.
-    """
-
-    def __init__(self, type_name: str, message: str):
-        super().__init__(type_name, message)
-        self.type_name = type_name
-        self.message = message
-
-    def __str__(self) -> str:
-        return self.message
+    """A point, a field's preparation, a worker or a fit failed; the
+    message names the point, the field or fits[i]."""
 
 
 @dataclass(frozen=True)
@@ -263,11 +251,7 @@ def _compute(engine: PointEngine, point: Point) -> dict[int, RateReport]:
     try:
         return engine.rates(point.temperature_k, point.orders, point.config)
     except Exception as exc:
-        raise _point_error(point, exc) from exc
-
-
-def _point_error(point: Point, exc: Exception) -> SweepPointError:
-    return SweepPointError(f"at {point.where}: {exc}")
+        raise SweepPointError(f"at {point.where}: {exc}") from exc
 
 
 def usable_cpus() -> int:
@@ -278,17 +262,13 @@ def usable_cpus() -> int:
 
 def _pool_workers(remaining: int, first_s: float) -> int:
     """Workers for the points after the first: min(CPUs, remaining), or 0
-    (serial) unless at least two remain, two CPUs are usable, fork exists
-    and the remaining work, at the first point's pace, is POOL_MIN_WORK_S
-    or more."""
+    (serial) unless at least two remain, two CPUs are usable and the
+    remaining work, at the first point's pace, is POOL_MIN_WORK_S or more.
+    Every platform that reports usable CPUs (sched_getaffinity) has fork."""
     if remaining < 2 or first_s * remaining < POOL_MIN_WORK_S:
         return 0
     cpus = usable_cpus()
     if cpus < 2:
-        return 0
-    import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods():
         return 0
     return min(cpus, remaining)
 
@@ -318,14 +298,12 @@ def _in_workers(
         out = []
         for point, future in zip(points[1:], futures):
             try:
-                reports, error, timers, counts = future.result()
+                reports, timers, counts = future.result()
             except BrokenProcessPool as exc:
                 # a worker died (killed by the OOM killer, say) and every
                 # point not yet done is lost; which point it ran is unknown
                 message = f"a worker process died; results from {point.where} on were lost"
                 raise SweepPointError(f"{message}: {exc}") from exc
-            if error is not None:
-                raise _point_error(point, error) from error
             for key, seconds in timers.items():
                 engine.timers[key] += seconds
             engine.counts.update(counts)
@@ -348,30 +326,15 @@ def _adopt(engine: PointEngine, points: Sequence[Point]) -> None:
 
 
 def _worker_point(index: int):
-    """Run points[index] in a worker: its reports or its error (one the
-    parent can unpickle), and what it added to the engine's timers and
-    counts."""
+    """Run points[index] in a worker through _compute: its reports and what
+    it added to the engine's timers and counts. A failure reaches the
+    parent as _compute's SweepPointError, which holds one string and so
+    always unpickles: pickling keeps its message and drops its __cause__."""
     engine, points = _adopted
-    point = points[index]
     timers, counts = dict(engine.timers), Counter(engine.counts)
-    reports = error = None
-    try:
-        reports = engine.rates(point.temperature_k, point.orders, point.config)
-    except Exception as exc:
-        error = _portable(exc)
+    reports = _compute(engine, points[index])
     spent = {key: engine.timers[key] - timers[key] for key in timers}
-    return reports, error, spent, engine.counts - counts
-
-
-def _portable(exc: Exception) -> Exception:
-    """exc if it comes back from pickling, else a WorkerError with its type
-    name and message: the result reader of a pool cannot survive an
-    exception it fails to unpickle."""
-    try:
-        pickle.loads(pickle.dumps(exc))
-    except Exception:
-        return WorkerError(type(exc).__name__, str(exc))
-    return exc
+    return reports, spent, engine.counts - counts
 
 
 def log_stage_times(what: str, n_rows: int, timers: dict[str, float], counts: Counter):

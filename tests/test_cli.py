@@ -1,7 +1,6 @@
 import hashlib
 import logging
 import math
-import pickle
 import re
 import resource
 from dataclasses import replace
@@ -11,12 +10,12 @@ import yaml
 
 from conftest import DECK_PATHS, bath_for
 
-from spinphonon import cli
+from spinphonon import cli, runner
 from spinphonon.cli import SCAN_COLUMNS, main
-from spinphonon.config import DeckValidationError, load_config
-from spinphonon.dynamics import AmbiguousEigenvectorError
+from spinphonon.config import load_config
 from spinphonon.generators import build_generator
 from spinphonon.runner import PointEngine, _fmt, _provenance, peak_rss_mb
+from spinphonon.spin_model import DiagonalizationError
 
 
 def test_validate_ok(capsys):
@@ -119,6 +118,26 @@ def test_run_numeric_failure_exits_3(tmp_path, capsys):
     path.write_text(yaml.safe_dump(deck))
     assert main(["run", str(path), "--output-dir", str(tmp_path)]) == 3
     assert "numeric failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, where",
+    [
+        (["run"], "preparing field_T=[0.0, 0.0, 0.05]"),
+        (["scan-regularizer", "--values", "0.5,1.0"], "preparing the scan"),
+    ],
+    ids=["run", "scan"],
+)
+def test_a_preparation_failure_exits_3_naming_where(tmp_path, monkeypatch, capsys, command, where):
+    # the CLI's exit 3 catches only SweepPointError, so a failure before any
+    # point must reach it wrapped in one
+    def failing(*args):
+        raise DiagonalizationError("eigh failed")
+
+    monkeypatch.setattr(runner, "eigensystem_for", failing)
+    args = command[:1] + [str(DECK_PATHS["four_level"])] + command[1:]
+    assert main(args + ["--output-dir", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == f"numeric failure: {where}: eigh failed\n"
 
 
 def test_scan_regularizer(tmp_path, capsys):
@@ -345,20 +364,3 @@ def test_scan_prepares_one_engine_and_matches_fresh_engines(tmp_path, monkeypatc
         cfg = replace(config, regularizer_cm1=value)
         rep = PointEngine(cfg).rates(config.temperatures_k[0], (4,))[4]
         assert row == ",".join([_fmt(value)] + [_fmt(getattr(rep, f)) for f in cli.SCAN_COLUMNS])
-
-
-@pytest.mark.parametrize(
-    "error",
-    [cls("a message") for cls in cli.NUMERIC_ERRORS if cls is not AmbiguousEigenvectorError]
-    + [
-        AmbiguousEigenvectorError("amplitude 0.4 < 0.5", [(-1.5 + 0.25j, 0.4), (-2.0 + 0j, 0.3)]),
-        DeckValidationError(["model.two_j: must be odd", "bath.modes_cm1: empty"]),
-    ],
-    ids=lambda e: type(e).__name__,
-)
-def test_every_refusal_survives_a_trip_through_pickle(error):
-    # a sweep's worker processes send their errors back pickled
-    back = pickle.loads(pickle.dumps(error))
-    assert type(back) is type(error) and str(back) == str(error)
-    for extra in ("table", "diagnostics"):
-        assert getattr(back, extra, None) == getattr(error, extra, None)
