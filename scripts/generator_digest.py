@@ -11,9 +11,9 @@ and same-mode pairs. "The bits did not change" is then an empty diff:
   diff old.txt new.txt
 
 It covers the bundled decks (decks/*.yaml) and the deck paths given as
-arguments. --chunk and --piece set generators.PAIR_CHUNK and
-AMPLITUDE_PIECE; --temperatures, --field-t and --width-cm1 replace every
-deck's temperatures, fields and kernel width, for example
+arguments. --chunk sets generators.PAIR_CHUNK; --temperatures, --field-t
+and --width-cm1 replace every deck's temperatures, fields and kernel
+width, for example
 
   python scripts/generator_digest.py big.yaml --temperatures 5 10 20
 """
@@ -77,15 +77,12 @@ def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("decks", nargs="*", type=pathlib.Path, help="extra deck files")
     ap.add_argument("--chunk", type=int, help="generators.PAIR_CHUNK")
-    ap.add_argument("--piece", type=int, help="generators.AMPLITUDE_PIECE")
     ap.add_argument("--temperatures", type=float, nargs="+", help="K, for every deck")
     ap.add_argument("--field-t", type=float, nargs=3, help="one field (T), for every deck")
     ap.add_argument("--width-cm1", type=float, help="kernel width, for every deck")
     args = ap.parse_args(argv)
     if args.chunk is not None:
         generators.PAIR_CHUNK = args.chunk
-    if args.piece is not None:
-        generators.AMPLITUDE_PIECE = args.piece
     for path in [*sorted((ROOT / "decks").glob("*.yaml")), *args.decks]:
         for line in deck_lines(path, args):
             print(line, flush=True)

@@ -29,8 +29,6 @@ from .runner import (
     run_sweep,
 )
 
-log = logging.getLogger(__name__)
-
 SCAN_COLUMNS = ("tau_s", "t1_s", "t2_s", "t2star_s", "overlap_score")
 
 

@@ -40,18 +40,16 @@ J = 15/2, B20 = -1 spectrum, not d^4 = 65,536); dense() writes the
 d^2 x d^2 matrix.
 The order-4 build is array code on one thread. Its (channel, alpha,
 beta) tasks come in a fixed order and are processed in chunks of
-PAIR_CHUNK. In a chunk, the tasks fall into runs that share alpha and
-its phonon sign, so V^alpha and W^{alpha,-s_a} are one matrix per run:
-each run costs one BLAS product per amplitude term (and piece). The
-amplitudes are computed in pieces of at most AMPLITUDE_PIECE tasks, in
-two buffers allocated once per build, and each piece's entries on the
-blocks it hits are gathered at once into the chunk's arrays of its
-block-size classes, so the working set is bounded by the piece and the
-blocks, not by the chunk or by d^4. Each run of one block's jumps then
-costs one Gram product, added to that block's dense s x s accumulator.
-Each accumulator sums its chunks' Grams in chunk order, so PAIR_CHUNK
-and the task order define the order of every addition, and with it
-every bit of the result.
+PAIR_CHUNK, the build's one unit of work. In a chunk, the tasks fall
+into runs that share alpha and its phonon sign, so V^alpha and
+W^{alpha,-s_a} are one matrix per run: each run costs one BLAS product
+per amplitude term, into two buffers allocated once per build. The
+chunk's entries on the blocks it hits are gathered from the products,
+per block-size class, in block-major order, so each run of one block's
+jumps then costs one Gram product, added to that block's dense s x s
+accumulator. Each accumulator sums its chunks' Grams in chunk order, so
+PAIR_CHUNK and the task order define the order of every addition, and
+with it every bit of the result.
 
 Row windows. A task's target hits a window [lo, hi) of consecutive
 blocks, and it reads term 1 of its amplitude (V_b W_a) only at those
@@ -60,15 +58,15 @@ blocks' rows and term 2 ((V_a W_b)^T) only at their cols; on the
 computed only at those rows: per distinct window, the build lists its
 rows and each of its blocks' entries as offsets into them, once
 (_row_windows), and a run's product is the stack of its tasks' rows.
-This changes no bit because of a BLAS property: a row of
-np.matmul(A, B) does not depend on which other rows A holds, so the
-rows of a stacked product equal those of each task's full product, and
-the piece size changes no bit either (the tests check pieces of 1, 2, 3
-and 5, and the property itself). The property fails for a product of
-one row: numpy sends a (1, d) @ (d, d) product down another path
-(gemv), whose bits differ. So a run that reads a single row is
-multiplied as two rows, the second taken from the next run or from a
-spare row of the buffers (the two-row guard).
+The buffers thus hold a chunk's rows, not its d x d matrices. This
+changes no bit because of a BLAS property: a row of np.matmul(A, B)
+does not depend on which other rows A holds, so the rows of a stacked
+product equal those of each task's full product (the tests check the
+property, and a build against one whose windows list every row). The
+property fails for a product of one row: numpy sends a (1, d) @ (d, d)
+product down another path (gemv), whose bits differ. So a run that
+reads a single row is multiplied as two rows, the second taken from the
+next run or from a spare row of the buffers (the two-row guard).
 """
 
 import functools
@@ -95,9 +93,6 @@ SINGULARITY_TOL_CM1 = 1e-12
 # mode pairs per chunk of the order-4 build: one Gram product per block
 # run of a chunk, so this fixes the order of the additions (and the bits)
 PAIR_CHUNK = 512
-# tasks per amplitude piece: bounds the two amplitude buffers; at least
-# 44, so that j15_2's one chunk is one piece; the bits do not depend on it
-AMPLITUDE_PIECE = 128
 # modes per step of the virtual-state factors W: bounds their temporaries
 VIRT_MODES = 8
 
@@ -517,25 +512,24 @@ def build_generator(
     regularizer_cm1: float = DEFAULT_REGULARIZER_CM1,
     channels: tuple[str, ...] = ("absorption_emission",),
     allow_same_mode: bool = False,
-    workers: int = 1,
 ) -> GeneratorResult:
     """Assemble R^(order) without materializing jump operators.
 
     Organized for throughput: the virtual-state factors W are built once
     per mode and sign, and the order-4 tasks are processed in chunks of
-    PAIR_CHUNK, their amplitudes in pieces of AMPLITUDE_PIECE tasks. In a
-    chunk, each run of tasks sharing alpha and its sign costs one BLAS
-    product per amplitude term and piece, each block-size class one keep
-    mask, each block run one Gram product, and the kernel weights one
-    array delta call. A task's products are computed only at the rows
-    that the blocks of its window read (_row_windows), so a run's product
-    is a stack of those rows; a run of one row is multiplied as two rows,
-    because numpy sends a one-row product down another BLAS path whose
-    bits differ. That the rows are bit for bit those of the full products
-    rests on a row of np.matmul(A, B) not depending on the other rows of
-    A (two rows or more; tests/test_generators.py checks it on the BLAS
-    at hand). Each secular block sums its Grams in a dense accumulator,
-    off which _finalize reads R (by block), K and the pair 1/T1 sums; the
+    PAIR_CHUNK. In a chunk, each run of tasks sharing alpha and its sign
+    costs one BLAS product per amplitude term, each block-size class one
+    gather per term and one keep mask, each block run one Gram product,
+    and the kernel weights one array delta call. A task's products are
+    computed only at the rows that the blocks of its window read
+    (_row_windows), so a run's product is a stack of those rows; a run of
+    one row is multiplied as two rows, because numpy sends a one-row
+    product down another BLAS path whose bits differ. That the rows are
+    bit for bit those of the full products rests on a row of
+    np.matmul(A, B) not depending on the other rows of A (two rows or
+    more; tests/test_generators.py checks it on the BLAS at hand). Each
+    secular block sums its Grams in a dense accumulator, off which
+    _finalize reads R (by block), K and the pair 1/T1 sums; the
     pure-dephasing matrix D of the pair 1/T2* sums is added as the w = 0
     block's runs are (GeneratorResult.pair_sums). PAIR_CHUNK and the task
     order define the order of every addition into the accumulators and
@@ -544,9 +538,6 @@ def build_generator(
     prefilter_tasks the order-4 tasks whose target hits a block window.
     blocks given as a SecularPartition (as secular_partition returns it)
     keep their index maps from build to build.
-
-    workers is accepted for compatibility and ignored: the array build on
-    one thread is faster than any thread pool over it.
     """
     if order not in (2, 4):
         raise ValueError("order must be 2 or 4")
@@ -603,31 +594,30 @@ def build_generator(
     # from W_b^T (row r of matrix j is row j * dim + r)
     sources = (vstack.reshape(-1, dim), virt_t.reshape(-1, dim))
 
-    # fresh temporaries per piece cost page faults, so each piece's
-    # factors and products reuse two buffers, of the most rows a piece
-    # reads (top) and one spare row for the two-row products; the gathers
-    # clip because mode="raise" buffers out (the indices are in range by
-    # construction).
+    # fresh temporaries per chunk cost page faults, so each chunk's
+    # factors and products reuse two buffers, of the most rows a chunk
+    # reads (top) and one spare row for the two-row products; the operand
+    # gather clips because mode="raise" buffers out (the indices are in
+    # range by construction).
     # A run of tasks with one ja shares alpha and its sign, so V_a and
     # W_a^{-s_a} are one matrix, and each term is one tall product: the
     # stack of W_b^T rows against V_a^T, which gives rows of (V_a W_b)^T,
     # and the stack of V_b rows against W_a. Term 2's entries are gathered
     # before term 1 reuses the buffer, then term 1's are added; the bits
     # equal those of the stacked V_a W_b + V_b W_a. A run ends where ja
-    # changes and at every chunk and piece start.
-    piece = min(AMPLITUDE_PIECE, PAIR_CHUNK, ja.size)
-    cut = np.arange(ja.size) % PAIR_CHUNK % max(piece, 1) == 0
-    pieces = np.flatnonzero(cut)
-    top = max(np.add.reduceat(cnt[win], pieces).max() for cnt in count) if pieces.size else 0
+    # changes and at every chunk start.
+    chunks = np.arange(0, ja.size, PAIR_CHUNK)
+    top = max(np.add.reduceat(cnt[win], chunks).max() for cnt in count) if ja.size else 0
     operand, product = np.zeros((2, top + 1, dim), dtype=complex)
     flat_product = product.reshape(-1)
+    cut = np.arange(ja.size) % PAIR_CHUNK == 0
     cut[1:] |= ja[1:] != ja[:-1]
     run_starts = np.flatnonzero(cut)
     # each run's alpha and sign, and the right factors V_a^T and W_a
     run_ja = ja[run_starts].tolist()
     vstack_t, virt_w = vstack.transpose(0, 2, 1), virt_t.transpose(0, 2, 1)
     jumps = 0
-    for start in range(0, ja.size, PAIR_CHUNK):
+    for start in chunks.tolist():
         c = slice(start, start + PAIR_CHUNK)
         n = ja[c].size
         # every (block, task) hit of the chunk, block-major with the tasks
@@ -639,55 +629,35 @@ def build_generator(
         b_hit += span[0, 0]
         gam = RATE_PREFACTOR * delta(block_freqs[b_hit], target[c][t_hit], pol) * occ[c][t_hit]
         wg_hit = wg0[wc][t_hit] + b_hit - lo[t_hit]
-        # per term: the operand's source rows for the chunk's tasks in
-        # order, and where each task's rows start (edge[k][t]) and, in its
-        # piece's product, the flat offset of its first row (at0[k])
-        picks, edge, at0 = [], [], []
-        for k, src in enumerate((jb[c] // 2, jb[c])):
+        classes = [(np.flatnonzero(sizes[b_hit] == s), table) for s, table in tables.items()]
+        i0, i1 = np.searchsorted(run_starts, (start, start + n))
+        tasks = [*(run_starts[i0:i1] - start).tolist(), n]
+        ys = []
+        # term 2 (k = 1), (V_a W_b)^T = W_b^T V_a^T, lands in ys first;
+        # then term 1 (k = 0), V_b W_a, is added
+        for k, src in ((1, jb[c]), (0, jb[c] // 2)):
+            # the operand's source rows for the chunk's tasks in order, and
+            # where each task's rows start (edge[t])
             cnt = count[k][wc]
-            e = np.concatenate([[0], np.cumsum(cnt)])
-            pos = np.repeat(first[k][wc] - e[:-1], cnt) + np.arange(e[-1])
-            picks.append(np.repeat(src * dim, cnt) + rows[k][pos])
-            edge.append(e.tolist())
-            at0.append((e[:-1] - e[: n : piece].repeat(piece)[:n]) * dim)
-        at0 = np.array(at0)
-        # per class, its hits sorted by task (so a piece's hits are one
-        # slice), their entries ys and their positions in the product buffer
-        classes = []
-        for s, table in tables.items():
-            cls = np.flatnonzero(sizes[b_hit] == s)
-            by_task = np.argsort(t_hit[cls], kind="stable")
-            t_cls, wg_cls = t_hit[cls][by_task], wg_hit[cls][by_task]
-            cuts = np.searchsorted(t_cls, range(0, n + piece, piece)).tolist()
-            at = at0[:, t_cls, None] + table[:, wg_cls]
-            classes.append((cls, by_task, cuts, at, np.empty((cls.size, s), dtype=complex)))
-        for q, p0 in enumerate(range(start, start + n, piece)):
-            p1 = min(p0 + piece, start + n)
-            i0, i1 = np.searchsorted(run_starts, (p0, p1))
-            tasks = [*(run_starts[i0:i1] - start).tolist(), p1 - start]
-            # term 2 (k = 1), (V_a W_b)^T = W_b^T V_a^T, lands in ys first;
-            # then term 1 (k = 0), V_b W_a, is added
-            for k in (1, 0):
-                e = edge[k]
-                base, end = e[p0 - start], e[p1 - start]
-                np.take(
-                    sources[k], picks[k][base:end], axis=0, mode="clip", out=operand[: end - base]
-                )
-                for t0, t1, j in zip(tasks[:-1], tasks[1:], run_ja[i0:i1]):
-                    # two rows at least: see the docstring
-                    r0 = e[t0] - base
-                    r1 = max(e[t1] - base, r0 + 2)
-                    right = vstack_t[j // 2] if k else virt_w[j]
-                    np.matmul(operand[r0:r1], right, out=product[r0:r1])
-                for _, _, cuts, at, ys in classes:
-                    sl = slice(cuts[q], cuts[q + 1])
-                    if k:
-                        np.take(flat_product, at[1, sl], mode="clip", out=ys[sl])
-                    else:
-                        ys[sl] += flat_product[at[0, sl]]
-        for cls, by_task, _, _, ys in classes:
-            y = np.empty_like(ys)
-            y[by_task] = ys
+            edge = np.concatenate([[0], np.cumsum(cnt)])
+            pos = np.repeat(first[k][wc] - edge[:-1], cnt) + np.arange(edge[-1])
+            pick = np.repeat(src * dim, cnt) + rows[k][pos]
+            np.take(sources[k], pick, axis=0, mode="clip", out=operand[: edge[-1]])
+            e = edge.tolist()
+            for t0, t1, j in zip(tasks[:-1], tasks[1:], run_ja[i0:i1]):
+                # two rows at least: see the docstring
+                r0 = e[t0]
+                r1 = max(e[t1], r0 + 2)
+                right = vstack_t[j // 2] if k else virt_w[j]
+                np.matmul(operand[r0:r1], right, out=product[r0:r1])
+            # each class's entries, in the chunk's block-major hit order
+            for i, (cls, table) in enumerate(classes):
+                y = flat_product[(edge[t_hit[cls]] * dim)[:, None] + table[k, wg_hit[cls]]]
+                if k:
+                    ys.append(y)
+                else:
+                    ys[i] += y
+        for (cls, _), y in zip(classes, ys):
             jumps += _add_runs(acc, dephasing, blocks.pops, b_hit[cls], gam[cls], y)
     return _result_from(blocks, acc, dephasing, jumps, ja.size)
 

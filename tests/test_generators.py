@@ -18,6 +18,7 @@ from spinphonon.coupling import from_raw_matrix
 from spinphonon.generators import (
     BasisMismatchError,
     SingularityError,
+    _row_windows,
     build_generator,
     secular_partition,
 )
@@ -259,45 +260,26 @@ def test_order4_over_several_chunks_matches_oracle_jumps(
         _assert_build_matches(eng, 4, bath, channels, allow_same_mode, jumps, ref)
 
 
-@pytest.mark.parametrize(
-    "deck, t_k, channels, allow_same_mode",
-    [
-        ("four_level", 2.0, ALL_CHANNELS, True),
-        ("four_level_dense", 2.0, ALL_CHANNELS, True),
-        ("j15_2", 9.5, ("absorption_emission",), False),
-    ],
-    ids=["four_level-all_channels_same_mode", "four_level_dense-all_channels_same_mode", "j15_2"],
-)
-def test_order4_bits_do_not_depend_on_the_amplitude_piece(
-    request, monkeypatch, deck, t_k, channels, allow_same_mode
-):
-    # chunks of 7 tasks (PAIR_CHUNK fixes the order of the additions, and
-    # so the bits) against pieces of 1, 3 and 5: pieces end inside chunks
-    # and cut (sign, alpha) runs, and the default piece spans each chunk
-    eng = request.getfixturevalue(f"{deck}_engine")
-    cfg = eng.config
-    bath = bath_for(cfg, t_k)
-    kw = dict(
-        secular_tol_cm1=cfg.secular_tol_cm1, regularizer_cm1=cfg.regularizer_cm1,
-        channels=channels, allow_same_mode=allow_same_mode,
-    )
-    monkeypatch.setattr(generators, "PAIR_CHUNK", 7)
-    ref = build_generator(4, eng.couplings, bath, eng.es, **kw)
-    assert ref.prefilter_tasks > 7 and ref.jump_count > 0
-    for piece in (1, 3, 5):
-        monkeypatch.setattr(generators, "AMPLITUDE_PIECE", piece)
-        res = build_generator(4, eng.couplings, bath, eng.es, **kw)
-        assert np.array_equal(res.superoperator.dense(), ref.superoperator.dense())
-        assert np.array_equal(res.weights, ref.weights)
-        assert np.array_equal(res.dephasing, ref.dephasing)
-        assert res.jump_count == ref.jump_count
+def _full_windows(blocks, key, dim):
+    # _row_windows as if every window read all dim rows of both terms, so
+    # each task's products are its full d x d matrices
+    win, w_lo, w_hi, wg0, _, _, _, tables = _row_windows(blocks, key, dim)
+    n_win = w_lo.size
+    rows = [np.tile(np.arange(dim), n_win)] * 2
+    first = [np.arange(n_win) * dim] * 2
+    count = [np.full(n_win, dim)] * 2
+    for w, (l0, l1) in enumerate(zip(w_lo.tolist(), w_hi.tolist())):
+        for g, b in enumerate(blocks[l0:l1], start=int(wg0[w])):
+            tables[b.rows.size][:, g] = b.rows * dim + b.cols, b.cols * dim + b.rows
+    return win, w_lo, w_hi, wg0, rows, first, count, tables
 
 
 def test_order4_bits_hold_where_tasks_read_one_amplitude_row(j15_2_config, monkeypatch):
     # at 0.3 T with a 0.05 cm^-1 kernel, 10 of j15_2's 12 tasks read a
-    # single row of their products, so runs of one row occur at every piece
-    # size; each is multiplied as two rows (the two-row guard in the
-    # generators module docstring), and the bits do not depend on the piece
+    # single row of their products. In chunks of one task every task is
+    # its own run, so each of those runs is multiplied as two rows (the
+    # two-row guard in the generators module docstring), and the bits must
+    # equal those of a build that multiplies every task's full matrices
     cfg = j15_2_config
     eng = PointEngine(cfg, (0.0, 0.0, 0.3))
     bath = BathConfig(
@@ -308,15 +290,15 @@ def test_order4_bits_hold_where_tasks_read_one_amplitude_row(j15_2_config, monke
     jumps = _oracle_jumps(4, eng, bath)
     _assert_build_matches(eng, 4, bath, cfg.channels, False, jumps,
                           oracles.lindblad_from_jumps(jumps, eng.es.dim))
+    monkeypatch.setattr(generators, "PAIR_CHUNK", 1)
+    res = build_generator(4, eng.couplings, bath, eng.es, **kw)
+    assert res.prefilter_tasks == 12 and res.jump_count > 0
+    monkeypatch.setattr(generators, "_row_windows", _full_windows)
     ref = build_generator(4, eng.couplings, bath, eng.es, **kw)
-    assert ref.prefilter_tasks == 12 and ref.jump_count > 0
-    for piece in (1, 2, 3):
-        monkeypatch.setattr(generators, "AMPLITUDE_PIECE", piece)
-        res = build_generator(4, eng.couplings, bath, eng.es, **kw)
-        assert np.array_equal(res.superoperator.dense(), ref.superoperator.dense()), piece
-        assert np.array_equal(res.weights, ref.weights), piece
-        assert np.array_equal(res.dephasing, ref.dephasing), piece
-        assert res.jump_count == ref.jump_count
+    assert np.array_equal(res.superoperator.dense(), ref.superoperator.dense())
+    assert np.array_equal(res.weights, ref.weights)
+    assert np.array_equal(res.dephasing, ref.dephasing)
+    assert res.jump_count == ref.jump_count
 
 
 @pytest.mark.parametrize("d", [4, 16])
@@ -417,7 +399,9 @@ def test_weights_and_dephasing_own_their_data(four_level_engine, order):
 def test_order4_peak_memory_stays_near_the_size_of_its_inputs():
     # the inputs are the stacked couplings and the virtual-state factors W,
     # one matrix per mode and per mode and sign: 3 * 64 matrices. Three
-    # amplitude buffers of 512 tasks alone would be 8 times that
+    # full amplitude buffers of 512 tasks alone would be 8 times that. The
+    # build, whose two buffers hold a chunk's product rows, peaks at about
+    # 6.4 times the inputs
     rng = np.random.default_rng(5)
     es = eigensystem_for(
         SpinModel(angular_momentum=AngularMomentum(15), stevens_terms=(StevensTerm(2, 0, -1.0),))
@@ -473,14 +457,14 @@ def test_worker_counts_agree_bitwise(four_level_engine, four_level_config):
         secular_tol_cm1=cfg.secular_tol_cm1, regularizer_cm1=cfg.regularizer_cm1,
         channels=cfg.channels, allow_same_mode=cfg.allow_same_mode,
     )
-    one = build_generator(4, four_level_engine.couplings, bath, four_level_engine.es,
-                          workers=1, **kw)
-    four = build_generator(4, four_level_engine.couplings, bath, four_level_engine.es,
-                           workers=4, **kw)
-    assert np.array_equal(one.superoperator.dense(), four.superoperator.dense())
-    assert np.array_equal(one.weights, four.weights)
-    assert np.array_equal(one.dephasing, four.dephasing)
-    assert one.jump_count == four.jump_count
+    # the build runs on one thread and takes no worker count, so a second
+    # build must repeat the first bit for bit
+    one = build_generator(4, four_level_engine.couplings, bath, four_level_engine.es, **kw)
+    two = build_generator(4, four_level_engine.couplings, bath, four_level_engine.es, **kw)
+    assert np.array_equal(one.superoperator.dense(), two.superoperator.dense())
+    assert np.array_equal(one.weights, two.weights)
+    assert np.array_equal(one.dephasing, two.dephasing)
+    assert one.jump_count == two.jump_count
 
 
 def test_rate_pair_sums_match_materialized_jumps(four_level_engine, four_level_config):
