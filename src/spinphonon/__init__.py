@@ -20,7 +20,7 @@ from .angular import AngularMomentum
 from .bath import BathConfig, BroadeningPolicy, PhononMode, delta, g2, occupation
 from .config import DeckValidationError, RunConfig, load_config, validate_deck
 from .constants import CM1_TO_RAD_S, KB_CM1_PER_K, MU_B_CM1_PER_T
-from .coupling import CouplingOperator, from_raw_matrix, from_stevens_derivatives
+from .coupling import CouplingOperator, from_raw_matrices
 from .dynamics import (
     AmbiguousEigenvectorError,
     FitResult,
@@ -80,8 +80,7 @@ __all__ = [
     "eigensystem_for",
     "extract_tau",
     "fit_regimes",
-    "from_raw_matrix",
-    "from_stevens_derivatives",
+    "from_raw_matrices",
     "fundamental_pair",
     "g2",
     "identify_kramers_pairs",

@@ -77,12 +77,24 @@ def _load(path: str, load=load_config):
         raise SystemExit(2)
     try:
         return load(path)
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, say, or bytes that are not text
+        print(f"deck not readable: {path}: {getattr(exc, 'strerror', exc)}", file=sys.stderr)
+        raise SystemExit(2)
     except DeckValidationError as exc:
         for d in exc.diagnostics:
             print(d, file=sys.stderr)
         raise SystemExit(2)
     except yaml.YAMLError as exc:
         print(f"deck is not parseable YAML: {exc}", file=sys.stderr)
+        raise SystemExit(2)
+
+
+def _make_output_dir(path: str) -> None:
+    """Make the output directory before any point is computed."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        print(f"output directory not usable: {path}: {exc.strerror}", file=sys.stderr)
         raise SystemExit(2)
 
 
@@ -94,6 +106,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_run(args) -> int:
     config = _load(args.deck)
+    _make_output_dir(args.output_dir)
     result = run_sweep(config, output_dir=args.output_dir)
     print(f"wrote {result.rates_csv_path}")
     print(f"wrote {result.fit_report_path}")
@@ -114,6 +127,7 @@ def _scan(config, values, label, out_name, args) -> int:
     if not (math.isfinite(temperature) and temperature > 0):
         print(f"--temperature-k must be finite and positive, got {temperature!r}", file=sys.stderr)
         return 2
+    _make_output_dir(args.output_dir)
     lines = [f"# scan at temperature_K={temperature!r}, order={order}"]
     lines.append(",".join((label,) + SCAN_COLUMNS))
     try:
@@ -129,7 +143,6 @@ def _scan(config, values, label, out_name, args) -> int:
         lines.append(",".join([_fmt(value)] + [_fmt(getattr(rep, f)) for f in SCAN_COLUMNS]))
     # the provenance lines (config_hash) are part of the timed write
     t0 = time.perf_counter()
-    os.makedirs(args.output_dir, exist_ok=True)
     path = os.path.join(args.output_dir, out_name)
     with open(path, "w") as fh:
         fh.write("\n".join(_provenance(config) + lines) + "\n")

@@ -1,10 +1,10 @@
 """Spin-phonon coupling operators V^alpha in the spin eigenbasis.
 
-Couplings arrive either as derivative sets of Stevens coefficients (then
-V = sum dB_l^m O_l^m, rotated into the eigenbasis) or as raw matrices in
-the M_J or eigen basis. Each operator carries the content tag of the
-eigensystem it was expressed in, so generator assembly can refuse mixed
-bases.
+Every coupling matrix enters through from_raw_matrices, given in the M_J
+or the eigen basis. A deck's derivative sets of Stevens coefficients are
+summed first, V = sum dB_l^m O_l^m, by stevens_sum in runner.PointEngine.
+Each operator carries the content tag of the eigensystem it was expressed
+in, so generator assembly can refuse mixed bases.
 """
 
 import hashlib
@@ -14,12 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .angular import AngularMomentum
-from .spin_model import Eigensystem, StevensTerm, stevens_sum
+from .spin_model import Eigensystem
 
 log = logging.getLogger(__name__)
 
-HERMITICITY_TOL = 1e-10
 SYMMETRIZE_ACCEPT = 1e-8
 SYMMETRIZE_REJECT = 1e-6
 
@@ -44,55 +42,6 @@ class CouplingOperator:
     matrix: NDArray[np.complex128]
     basis: str
 
-    def __post_init__(self):
-        dev = np.max(np.abs(self.matrix - self.matrix.conj().T))
-        if dev > HERMITICITY_TOL:
-            raise ValueError(f"coupling for mode {self.mode_index} not Hermitian: {dev:.3e}")
-
-
-def _normalize_terms(terms) -> tuple[StevensTerm, ...]:
-    out = []
-    for t in terms:
-        if isinstance(t, StevensTerm):
-            out.append(t)
-        else:
-            l, m, v = t
-            out.append(StevensTerm(l=int(l), m=int(m), coefficient_cm1=float(v)))
-    return tuple(out)
-
-
-def from_stevens_derivatives(
-    terms,
-    j: AngularMomentum,
-    es: Eigensystem,
-    *,
-    mode_index: int = 0,
-) -> CouplingOperator:
-    """V = sum (dB_l^m/dq) O_l^m, expressed in the eigenbasis U^dag V U.
-
-    terms may be StevensTerm instances (coefficient read as the derivative
-    value) or (l, m, value) triples.
-    """
-    v = stevens_sum(_normalize_terms(terms), j)
-    return from_raw_matrix(v, "mj", es, mode_index=mode_index)
-
-
-def from_raw_matrix(
-    matrix,
-    basis: str,
-    es: Eigensystem,
-    *,
-    mode_index: int = 0,
-) -> CouplingOperator:
-    """Ingest a raw coupling matrix given in the "mj" or "eigen" basis.
-
-    Deviations from Hermiticity up to SYMMETRIZE_ACCEPT are symmetrized
-    silently, up to SYMMETRIZE_REJECT symmetrized with a warning, beyond
-    that rejected. This is from_raw_matrices on a stack of one.
-    """
-    (op,) = from_raw_matrices([matrix], basis, es, mode_indices=[mode_index])
-    return op
-
 
 def from_raw_matrices(
     matrices,
@@ -103,9 +52,11 @@ def from_raw_matrices(
 ) -> tuple[CouplingOperator, ...]:
     """Ingest a stack of raw coupling matrices, all in one basis, in one pass.
 
-    Each matrix is checked, symmetrized and (from "mj") conjugated into
-    the eigenbasis as from_raw_matrix does it; the errors and warnings
-    name the mode. matrices[i] belongs to mode mode_indices[i].
+    Deviations from Hermiticity up to SYMMETRIZE_ACCEPT are symmetrized
+    silently, up to SYMMETRIZE_REJECT symmetrized with a warning, beyond
+    that rejected; the errors and warnings name the mode. A matrix in "mj"
+    is then conjugated into the eigenbasis, U^dag V U. matrices[i] belongs
+    to mode mode_indices[i].
     """
     if basis not in RAW_BASES:
         raise ValueError(f"unknown basis {basis!r}; choose from {RAW_BASES}")

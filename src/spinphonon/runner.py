@@ -461,6 +461,8 @@ def run_sweep(config: RunConfig, *, output_dir: str = ".", workers: int | None =
     """
     fields = config.fields_t if config.fields_t is not None else (config.model.field_t,)
     sweeping_fields = config.fields_t is not None
+    # an unusable output directory fails before any point is computed
+    os.makedirs(output_dir, exist_ok=True)
 
     rows: list[SweepRow] = []
     timers, counts = Counter(), Counter()
@@ -481,7 +483,6 @@ def run_sweep(config: RunConfig, *, output_dir: str = ".", workers: int | None =
         counts.update(engine.counts)
 
     t0 = time.perf_counter()
-    os.makedirs(output_dir, exist_ok=True)
     csv_path = os.path.join(output_dir, config.rates_csv)
     report_path = os.path.join(output_dir, config.fit_report)
     # the rows are all valid here, so they reach disk even if a fit fails

@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import eigh, expm
 
 from .angular import AngularMomentum
 from .constants import MU_B_CM1_PER_T
@@ -175,7 +174,7 @@ def diagonalize(h: NDArray[np.complex128]) -> Eigensystem:
     if dev > HERMITICITY_TOL:
         raise ValueError(f"input deviates from Hermitian by {dev:.3e}")
     try:
-        w, u = eigh(h)
+        w, u = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         norm = np.linalg.norm(h)
         raise DiagonalizationError(f"eigh failed on matrix with norm {norm:.3e}") from exc
@@ -185,7 +184,7 @@ def diagonalize(h: NDArray[np.complex128]) -> Eigensystem:
         if cluster.stop - cluster.start < 2:
             continue
         sub = u[:, cluster]
-        _, v = eigh(sub.conj().T @ jz @ sub)
+        _, v = np.linalg.eigh(sub.conj().T @ jz @ sub)
         u[:, cluster] = sub @ v[:, ::-1]  # descending <Jz> first
     u = _fix_column_phases(u)
 
@@ -256,7 +255,7 @@ def easy_axis_of(es: Eigensystem, model: SpinModel) -> tuple[NDArray[np.float64]
     """
     pair = fundamental_pair(es.kramers_pairs)
     a = _doublet_moment_matrix(es, pair, model.angular_momentum)
-    w, v = eigh(a)
+    w, v = np.linalg.eigh(a)
     if (w[-1] - w[-2]) > ANISOTROPY_TOL * max(w[-1], 1e-30):
         axis, quality = v[:, -1], "doublet"
     else:
@@ -277,15 +276,17 @@ def easy_axis_of(es: Eigensystem, model: SpinModel) -> tuple[NDArray[np.float64]
 def frame_rotation(axis, j: AngularMomentum) -> NDArray[np.complex128] | None:
     """Unitary D = exp(-i theta n.J) with D (axis.J) D^dagger = Jz, or None.
 
-    n is the unit vector along axis x z and theta the angle from axis to z.
-    None means the axis lies along z (a director carries no sign), so the
-    frame it was given in is used as it stands.
+    n is the unit vector along axis x z and theta the angle from axis to z;
+    D = V exp(-i theta lambda) V^dagger from the eigendecomposition of the
+    Hermitian n.J. None means the axis lies along z (a director carries no
+    sign), so the frame it was given in is used as it stands.
     """
     x, y, z = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
     s = math.hypot(x, y)
     if s < FRAME_AXIS_TOL:
         return None
-    return expm(-1j * math.atan2(s, z) * (y * j.jx - x * j.jy) / s)
+    lam, v = np.linalg.eigh((y * j.jx - x * j.jy) / s)
+    return (v * np.exp(-1j * math.atan2(s, z) * lam)) @ v.conj().T
 
 
 def eigensystem_for(model: SpinModel, frame: NDArray[np.complex128] | None = None) -> Eigensystem:

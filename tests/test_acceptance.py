@@ -25,7 +25,7 @@ from spinphonon import runner
 from spinphonon.angular import AngularMomentum
 from spinphonon.bath import BathConfig, BroadeningPolicy, PhononMode
 from spinphonon.config import resolve
-from spinphonon.coupling import from_raw_matrix
+from spinphonon.coupling import from_raw_matrices
 from spinphonon.dynamics import TauResult, extract_tau, fit_regimes
 from spinphonon.generators import build_generator
 from spinphonon.runner import PointEngine
@@ -292,10 +292,11 @@ def test_fourth_order_build_is_fast_and_worker_independent():
         PhononMode(i, w)
         for i, w in enumerate(np.sort(rng.uniform(1.0, 300.0, size=200)))
     )
-    couplings = []
-    for i in range(200):
+    mats = []
+    for _ in range(200):
         m = rng.normal(scale=0.3, size=(d, d)) + 1j * rng.normal(scale=0.3, size=(d, d))
-        couplings.append(from_raw_matrix((m + m.conj().T) / 2.0, "mj", es, mode_index=i))
+        mats.append((m + m.conj().T) / 2.0)
+    couplings = from_raw_matrices(mats, "mj", es, mode_indices=range(200))
     bath = BathConfig(
         modes=modes,
         temperature_k=10.0,

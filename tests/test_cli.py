@@ -94,6 +94,45 @@ def test_validate_missing_file(capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, problem",
+    [
+        (["validate"], "deck is a directory"),
+        (["run"], "deck is not utf-8"),
+        (["run"], "output is a file"),
+        (["scan-regularizer", "--values", "0.5"], "output is a file"),
+        (["scan-broadening", "--widths", "0.5"], "output is a file"),
+    ],
+    ids=["validate-dir-deck", "run-latin1-deck", "run", "scan-regularizer", "scan-broadening"],
+)
+def test_an_unusable_path_exits_2_naming_it_before_any_point(
+    tmp_path, monkeypatch, capsys, command, problem
+):
+    prepared = []
+
+    def spy(self, *args):
+        prepared.append(args)
+        raise AssertionError("a point was prepared")
+
+    monkeypatch.setattr(PointEngine, "__init__", spy)
+    deck, out = DECK_PATHS["four_level"], tmp_path / "out"
+    if problem == "deck is a directory":
+        deck = tmp_path
+    elif problem == "deck is not utf-8":
+        deck = tmp_path / "latin1.yaml"
+        deck.write_bytes(b"# caf\xe9\n" + DECK_PATHS["four_level"].read_bytes())
+    else:
+        out.write_text("")
+    args = command[:1] + [str(deck)] + command[1:]
+    if command != ["validate"]:
+        args += ["--output-dir", str(out)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    named = deck if problem.startswith("deck") else out
+    assert err.count("\n") == 1 and f": {named}: " in err, err
+    assert not prepared
+
+
 def test_validate_unparseable_yaml(tmp_path, capsys):
     deck = tmp_path / "broken.yaml"
     deck.write_text("model: [unclosed\n")

@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 
 from spinphonon.angular import AngularMomentum
-from spinphonon.coupling import (
-    STACK_MODES,
-    basis_tag,
-    from_raw_matrices,
-    from_raw_matrix,
-    from_stevens_derivatives,
-)
-from spinphonon.spin_model import SpinModel, StevensTerm, eigensystem_for
+from spinphonon.coupling import STACK_MODES, basis_tag, from_raw_matrices
+from spinphonon.spin_model import SpinModel, StevensTerm, eigensystem_for, stevens_sum
 from spinphonon.stevens import build_stevens_operator
 
 MODEL = SpinModel(
@@ -24,7 +18,8 @@ J = MODEL.angular_momentum
 
 
 def test_stevens_derivatives_transform_to_eigenbasis():
-    op = from_stevens_derivatives([(2, 1, 0.7), (2, -2, 0.1)], J, ES)
+    terms = (StevensTerm(2, 1, 0.7), StevensTerm(2, -2, 0.1))
+    (op,) = from_raw_matrices([stevens_sum(terms, J)], "mj", ES, mode_indices=[0])
     v_mj = 0.7 * build_stevens_operator(2, 1, J) + 0.1 * build_stevens_operator(2, -2, J)
     u = ES.eigenvectors
     expected = u.conj().T @ v_mj @ u
@@ -32,30 +27,24 @@ def test_stevens_derivatives_transform_to_eigenbasis():
     assert np.allclose(op.matrix, op.matrix.conj().T)
 
 
-def test_stevens_derivatives_accept_term_objects():
-    a = from_stevens_derivatives([StevensTerm(2, 2, 0.3)], J, ES)
-    b = from_stevens_derivatives([(2, 2, 0.3)], J, ES)
-    assert np.array_equal(a.matrix, b.matrix)
-
-
 def test_raw_matrix_mj_vs_eigen_basis():
     v_mj = build_stevens_operator(2, 2, J)
-    in_mj = from_raw_matrix(v_mj, "mj", ES)
+    (in_mj,) = from_raw_matrices([v_mj], "mj", ES, mode_indices=[0])
     u = ES.eigenvectors
-    in_eigen = from_raw_matrix(u.conj().T @ v_mj @ u, "eigen", ES)
+    (in_eigen,) = from_raw_matrices([u.conj().T @ v_mj @ u], "eigen", ES, mode_indices=[0])
     assert np.allclose(in_mj.matrix, in_eigen.matrix, atol=1e-12)
 
 
 def test_raw_matrix_shape_guard():
     with pytest.raises(ValueError):
-        from_raw_matrix(np.eye(3), "mj", ES)
+        from_raw_matrices([np.eye(3)], "mj", ES, mode_indices=[0])
 
 
 def test_raw_matrix_hermiticity_guard():
     v = np.zeros((4, 4), dtype=complex)
     v[0, 1] = 1.0  # strongly non-Hermitian
     with pytest.raises(ValueError):
-        from_raw_matrix(v, "mj", ES)
+        from_raw_matrices([v], "mj", ES, mode_indices=[0])
 
 
 def _hermitian(rng, d):
@@ -107,5 +96,5 @@ def test_basis_tag_distinguishes_eigensystems():
 
 
 def test_mode_index_recorded():
-    op = from_stevens_derivatives([(2, 1, 1.0)], J, ES, mode_index=5)
+    (op,) = from_raw_matrices([build_stevens_operator(2, 1, J)], "mj", ES, mode_indices=[5])
     assert op.mode_index == 5

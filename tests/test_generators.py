@@ -14,7 +14,7 @@ from conftest import bath_for
 
 from spinphonon import generators
 from spinphonon.bath import BathConfig, BroadeningPolicy, PhononMode
-from spinphonon.coupling import from_raw_matrix
+from spinphonon.coupling import from_raw_matrices
 from spinphonon.generators import (
     BasisMismatchError,
     SingularityError,
@@ -38,13 +38,14 @@ def four_level_dense_engine(four_level_engine):
     eng = four_level_engine
     rng = np.random.default_rng(7)
     d = eng.es.dim
-    couplings = []
-    for c in eng.couplings:
+    mats = []
+    for _ in eng.couplings:
         m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        couplings.append(
-            from_raw_matrix((m + m.conj().T) / 2, "eigen", eng.es, mode_index=c.mode_index)
-        )
-    return SimpleNamespace(config=eng.config, es=eng.es, couplings=tuple(couplings))
+        mats.append((m + m.conj().T) / 2)
+    couplings = from_raw_matrices(
+        mats, "eigen", eng.es, mode_indices=[c.mode_index for c in eng.couplings]
+    )
+    return SimpleNamespace(config=eng.config, es=eng.es, couplings=couplings)
 
 
 def random_jumps(dim, count, seed=0):
@@ -408,10 +409,11 @@ def test_order4_peak_memory_stays_near_the_size_of_its_inputs():
     )
     d, n = es.dim, 64
     modes = tuple(PhononMode(i, w) for i, w in enumerate(np.sort(rng.uniform(1.0, 300.0, size=n))))
-    couplings = []
-    for i in range(n):
+    mats = []
+    for _ in range(n):
         m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        couplings.append(from_raw_matrix((m + m.conj().T) / 2.0, "mj", es, mode_index=i))
+        mats.append((m + m.conj().T) / 2.0)
+    couplings = from_raw_matrices(mats, "mj", es, mode_indices=range(n))
     bath = BathConfig(
         modes=modes, temperature_k=10.0,
         broadening=BroadeningPolicy(kind="gaussian", width_cm1=3.0, cutoff_sigmas=5.0),
@@ -479,9 +481,9 @@ def test_mixed_basis_jumps_rejected(four_level_engine, four_level_config):
     # them, or all of them, which agree with each other but not with es
     eng = four_level_engine
     other_es = eigensystem_for(replace(eng.model, field_t=(0.0, 0.0, 0.1)))
-    foreign = tuple(
-        from_raw_matrix(c.matrix, "eigen", other_es, mode_index=c.mode_index)
-        for c in eng.couplings
+    foreign = from_raw_matrices(
+        [c.matrix for c in eng.couplings], "eigen", other_es,
+        mode_indices=[c.mode_index for c in eng.couplings],
     )
     bath = bath_for(four_level_config, 2.0)
     for couplings in ((eng.couplings[0], foreign[1], *eng.couplings[2:]), foreign):

@@ -1,3 +1,4 @@
+import ast
 import os
 import pathlib
 import subprocess
@@ -12,6 +13,22 @@ def test_every_export_resolves():
     # a name left in __all__ after its definition is deleted fails here
     missing = [name for name in spinphonon.__all__ if not hasattr(spinphonon, name)]
     assert not missing
+
+
+def test_only_dynamics_imports_scipy():
+    # the one scipy call left in the package is extract_tau's eig
+    importers = []
+    for path in sorted(pathlib.Path(spinphonon.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                importers.append(path.name)
+    assert sorted(set(importers)) == ["dynamics.py"]
 
 
 def test_cli_runs_without_jsonschema_or_scipy_special(tmp_path):

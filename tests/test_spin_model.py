@@ -190,6 +190,12 @@ def test_frame_rotation_turns_axis_onto_jz():
         d = frame_rotation(axis, j)
         assert np.allclose(d @ d.conj().T, np.eye(j.dim), atol=1e-12)
         assert np.allclose(d @ _dot_j(axis, j) @ d.conj().T, j.jz, atol=1e-12)
+        # many unitaries take axis.J to Jz; D is the one of the rotation
+        # about axis x z that takes axis to z, as the oracle's expm builds it
+        n = np.cross(axis, [0.0, 0.0, 1.0])
+        r = rotation_from(n, np.arctan2(np.linalg.norm(n), axis[2]))
+        assert np.allclose(r @ axis, [0.0, 0.0, 1.0], atol=1e-12)
+        assert np.abs(d - spin_rotation_matrix(r, j)).max() < 1e-12
 
 
 def test_frame_rotation_is_none_along_z():
