@@ -11,19 +11,42 @@ map, not a second read path; the oracle tests check each rate
 independently.
 """
 
+import importlib.machinery
+import importlib.util
 import logging
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import eig
 
 from .constants import KB_CM1_PER_K
 from .generators import PairRateSums, Superoperator
 from .spin_model import KramersPair
 
 log = logging.getLogger(__name__)
+
+
+def _load_lapack():
+    """scipy's LAPACK extension module, loaded without the scipy.linalg package.
+
+    Finding the extension imports only the top-level scipy package. Running
+    scipy/linalg/__init__.py would also load its array-API layer (numpy.f2py,
+    numpy.testing, unittest), which doubles the start-up of spinphonon.cli.
+    A later import of scipy.linalg reuses the module loaded here.
+    """
+    name = "scipy.linalg._flapack"
+    where = importlib.util.find_spec("scipy.linalg").submodule_search_locations
+    spec = importlib.machinery.PathFinder.find_spec(name, where)
+    if spec is None:
+        raise ImportError(f"{name} not found in {list(where)}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# loaded at import, so that the first tau solve of a sweep does not pay for it
+_lapack = _load_lapack()
 
 OVERLAP_THRESHOLD = 0.5
 # decay rates below this fraction of the fastest eigenvalue are not
@@ -72,6 +95,30 @@ class FitResult:
     scale: float | None = None
 
 
+def eig(a):
+    """(w, vl, vr) of a square complex matrix, bit for bit as
+    scipy.linalg.eig(a, left=True, right=True, overwrite_a=True) gives them.
+
+    The same zgeev is called with the workspace scipy asks for (its size
+    selects LAPACK's blocked code paths). a is overwritten when it is a
+    Fortran-ordered complex128 array. A non-finite or non-square a raises
+    ValueError, and a solve that does not converge LinAlgError.
+    """
+    a = np.asarray_chkfinite(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("expected square matrix")
+    lwork = int(_lapack.zgeev_lwork(a.shape[0], compute_vl=1, compute_vr=1)[0].real)
+    w, vl, vr, info = _lapack.zgeev(a, lwork=lwork, compute_vl=1, compute_vr=1, overwrite_a=1)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of internal eig algorithm (geev)")
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"eig algorithm (geev) did not converge (only eigenvalues with order >= {info} "
+            "have converged)"
+        )
+    return w, vl, vr
+
+
 def _safe_inv(x: float) -> float:
     if x == 0.0:
         return np.inf
@@ -102,8 +149,8 @@ def extract_tau(sup: Superoperator, pair: KramersPair) -> TauResult:
     floor and report as tau = inf (blocked on this generator's scale).
     """
     probe = _population_difference_vec(sup.dim, pair)
-    # dense() is in Fortran order, which eig may overwrite in place of a copy
-    w, vl, vr = eig(sup.dense(), left=True, right=True, overwrite_a=True)
+    # dense() is in Fortran order, which eig overwrites in place of a copy
+    w, vl, vr = eig(sup.dense())
     denom = np.einsum("in,in->n", vl.conj(), vr)
     # a defective pair (w_n . v_n ~ 0) cannot carry a clean amplitude
     usable = np.abs(denom) > 1e-12 * np.linalg.norm(vl, axis=0) * np.linalg.norm(vr, axis=0)

@@ -486,8 +486,11 @@ def _row_windows(blocks: SecularPartition, key, dim: int):
     rows = ([], [])
     for w, (l0, l1) in enumerate(zip(w_lo.tolist(), w_hi.tolist())):
         members = blocks[l0:l1]
-        term1 = np.unique(np.concatenate([b.rows for b in members]))
-        term2 = np.unique(np.concatenate([b.cols for b in members]))
+        # sorted sets of the states the members' rows and cols name
+        seen = np.zeros((2, dim), dtype=bool)
+        seen[0, np.concatenate([b.rows for b in members])] = True
+        seen[1, np.concatenate([b.cols for b in members])] = True
+        term1, term2 = np.flatnonzero(seen[0]), np.flatnonzero(seen[1])
         rows[0].append(term1)
         rows[1].append(term2)
         for g, b in enumerate(members, start=int(wg0[w])):

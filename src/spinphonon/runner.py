@@ -23,11 +23,13 @@ is), a field that could not be prepared, a worker that died, or a fit.
 
 import logging
 import math
+import multiprocessing
 import os
 import resource
 import sys
 import time
 from collections import Counter
+from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -282,11 +284,10 @@ def _in_workers(
     indices. "fork" is asked for by name: spawn would pickle the engine
     into each worker, and the default start method is not fork everywhere.
     With fork the executor starts every worker before its own thread, so
-    no fork happens while a thread of it runs.
+    no fork happens while a thread of it runs. multiprocessing and the
+    executor are imported with this module, so that the sweep does not pay
+    for loading them.
     """
-    import multiprocessing
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-
     pool = ProcessPoolExecutor(
         workers,
         mp_context=multiprocessing.get_context("fork"),

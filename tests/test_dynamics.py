@@ -1,8 +1,12 @@
+import importlib.machinery
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 import oracles
 
+from spinphonon import dynamics
 from spinphonon.dynamics import (
     AmbiguousEigenvectorError,
     RateReport,
@@ -12,6 +16,7 @@ from spinphonon.dynamics import (
 )
 from spinphonon.constants import KB_CM1_PER_K
 from spinphonon.generators import PairRateSums, Superoperator, _result_from, whole_block
+from spinphonon.runner import PointEngine
 from spinphonon.spin_model import KramersPair
 
 PAIR01 = KramersPair(a=0, b=1, jz_a=0.5, jz_b=-0.5)
@@ -76,6 +81,48 @@ def test_extract_tau_ambiguous_raises_with_table():
     amps = [amp for _, amp in table]
     assert max(amps) < 0.5
     assert amps == sorted(amps, reverse=True)
+
+
+@pytest.mark.parametrize("deck", ["four_level", "spin_half", "j15_2"])
+def test_eig_matches_scipy_bit_for_bit_on_every_bundled_generator(deck, request, monkeypatch):
+    # every tau solve of the deck's sweep: the order-2 and the cumulative
+    # order-4 generator at each temperature
+    config = request.getfixturevalue(f"{deck}_config")
+    solve = dynamics.eig
+    equal = []
+
+    def checked(a):
+        want = scipy.linalg.eig(a.copy(), left=True, right=True)
+        got = solve(a)
+        equal.append([np.array_equal(g, w) for g, w in zip(got, want)])
+        return got
+
+    monkeypatch.setattr(dynamics, "eig", checked)
+    engine = PointEngine(config)
+    for temperature_k in config.temperatures_k:
+        engine.rates(temperature_k, (2, 4))
+    assert equal == [[True] * 3] * (2 * len(config.temperatures_k))
+
+
+def test_eig_keeps_scipys_checks_and_its_zgeev():
+    for bad in (np.nan, np.inf):
+        a = np.eye(4, dtype=complex)
+        a[0, 1] = bad
+        # refused before LAPACK sees it, which would pass an inf through
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            dynamics.eig(a)
+    with pytest.raises(ValueError):
+        dynamics.eig(np.zeros((4, 2), dtype=complex))
+    # scipy.linalg, whenever it is imported, reuses the extension eig loaded
+    assert scipy.linalg.lapack.zgeev is dynamics._lapack.zgeev
+
+
+def test_lapack_loader_names_where_it_looked(monkeypatch):
+    monkeypatch.setattr(
+        importlib.machinery.PathFinder, "find_spec", classmethod(lambda cls, *args: None)
+    )
+    with pytest.raises(ImportError, match=r"scipy\.linalg\._flapack not found in \['.+'\]"):
+        dynamics._load_lapack()
 
 
 # the oracle's jump-level pair sums are the reference for the generator

@@ -1,6 +1,7 @@
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -15,20 +16,28 @@ def test_every_export_resolves():
     assert not missing
 
 
-def test_only_dynamics_imports_scipy():
-    # the one scipy call left in the package is extract_tau's eig
-    importers = []
-    for path in sorted(pathlib.Path(spinphonon.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and not node.level:
-                names = [node.module]
-            else:
-                continue
-            if any(name.split(".")[0] == "scipy" for name in names):
-                importers.append(path.name)
-    assert sorted(set(importers)) == ["dynamics.py"]
+def _reaches_scipy(node) -> bool:
+    """An import statement of scipy, or a string naming scipy or one of its modules."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and not node.level:
+        names = [node.module]
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        # importlib takes module names as strings
+        names = [node.value] if re.fullmatch(r"[\w.]+", node.value) else []
+    else:
+        return False
+    return any(name.split(".")[0] == "scipy" for name in names)
+
+
+def test_only_dynamics_reaches_scipy():
+    # the one scipy call left in the package is extract_tau's zgeev
+    reaching = [
+        path.name
+        for path in sorted(pathlib.Path(spinphonon.__file__).parent.glob("*.py"))
+        if any(_reaches_scipy(node) for node in ast.walk(ast.parse(path.read_text())))
+    ]
+    assert reaching == ["dynamics.py"]
 
 
 def test_cli_runs_without_jsonschema_or_scipy_special(tmp_path):
@@ -40,6 +49,8 @@ def test_cli_runs_without_jsonschema_or_scipy_special(tmp_path):
         "from spinphonon.runner import run_sweep\n"
         "run_sweep(load_config(sys.argv[1]), output_dir=sys.argv[2])\n"
         "print(sorted(m for m in sys.modules if m.startswith(('jsonschema', 'scipy.special'))))\n"
+        # the scipy.linalg package and what its array-API layer loads
+        "print(sorted({'scipy.linalg', 'numpy.f2py', 'numpy.testing', 'numpy.ma'} & set(sys.modules)))\n"
     )
     src = pathlib.Path(spinphonon.__file__).resolve().parents[1]
     path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
@@ -49,7 +60,7 @@ def test_cli_runs_without_jsonschema_or_scipy_special(tmp_path):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.split() == ["[]", "[]"]
     assert (tmp_path / "j15_2_rates.csv").exists()
 
 
@@ -67,6 +78,27 @@ def test_run_writes_the_same_bytes_whether_or_not_the_blas_threads_are_set(tmp_p
         done = subprocess.run(
             [sys.executable, "-c", code, "run", str(DECK_PATHS["j15_2"]), "--output-dir", str(out)],
             env=dict(env, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append([(out / f).read_bytes() for f in ("j15_2_rates.csv", "j15_2_fits.txt")])
+    assert outputs[0] == outputs[1]
+
+
+def test_run_writes_the_same_bytes_whether_or_not_scipy_linalg_came_first(tmp_path):
+    # eig loads scipy's LAPACK extension itself; a caller that imported the
+    # scipy.linalg package first must get the same solve. The BLAS threads
+    # are set here, as scipy.linalg loads its BLAS before the package could
+    main = "from spinphonon.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    src = pathlib.Path(spinphonon.__file__).resolve().parents[1]
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = dict(os.environ, PYTHONPATH=path, **dict.fromkeys(blas, "1"))
+    outputs = []
+    for name, first in (("alone", "import sys\n"), ("after", "import scipy.linalg, sys\n")):
+        out = tmp_path / name
+        done = subprocess.run(
+            [sys.executable, "-c", first + main, "run", str(DECK_PATHS["j15_2"]), "--output-dir", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr
         outputs.append([(out / f).read_bytes() for f in ("j15_2_rates.csv", "j15_2_fits.txt")])
