@@ -213,16 +213,6 @@ def _schema_errors(value, node: dict, path: tuple = ()):
         elif key == "enum":
             if not any(_equal(e, value) for e in arg):
                 yield path, f"{value!r} is not one of {arg!r}"
-        elif key == "const":
-            if not _equal(value, arg):
-                yield path, f"{arg!r} was expected"
-        elif key == "oneOf":
-            valid = [sub for sub in arg if next(_schema_errors(value, sub, path), None) is None]
-            if not valid:
-                yield path, f"{value!r} is not valid under any of the given schemas"
-            elif len(valid) > 1:
-                reprs = ", ".join(map(repr, valid[1:] + valid[:1]))
-                yield path, f"{value!r} is valid under each of {reprs}"
         else:
             raise ValueError(f"deck schema keyword {key!r}: {arg!r} is not implemented")
 
@@ -328,6 +318,11 @@ def _semantic_diagnostics(raw: dict) -> list[str]:
     model = _mapping(raw.get("model"))
     two_j = model.get("two_j")
     dim = two_j + 1 if isinstance(two_j, int) and two_j >= 1 else None
+    if _TYPES["integer"](two_j) and two_j >= 1 and two_j % 2 == 0:
+        out.append(
+            f"model.two_j: {two_j!r} is even; rate sweeps need a Kramers system "
+            "(half-integer J), so two_j must be odd"
+        )
     check_scalars(("model",), model, (("g_j", "> 0"),))
     check_stevens(("model", "stevens_terms_cm1"), model.get("stevens_terms_cm1"))
     check(("model", "field_t"), _array(model.get("field_t")))
@@ -376,7 +371,12 @@ def _semantic_diagnostics(raw: dict) -> list[str]:
         (("width_cm1", "> 0"), ("cutoff_sigmas", "> 0")),
     )
 
+    orders = sweep.get("orders", DEFAULT_ORDERS)
+    swept = next((_orders_tuple(o) for o in (2, 4, "both") if _equal(o, orders)), None)
     for i, fit in enumerate(_array(raw.get("fits"))):
+        order = _mapping(fit).get("order")
+        if swept and order in (2, 4) and order not in swept:
+            out.append(f"fits[{i}].order: {order!r} is not swept (sweep.orders: {orders!r})")
         win = _array(_mapping(fit).get("window_k"))
         if check(("fits", i, "window_k"), win, "> 0") and len(win) == 2 and win[0] >= win[1]:
             out.append(f"fits[{i}].window_k: lower bound must be below upper bound")

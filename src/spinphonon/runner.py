@@ -6,14 +6,14 @@ cumulative: R = R2 + R4, and the T1/T2*/T2 rate sums are added the same
 way before inversion.
 
 The points of one field (its temperatures, or a scan's knob values) are
-independent, and compute_points is the one loop over them. It computes
-the first point itself; when the rest would take at least POOL_MIN_WORK_S
-at that pace and the process may use two or more CPUs, it forks up to one
-worker per CPU (never more than the points left), which inherit the
-prepared PointEngine and compute the remaining points by index. Each point
-is the same one-BLAS-thread computation on the same inputs in whichever
-process runs it, so the results, returned in point order, are bitwise the
-same whether or not a pool ran; stage times are summed over processes.
+independent, and compute_points is the one place they are computed.
+When a field has two or more points and the process may use two or more
+CPUs, it forks min(CPUs, points) workers, which inherit the prepared
+PointEngine and compute every point by index; otherwise it computes them
+all itself. Each point is the same one-BLAS-thread computation on the
+same inputs in whichever process runs it, so the results, returned in
+point order, are bitwise the same whether or not a pool ran; stage times
+are summed over processes.
 
 A numeric failure leaves this module as a SweepPointError, the one
 exception the CLI turns into exit 3. Its message names where the sweep
@@ -51,11 +51,6 @@ from .spin_model import (
 )
 
 log = logging.getLogger(__name__)
-
-# The points after a field's first go to a pool only when, at the first
-# point's pace, they would take at least this long: about five times what
-# starting the pool costs, so decks whose whole sweep is cheaper stay serial.
-POOL_MIN_WORK_S = 0.25
 
 CSV_COLUMNS = ("temperature_K", "order", "tau_s", "t1_s", "t2_s", "t2star_s", "overlap_score")
 FIELD_COLUMNS = ("field_T_x", "field_T_y", "field_T_z")
@@ -104,15 +99,9 @@ class PointEngine:
         model = config.model
         if field_t is not None:
             model = replace(model, field_t=tuple(float(x) for x in field_t))
-        j = model.angular_momentum
-        if j.two_j % 2 == 0:
-            raise SweepPointError(
-                "rate sweeps need a Kramers system (half-integer J); "
-                f"got two_j = {j.two_j}"
-            )
         es = eigensystem_for(model)
         axis, quality = easy_axis_of(es, model)
-        frame = frame_rotation(axis, j)
+        frame = frame_rotation(axis, model.angular_momentum)
         if frame is not None:
             es = eigensystem_for(model, frame)
             log.info("aligned easy axis %s onto z (%s quality)", axis, quality)
@@ -174,7 +163,6 @@ class PointEngine:
         )
         common = dict(
             blocks=self.blocks,
-            secular_tol_cm1=cfg.secular_tol_cm1,
             regularizer_cm1=cfg.regularizer_cm1,
             channels=cfg.channels,
             allow_same_mode=cfg.allow_same_mode,
@@ -233,20 +221,18 @@ class Point:
 def compute_points(engine: PointEngine, points: Sequence[Point]) -> list[dict[int, RateReport]]:
     """Each point's rate reports, in point order.
 
-    The first point runs here. The rest run in forked workers when
-    _pool_workers says they are worth it, else here too; either way the
-    first failure in point order is raised as a SweepPointError naming its
-    point, and no worker outlives the call. Worker time and counts are
-    added to engine.timers and engine.counts, and counts["workers"] counts
-    the workers started.
+    With two or more points and two or more usable CPUs, min(CPUs, points)
+    forked workers compute every point; otherwise this process computes
+    them all. Either way the first failure in point order is raised as a
+    SweepPointError naming its point, and no worker outlives the call.
+    Worker time and counts are added to engine.timers and engine.counts,
+    and counts["workers"] counts the workers started. Every platform that
+    reports usable CPUs (sched_getaffinity) has fork.
     """
-    busy = engine.timers["generate_s"] + engine.timers["extract_s"]
-    out = [_compute(engine, points[0])]
-    first_s = engine.timers["generate_s"] + engine.timers["extract_s"] - busy
-    workers = _pool_workers(len(points) - 1, first_s)
-    if workers:
-        return out + _in_workers(engine, points, workers)
-    return out + [_compute(engine, p) for p in points[1:]]
+    workers = min(usable_cpus(), len(points))
+    if workers >= 2:
+        return _in_workers(engine, points, workers)
+    return [_compute(engine, p) for p in points]
 
 
 def _compute(engine: PointEngine, point: Point) -> dict[int, RateReport]:
@@ -262,23 +248,10 @@ def usable_cpus() -> int:
     return len(affinity(0)) if affinity is not None else 1
 
 
-def _pool_workers(remaining: int, first_s: float) -> int:
-    """Workers for the points after the first: min(CPUs, remaining), or 0
-    (serial) unless at least two remain, two CPUs are usable and the
-    remaining work, at the first point's pace, is POOL_MIN_WORK_S or more.
-    Every platform that reports usable CPUs (sched_getaffinity) has fork."""
-    if remaining < 2 or first_s * remaining < POOL_MIN_WORK_S:
-        return 0
-    cpus = usable_cpus()
-    if cpus < 2:
-        return 0
-    return min(cpus, remaining)
-
-
 def _in_workers(
     engine: PointEngine, points: Sequence[Point], workers: int
 ) -> list[dict[int, RateReport]]:
-    """Points 1.. of points from a pool of forked workers, in point order.
+    """Every point of points from a pool of forked workers, in point order.
 
     Workers inherit engine and points when they fork and are sent only
     indices. "fork" is asked for by name: spawn would pickle the engine
@@ -295,9 +268,9 @@ def _in_workers(
         initargs=(engine, points),
     )
     try:
-        futures = [pool.submit(_worker_point, i) for i in range(1, len(points))]
+        futures = [pool.submit(_worker_point, i) for i in range(len(points))]
         out = []
-        for point, future in zip(points[1:], futures):
+        for point, future in zip(points, futures):
             try:
                 reports, timers, counts = future.result()
             except BrokenProcessPool as exc:

@@ -333,6 +333,46 @@ def test_run_refuses_a_bad_deck_number(tmp_path, capsys, path, value, named):
     assert not out_dir.exists()
 
 
+def _integer_j(deck):
+    deck["model"]["two_j"] = 2
+    deck["coupling"]["operators"] = [
+        {"matrix_cm1": {"real": [[0.0, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.0]]}},
+        {"matrix_cm1": {"real": [[0.3, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -0.3]]}},
+    ]
+
+
+def _unswept_fit_order(deck):
+    deck["sweep"]["orders"] = 2
+    deck["fits"][0]["order"] = 4
+
+
+@pytest.mark.parametrize(
+    "name, edit, diagnostic",
+    [
+        (
+            "spin_half", _integer_j,
+            "model.two_j: 2 is even; rate sweeps need a Kramers system (half-integer J), "
+            "so two_j must be odd",
+        ),
+        ("four_level", _unswept_fit_order, "fits[0].order: 4 is not swept (sweep.orders: 2)"),
+    ],
+    ids=["integer_j", "unswept_fit_order"],
+)
+def test_a_deck_no_sweep_can_finish_exits_2_before_any_point(
+    tmp_path, capsys, name, edit, diagnostic
+):
+    deck = yaml.safe_load(DECK_PATHS[name].read_text())
+    edit(deck)
+    deck_path = tmp_path / "deck.yaml"
+    deck_path.write_text(yaml.safe_dump(deck))
+    out_dir = tmp_path / "out"
+    assert main(["validate", str(deck_path)]) == 2
+    assert capsys.readouterr().err == f"{diagnostic}\n"
+    assert main(["run", str(deck_path), "--output-dir", str(out_dir)]) == 2
+    assert capsys.readouterr().err == f"{diagnostic}\n"
+    assert not out_dir.exists()
+
+
 def test_run_verbose_logs_where_setup_went(tmp_path, caplog):
     caplog.set_level(logging.INFO)
     assert main(["-v", "run", str(DECK_PATHS["spin_half"]), "--output-dir", str(tmp_path)]) == 0

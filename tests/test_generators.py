@@ -452,23 +452,6 @@ def test_unused_vanishing_denominator_does_not_raise(spin_half_engine, spin_half
     assert res.jump_count == 0
 
 
-def test_worker_counts_agree_bitwise(four_level_engine, four_level_config):
-    cfg = four_level_config
-    bath = bath_for(cfg, 8.0)
-    kw = dict(
-        secular_tol_cm1=cfg.secular_tol_cm1, regularizer_cm1=cfg.regularizer_cm1,
-        channels=cfg.channels, allow_same_mode=cfg.allow_same_mode,
-    )
-    # the build runs on one thread and takes no worker count, so a second
-    # build must repeat the first bit for bit
-    one = build_generator(4, four_level_engine.couplings, bath, four_level_engine.es, **kw)
-    two = build_generator(4, four_level_engine.couplings, bath, four_level_engine.es, **kw)
-    assert np.array_equal(one.superoperator.dense(), two.superoperator.dense())
-    assert np.array_equal(one.weights, two.weights)
-    assert np.array_equal(one.dephasing, two.dephasing)
-    assert one.jump_count == two.jump_count
-
-
 def test_rate_pair_sums_match_materialized_jumps(four_level_engine, four_level_config):
     eng = four_level_engine
     bath = bath_for(four_level_config, 2.0)

@@ -7,7 +7,7 @@ import yaml
 from conftest import DECK_PATHS, GOLDEN, bath_for
 
 from spinphonon import runner
-from spinphonon.config import load_config, resolve
+from spinphonon.config import DeckValidationError, load_config, resolve
 from spinphonon.generators import build_generator
 from spinphonon.runner import CSV_COLUMNS, PointEngine, SweepPointError, run_sweep
 
@@ -33,8 +33,12 @@ def test_even_two_j_is_rejected():
         "coupling": {"operators": [{"matrix_cm1": {"real": np.eye(3).tolist()}}]},
         "sweep": {"temperatures_k": [1.0]},
     }
-    with pytest.raises(SweepPointError):
-        PointEngine(resolve(deck))
+    with pytest.raises(DeckValidationError) as info:
+        resolve(deck)
+    assert info.value.diagnostics == [
+        "model.two_j: 2 is even; rate sweeps need a Kramers system (half-integer J), "
+        "so two_j must be odd"
+    ]
 
 
 def test_sweep_csv_structure(tmp_path, spin_half_config):

@@ -1,8 +1,8 @@
 """A field's points computed in forked workers match the serial sweep bit for bit.
 
-Each test forces the path it checks by setting runner.POOL_MIN_WORK_S and
-runner.usable_cpus, never by timing, and runs under a deadline, so a pool
-that hangs fails the test instead of the suite.
+Each test forces the path it checks through runner.usable_cpus alone (two
+CPUs give a pool, one keeps the points serial) and runs under a deadline,
+so a pool that hangs fails the test instead of the suite.
 """
 
 import contextlib
@@ -45,9 +45,9 @@ def deadline(seconds=DEADLINE_S):
 
 @pytest.fixture
 def paths(monkeypatch):
-    """paths.pool(True) sends the points after the first to a pool of two
-    workers, paths.pool(False) keeps them serial; paths.started lists the
-    worker count of each pool started."""
+    """paths.pool(True) reports two usable CPUs, so a field's points go to a
+    pool of two workers; paths.pool(False) reports one, so they stay serial;
+    paths.started lists the worker count of each pool started."""
     started = []
     in_workers = runner._in_workers
 
@@ -56,10 +56,10 @@ def paths(monkeypatch):
         return in_workers(engine, points, workers)
 
     def pool(on: bool):
-        monkeypatch.setattr(runner, "POOL_MIN_WORK_S", 0.0 if on else float("inf"))
+        monkeypatch.setattr(runner, "usable_cpus", lambda: 2 if on else 1)
 
     monkeypatch.setattr(runner, "_in_workers", spy)
-    monkeypatch.setattr(runner, "usable_cpus", lambda: 2)
+    pool(False)
     return SimpleNamespace(pool=pool, started=started)
 
 
@@ -70,24 +70,31 @@ def _outputs(result):
 @pytest.mark.parametrize("name", ["j15_2", "four_level"])
 def test_pool_and_serial_sweeps_write_the_same_bytes(tmp_path, monkeypatch, paths, name):
     config = load_config(DECK_PATHS[name])
-    # the first pooled point finishes last, so rows kept in completion
-    # order would come out permuted
-    slow = config.temperatures_k[1]
+    # the first point finishes last, so rows kept in completion order would
+    # come out permuted
+    slow = config.temperatures_k[0]
+    parent = os.getpid()
+    in_parent = []
     rates = runner.PointEngine.rates
 
-    def second_point_late(self, temperature_k, *args):
+    def first_point_late(self, temperature_k, *args):
+        if os.getpid() == parent:
+            in_parent.append(temperature_k)
         if temperature_k == slow:
             time.sleep(0.2)
         return rates(self, temperature_k, *args)
 
-    monkeypatch.setattr(runner.PointEngine, "rates", second_point_late)
+    monkeypatch.setattr(runner.PointEngine, "rates", first_point_late)
     with deadline():
         paths.pool(False)
         serial = _outputs(run_sweep(config, output_dir=tmp_path / "serial"))
         assert paths.started == []
+        assert in_parent == list(config.temperatures_k)
         paths.pool(True)
         pooled = _outputs(run_sweep(config, output_dir=tmp_path / "pool"))
     assert paths.started == [2]
+    # with a pool, the workers compute every point and the parent none
+    assert in_parent == list(config.temperatures_k)
     assert pooled == serial
 
 
@@ -200,9 +207,9 @@ LOST = r"numeric failure: a worker process died; results from temperature_K=(\S+
 
 def test_a_worker_that_dies_exits_3_naming_its_point(tmp_path, monkeypatch, capsys, paths):
     # the first pooled point: its result is the first the parent reads
-    code, err = _run_with_a_dying_worker(tmp_path, monkeypatch, capsys, paths, 1)
+    code, err = _run_with_a_dying_worker(tmp_path, monkeypatch, capsys, paths, 0)
     assert code == 3
-    assert re.search(LOST, err)[1] == "1.41"
+    assert re.search(LOST, err)[1] == "1.0"
     assert "terminated abruptly" in err
 
 
@@ -211,32 +218,62 @@ def test_a_later_worker_death_is_not_blamed_on_the_first_unread_point(
 ):
     # the worker of the fifth pooled point dies; the parent may be reading
     # any point up to it, and names that one only as the first result lost
-    code, err = _run_with_a_dying_worker(tmp_path, monkeypatch, capsys, paths, 5)
+    code, err = _run_with_a_dying_worker(tmp_path, monkeypatch, capsys, paths, 4)
     assert code == 3
-    assert re.search(LOST, err)[1] in ("1.41", "2.0", "2.83", "4.0", "5.66")
+    assert re.search(LOST, err)[1] in ("1.0", "1.41", "2.0", "2.83", "4.0")
 
 
-def test_a_first_point_failure_or_a_one_point_deck_starts_no_pool(tmp_path, paths):
-    paths.pool(True)
+def test_a_first_point_failure_reads_the_same_from_the_pool(tmp_path, paths):
     deck = yaml.safe_load(DECK_PATHS["spin_half"].read_text())
     # eta = 0 leaves a vanishing order-4 denominator at every temperature
     deck["numeric"]["regularizer_cm1"] = 0.0
     deck["sweep"]["orders"] = 4
+    caught = {}
     with deadline():
-        with pytest.raises(SweepPointError, match="temperature_K=0.5"):
-            run_sweep(resolve(deck), output_dir=tmp_path)
-        deck = yaml.safe_load(DECK_PATHS["spin_half"].read_text())
-        deck["sweep"]["temperatures_k"] = [2.0]
+        for pool in (False, True):
+            paths.pool(pool)
+            with pytest.raises(SweepPointError) as info:
+                run_sweep(resolve(deck), output_dir=tmp_path)
+            caught[pool] = str(info.value)
+    assert paths.started == [2]
+    assert caught[True] == caught[False]
+    assert caught[True].startswith("at temperature_K=0.5, field_T=")
+
+
+def test_a_one_point_deck_starts_no_pool(tmp_path, paths):
+    paths.pool(True)
+    deck = yaml.safe_load(DECK_PATHS["spin_half"].read_text())
+    deck["sweep"]["temperatures_k"] = [2.0]
+    with deadline():
         run_sweep(resolve(deck), output_dir=tmp_path)
     assert paths.started == []
 
 
-def test_the_pool_waits_for_enough_work_and_two_cpus(monkeypatch):
-    monkeypatch.setattr(runner, "POOL_MIN_WORK_S", 1.0)
-    monkeypatch.setattr(runner, "usable_cpus", lambda: 4)
-    assert runner._pool_workers(9, 0.5) == 4
-    assert runner._pool_workers(3, 0.5) == 3
-    assert runner._pool_workers(9, 0.1) == 0
-    assert runner._pool_workers(1, 10.0) == 0
-    monkeypatch.setattr(runner, "usable_cpus", lambda: 1)
-    assert runner._pool_workers(9, 10.0) == 0
+def test_every_point_goes_to_the_pool_or_none_does(monkeypatch):
+    pools, here = [], []
+
+    def in_workers(engine, points, workers):
+        pools.append(workers)
+        return ["pool"] * len(points)
+
+    def compute(engine, point):
+        here.append(point)
+        return "here"
+
+    monkeypatch.setattr(runner, "_in_workers", in_workers)
+    monkeypatch.setattr(runner, "_compute", compute)
+
+    def chosen(cpus, n_points):
+        """The worker counts of the pools started, and the points the
+        parent computed, for n_points points on cpus CPUs."""
+        pools.clear()
+        here.clear()
+        monkeypatch.setattr(runner, "usable_cpus", lambda: cpus)
+        assert len(runner.compute_points(None, list(range(n_points)))) == n_points
+        return pools[:], len(here)
+
+    assert chosen(4, 9) == ([4], 0)
+    assert chosen(4, 3) == ([3], 0)
+    assert chosen(2, 2) == ([2], 0)
+    assert chosen(4, 1) == ([], 1)
+    assert chosen(1, 9) == ([], 9)
