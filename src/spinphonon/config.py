@@ -18,7 +18,6 @@ a diagnostic rather than a silently ignored setting.
 
 import functools
 import gc
-import hashlib
 import itertools
 import json
 import logging
@@ -42,6 +41,7 @@ from .bath import (
     BroadeningPolicy,
     PhononMode,
 )
+from .digest import sha256
 from .generators import DEFAULT_REGULARIZER_CM1, DEFAULT_SECULAR_TOL_CM1
 from .spin_model import SpinModel, StevensTerm
 
@@ -115,7 +115,7 @@ class RunConfig:
         JSON alone.
         """
         text = json.dumps(self.resolved, sort_keys=True, separators=(",", ":"))
-        digest = hashlib.sha256(text.encode())
+        digest = sha256(text.encode())
         for spec in self.coupling_specs:
             if spec.matrix is not None:
                 digest.update(spec.matrix.astype("<c16").tobytes())

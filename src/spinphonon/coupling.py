@@ -7,13 +7,13 @@ Each operator carries the content tag of the eigensystem it was expressed
 in, so generator assembly can refuse mixed bases.
 """
 
-import hashlib
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
+from .digest import sha256
 from .spin_model import Eigensystem
 
 log = logging.getLogger(__name__)
@@ -28,7 +28,7 @@ STACK_MODES = 16
 
 def basis_tag(es: Eigensystem) -> str:
     """Content hash identifying a concrete gauge-fixed eigenbasis."""
-    h = hashlib.sha1()
+    h = sha256()
     h.update(np.ascontiguousarray(es.energies_cm1).tobytes())
     h.update(np.ascontiguousarray(es.eigenvectors).tobytes())
     return h.hexdigest()[:16]

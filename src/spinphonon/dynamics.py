@@ -14,12 +14,15 @@ independently.
 import importlib.machinery
 import importlib.util
 import logging
+import os
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
+from . import _blas_threads_chosen
 from .constants import KB_CM1_PER_K
 from .generators import PairRateSums, Superoperator
 from .spin_model import KramersPair
@@ -28,22 +31,38 @@ log = logging.getLogger(__name__)
 
 
 def _load_lapack():
-    """scipy's LAPACK extension module, loaded without the scipy.linalg package.
+    """scipy's LAPACK extension module, loaded without running any scipy package.
 
-    Finding the extension imports only the top-level scipy package. Running
-    scipy/linalg/__init__.py would also load its array-API layer (numpy.f2py,
-    numpy.testing, unittest), which doubles the start-up of spinphonon.cli.
-    A later import of scipy.linalg reuses the module loaded here.
+    find_spec("scipy") names the package's directory without running
+    scipy/__init__.py, and the extension is searched for in its linalg
+    subdirectory. Neither scipy nor scipy.linalg enters sys.modules:
+    scipy/__init__.py would add about 0.9 MB to the resident set, and
+    scipy/linalg/__init__.py would also load its array-API layer
+    (numpy.f2py, numpy.testing, unittest). A later import of scipy.linalg
+    reuses the module loaded here.
     """
     name = "scipy.linalg._flapack"
-    where = importlib.util.find_spec("scipy.linalg").submodule_search_locations
+    package = importlib.util.find_spec("scipy")
+    if package is None:
+        raise ImportError(f"{name} not found: no scipy package on {sys.path}", name=name)
+    where = [os.path.join(path, "linalg") for path in package.submodule_search_locations]
     spec = importlib.machinery.PathFinder.find_spec(name, where)
     if spec is None:
-        raise ImportError(f"{name} not found in {list(where)}", name=name)
+        raise ImportError(f"{name} not found in {where}", name=name)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
+
+# A caller that imported scipy.linalg first has loaded scipy's OpenBLAS,
+# which runs the tau solve, and it read its thread count then: the one
+# thread the package sets by default came too late for it.
+if "scipy.linalg" in sys.modules and not _blas_threads_chosen:
+    log.warning(
+        "scipy.linalg was imported before spinphonon with OPENBLAS_NUM_THREADS unset, so "
+        "the tau solve runs on OpenBLAS's default thread count: tau_s and overlap_score "
+        "may differ from a run that set OPENBLAS_NUM_THREADS=1"
+    )
 
 # loaded at import, so that the first tau solve of a sweep does not pay for it
 _lapack = _load_lapack()

@@ -2,6 +2,8 @@ import contextlib
 import copy
 import dataclasses
 import gc
+import hashlib
+import json
 import math
 import os
 import pathlib
@@ -19,10 +21,10 @@ from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 from yaml.constructor import SafeConstructor
 
-from conftest import DECK_PATHS
+from conftest import DECK_PATHS, DECKS
 
 import spinphonon
-from spinphonon import config
+from spinphonon import config, digest
 from spinphonon.config import (
     DeckValidationError,
     _parse,
@@ -229,6 +231,21 @@ def test_config_hash_stable_and_sensitive():
     ]
     for mutate in same:
         assert _mixed_hash(mutate) == base
+
+
+def test_config_hash_is_hashlibs_sha256():
+    # the package hashes with CPython's built-in sha256, not OpenSSL's
+    data = random.Random(7).randbytes(2 << 20)
+    for chunk in (b"", b"spin-phonon", data):
+        assert digest.sha256(chunk).hexdigest() == hashlib.sha256(chunk).hexdigest()
+    configs = [load_config(path) for path in sorted(DECKS.glob("*.yaml"))]
+    for cfg in [*configs, resolve(deep(MIXED))]:
+        text = json.dumps(cfg.resolved, sort_keys=True, separators=(",", ":"))
+        want = hashlib.sha256(text.encode())
+        for spec in cfg.coupling_specs:
+            if spec.matrix is not None:
+                want.update(spec.matrix.astype("<c16").tobytes())
+        assert cfg.config_hash == want.hexdigest()[:16]
 
 
 def test_config_hash_of_the_bundled_decks():

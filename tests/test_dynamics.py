@@ -1,4 +1,5 @@
 import importlib.machinery
+import importlib.util
 
 import numpy as np
 import pytest
@@ -121,7 +122,11 @@ def test_lapack_loader_names_where_it_looked(monkeypatch):
     monkeypatch.setattr(
         importlib.machinery.PathFinder, "find_spec", classmethod(lambda cls, *args: None)
     )
-    with pytest.raises(ImportError, match=r"scipy\.linalg\._flapack not found in \['.+'\]"):
+    with pytest.raises(ImportError, match=r"scipy\.linalg\._flapack not found in \['.+linalg'\]"):
+        dynamics._load_lapack()
+    # no scipy package at all: the loader names the path it searched
+    monkeypatch.setattr(importlib.util, "find_spec", lambda *args: None)
+    with pytest.raises(ImportError, match=r"_flapack not found: no scipy package on \["):
         dynamics._load_lapack()
 
 

@@ -43,14 +43,19 @@ def test_only_dynamics_reaches_scipy():
 def test_cli_runs_without_jsonschema_or_scipy_special(tmp_path):
     # a fresh interpreter, because this test process imports jsonschema itself
     code = (
-        "import sys\n"
+        "import os, sys\n"
         "import spinphonon.cli\n"
         "from spinphonon.config import load_config\n"
         "from spinphonon.runner import run_sweep\n"
         "run_sweep(load_config(sys.argv[1]), output_dir=sys.argv[2])\n"
         "print(sorted(m for m in sys.modules if m.startswith(('jsonschema', 'scipy.special'))))\n"
-        # the scipy.linalg package and what its array-API layer loads
-        "print(sorted({'scipy.linalg', 'numpy.f2py', 'numpy.testing', 'numpy.ma'} & set(sys.modules)))\n"
+        # the scipy packages, what scipy.linalg's array-API layer loads, and
+        # hashlib, which maps OpenSSL's libcrypto
+        "absent = {'scipy', 'scipy.linalg', 'numpy.f2py', 'numpy.testing', 'numpy.ma',\n"
+        "          'hashlib', '_hashlib'}\n"
+        "print(sorted(absent & set(sys.modules)))\n"
+        "maps = '/proc/self/maps'\n"
+        "print(os.path.exists(maps) and 'libcrypto' in open(maps).read())\n"
     )
     src = pathlib.Path(spinphonon.__file__).resolve().parents[1]
     path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
@@ -60,7 +65,7 @@ def test_cli_runs_without_jsonschema_or_scipy_special(tmp_path):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["[]", "[]"]
+    assert done.stdout.split() == ["[]", "[]", "False"]
     assert (tmp_path / "j15_2_rates.csv").exists()
 
 
@@ -103,3 +108,26 @@ def test_run_writes_the_same_bytes_whether_or_not_scipy_linalg_came_first(tmp_pa
         assert done.returncode == 0, done.stderr
         outputs.append([(out / f).read_bytes() for f in ("j15_2_rates.csv", "j15_2_fits.txt")])
     assert outputs[0] == outputs[1]
+
+
+def test_a_caller_that_loaded_scipy_linalg_first_with_no_thread_count_is_warned():
+    # OpenBLAS reads its thread count when scipy.linalg loads it, before the
+    # package could set one; only the caller's own setting pins the tau solve
+    src = pathlib.Path(spinphonon.__file__).resolve().parents[1]
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    threads = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    unset = {k: v for k, v in os.environ.items() if k not in threads}
+    cases = [
+        ("import scipy.linalg\n", unset, 1),
+        ("import scipy.linalg\n", dict(unset, OPENBLAS_NUM_THREADS="1"), 0),
+        ("", unset, 0),
+    ]
+    for first, env, warnings in cases:
+        done = subprocess.run(
+            [sys.executable, "-c", first + "import spinphonon\n"],
+            env=dict(env, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.count("OPENBLAS_NUM_THREADS unset") == warnings, (first, done.stderr)
+        if warnings:
+            assert "tau_s and overlap_score may differ" in done.stderr
