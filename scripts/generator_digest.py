@@ -48,7 +48,7 @@ def deck_lines(path: pathlib.Path, args):
     cfg = load_config(path)
     if args.width_cm1 is not None:
         cfg = replace(cfg, broadening=replace(cfg.broadening, width_cm1=args.width_cm1))
-    fields = [tuple(args.field_t)] if args.field_t else cfg.fields_t or [cfg.model.field_t]
+    fields = [tuple(args.field_t)] if args.field_t else cfg.fields_t
     temperatures = args.temperatures or cfg.temperatures_k
     channel_sets = {
         "deck": (cfg.channels, cfg.allow_same_mode),

@@ -23,15 +23,16 @@ import tempfile
 
 import numpy as np
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "tests"))
-
-import oracles
-
+# spinphonon first: it sets the one BLAS thread before oracles loads scipy
 from spinphonon.bath import BathConfig
 from spinphonon.config import load_config
 from spinphonon.generators import build_generator
 from spinphonon.runner import PointEngine, run_sweep
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tests"))
+
+import oracles
 
 DECK = ROOT / "decks" / "four_level.yaml"
 GOLDEN = ROOT / "tests" / "golden"

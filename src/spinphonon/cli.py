@@ -26,6 +26,7 @@ from .runner import (
     _provenance,
     compute_points,
     log_stage_times,
+    output_paths,
     run_sweep,
 )
 
@@ -89,12 +90,13 @@ def _load(path: str, load=load_config):
         raise SystemExit(2)
 
 
-def _make_output_dir(path: str) -> None:
-    """Make the output directory before any point is computed."""
+def _output_paths(output_dir: str, names) -> list[str]:
+    """runner.output_paths, called before any point is computed; an OSError
+    exits 2 naming its path."""
     try:
-        os.makedirs(path, exist_ok=True)
+        return output_paths(output_dir, names)
     except OSError as exc:
-        print(f"output directory not usable: {path}: {exc.strerror}", file=sys.stderr)
+        print(f"output path not usable: {exc.filename}: {exc.strerror}", file=sys.stderr)
         raise SystemExit(2)
 
 
@@ -106,7 +108,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_run(args) -> int:
     config = _load(args.deck)
-    _make_output_dir(args.output_dir)
+    _output_paths(args.output_dir, (config.rates_csv, config.fit_report))
     result = run_sweep(config, output_dir=args.output_dir)
     print(f"wrote {result.rates_csv_path}")
     print(f"wrote {result.fit_report_path}")
@@ -118,7 +120,8 @@ def _scan(config, values, label, out_name, args) -> int:
 
     The knobs (regularizer, kernel width) change no eigensystem, coupling
     or secular block, so the engine is prepared once for the whole scan,
-    and runner.compute_points computes its points as it does a sweep's.
+    at the deck's first field, and runner.compute_points computes its
+    points as it does a sweep's.
     """
     order = args.order if args.order is not None else max(config.orders)
     temperature = (
@@ -127,7 +130,7 @@ def _scan(config, values, label, out_name, args) -> int:
     if not (math.isfinite(temperature) and temperature > 0):
         print(f"--temperature-k must be finite and positive, got {temperature!r}", file=sys.stderr)
         return 2
-    _make_output_dir(args.output_dir)
+    (path,) = _output_paths(args.output_dir, (out_name,))
     lines = [f"# scan at temperature_K={temperature!r}, order={order}"]
     lines.append(",".join((label,) + SCAN_COLUMNS))
     try:
@@ -143,7 +146,6 @@ def _scan(config, values, label, out_name, args) -> int:
         lines.append(",".join([_fmt(value)] + [_fmt(getattr(rep, f)) for f in SCAN_COLUMNS]))
     # the provenance lines (config_hash) are part of the timed write
     t0 = time.perf_counter()
-    path = os.path.join(args.output_dir, out_name)
     with open(path, "w") as fh:
         fh.write("\n".join(_provenance(config) + lines) + "\n")
     timers = {**engine.timers, "write_s": time.perf_counter() - t0}

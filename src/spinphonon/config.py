@@ -17,11 +17,11 @@ a diagnostic rather than a silently ignored setting.
 """
 
 import functools
-import gc
 import itertools
 import json
 import logging
 import numbers
+import os
 import re
 import sys
 import time
@@ -43,7 +43,7 @@ from .bath import (
 )
 from .digest import sha256
 from .generators import DEFAULT_REGULARIZER_CM1, DEFAULT_SECULAR_TOL_CM1
-from .spin_model import SpinModel, StevensTerm
+from .spin_model import SpinModel, StevensTerm, stevens_sum
 
 log = logging.getLogger(__name__)
 
@@ -61,16 +61,6 @@ class DeckValidationError(ValueError):
 
 
 @dataclass(frozen=True)
-class CouplingSpec:
-    """Per-mode coupling input, kept in deck form so frames can be re-derived."""
-
-    mode_index: int
-    terms: tuple[StevensTerm, ...] | None = None
-    matrix: NDArray[np.complex128] | None = None
-    matrix_basis: str = "mj"
-
-
-@dataclass(frozen=True)
 class FitRequest:
     quantity: str
     fit_model: str
@@ -82,16 +72,19 @@ class FitRequest:
 class RunConfig:
     """Fully resolved deck: defaults applied, objects constructed.
 
-    resolved is the deck with every default filled in, each matrix_cm1
-    reduced to {"basis": ...}: the matrices themselves are held only by
-    coupling_specs, as arrays, and not as the deck's number lists.
+    couplings_cm1[i] is mode i's coupling matrix (a Stevens derivative set
+    summed to its M_J matrix) in the basis coupling_bases[i], "mj" or
+    "eigen". fields_t is sweep.fields_t, or (model.field_t,) when the deck
+    sweeps no field. resolved is the deck with every default filled in,
+    each matrix_cm1 reduced to {"basis": ...}.
     """
 
     model: SpinModel
     modes: tuple[PhononMode, ...]
-    coupling_specs: tuple[CouplingSpec, ...]
+    couplings_cm1: NDArray[np.complex128]
+    coupling_bases: tuple[str, ...]
     temperatures_k: tuple[float, ...]
-    fields_t: tuple[tuple[float, float, float], ...] | None
+    fields_t: tuple[tuple[float, float, float], ...]
     orders: tuple[int, ...]
     rates_csv: str
     fit_report: str
@@ -116,9 +109,9 @@ class RunConfig:
         """
         text = json.dumps(self.resolved, sort_keys=True, separators=(",", ":"))
         digest = sha256(text.encode())
-        for spec in self.coupling_specs:
-            if spec.matrix is not None:
-                digest.update(spec.matrix.astype("<c16").tobytes())
+        for op, matrix in zip(self.resolved["coupling"]["operators"], self.couplings_cm1):
+            if "matrix_cm1" in op:
+                digest.update(matrix.astype("<c16").tobytes())
         return digest.hexdigest()[:16]
 
 
@@ -380,6 +373,15 @@ def _semantic_diagnostics(raw: dict) -> list[str]:
         win = _array(_mapping(fit).get("window_k"))
         if check(("fits", i, "window_k"), win, "> 0") and len(win) == 2 and win[0] >= win[1]:
             out.append(f"fits[{i}].window_k: lower bound must be below upper bound")
+
+    outputs = _mapping(raw.get("outputs"))
+    csv = outputs.get("rates_csv", DEFAULT_RATES_CSV)
+    report = outputs.get("fit_report", DEFAULT_FIT_REPORT)
+    if {type(csv), type(report)} == {str} and os.path.normpath(csv) == os.path.normpath(report):
+        out.append(
+            f"outputs.fit_report: {report!r} is also outputs.rates_csv; "
+            "the fit report would overwrite the rates"
+        )
     return out
 
 
@@ -393,10 +395,10 @@ def validate_deck(raw: dict) -> list[str]:
     return diags
 
 
-def _resolved_echo(raw: dict, specs: tuple[CouplingSpec, ...]) -> dict:
+def _resolved_echo(raw: dict) -> dict:
     """The deck with every default filled in, for provenance and echo.
 
-    Each matrix_cm1 is reduced to the basis of its spec.
+    Each matrix_cm1 is reduced to its basis.
     """
     model = dict(raw["model"])
     model.setdefault("g_j", 2.0)
@@ -432,8 +434,10 @@ def _resolved_echo(raw: dict, specs: tuple[CouplingSpec, ...]) -> dict:
         fits.append(fit)
 
     operators = [
-        op if spec.matrix is None else dict(op, matrix_cm1={"basis": spec.matrix_basis})
-        for spec, op in zip(specs, raw["coupling"]["operators"])
+        dict(op, matrix_cm1={"basis": op["matrix_cm1"].get("basis", "mj")})
+        if "matrix_cm1" in op
+        else op
+        for op in raw["coupling"]["operators"]
     ]
     return {
         "model": model,
@@ -450,47 +454,53 @@ def _orders_tuple(orders) -> tuple[int, ...]:
     return {"both": (2, 4), 2: (2,), 4: (4,)}[orders]
 
 
-def _coupling_spec(i: int, op: dict) -> CouplingSpec:
-    if "stevens_derivatives_cm1" in op:
-        terms = tuple(
-            StevensTerm(l=int(l), m=int(m), coefficient_cm1=float(v))
-            for l, m, v in op["stevens_derivatives_cm1"]
-        )
-        return CouplingSpec(mode_index=i, terms=terms)
-    mat = op["matrix_cm1"]
-    real = np.array(mat["real"], dtype=float)
-    imag = np.array(mat.get("imag", np.zeros_like(real)), dtype=float)
-    return CouplingSpec(
-        mode_index=i,
-        matrix=real + 1j * imag,
-        matrix_basis=mat.get("basis", "mj"),
-    )
+def _stevens_terms(rows) -> tuple[StevensTerm, ...]:
+    return tuple(StevensTerm(l=int(l), m=int(m), coefficient_cm1=float(v)) for l, m, v in rows)
+
+
+def _couplings(ops: list, j: AngularMomentum) -> tuple[NDArray[np.complex128], tuple[str, ...]]:
+    """Every operator's matrix, in one (n_modes, d, d) array, and its basis.
+
+    A Stevens derivative set is summed to its M_J matrix here, once per deck.
+    """
+    out = np.empty((len(ops), j.dim, j.dim), dtype=complex)
+    bases = []
+    for i, op in enumerate(ops):
+        if "stevens_derivatives_cm1" in op:
+            out[i] = stevens_sum(_stevens_terms(op["stevens_derivatives_cm1"]), j)
+            bases.append("mj")
+        else:
+            mat = op["matrix_cm1"]
+            real = np.array(mat["real"], dtype=float)
+            imag = np.array(mat.get("imag", np.zeros_like(real)), dtype=float)
+            out[i] = real + 1j * imag  # a -0.0 part hashes as +0.0, as it always has
+            bases.append(mat.get("basis", "mj"))
+    out.setflags(write=False)  # every engine of the deck reads it
+    return out, tuple(bases)
 
 
 def resolve(raw: dict) -> RunConfig:
     """Validate a deck dict and build the runtime config from it.
 
-    The config keeps none of raw's matrix lists: each matrix is read into
-    its CouplingSpec, and the echo (RunConfig.resolved) names only its basis.
+    It alone decides a deck's couplings and fields: RunConfig.couplings_cm1
+    and RunConfig.fields_t. The config keeps none of raw's matrix lists.
     """
     diags = validate_deck(raw)
     if diags:
         raise DeckValidationError(diags)
-    specs = tuple(_coupling_spec(i, op) for i, op in enumerate(raw["coupling"]["operators"]))
-    echo = _resolved_echo(raw, specs)
+    j = AngularMomentum(two_j=raw["model"]["two_j"])
+    couplings, bases = _couplings(raw["coupling"]["operators"], j)
+    echo = _resolved_echo(raw)
     # where the caller holds no other reference (load_config), the deck's
     # number lists are freed here, before the config objects are built, so
     # those objects do not settle among the lists' freed blocks
     del raw
     m = echo["model"]
     model = SpinModel(
-        angular_momentum=AngularMomentum(two_j=m["two_j"]),
-        stevens_terms=tuple(
-            StevensTerm(l=int(l), m=int(mm), coefficient_cm1=float(v))
-            for l, mm, v in m["stevens_terms_cm1"]
-        ),
+        angular_momentum=j,
+        stevens_terms=_stevens_terms(m["stevens_terms_cm1"]),
         g_j=float(m["g_j"]),
-        field_t=tuple(float(x) for x in m["field_t"]),
+        field_t=m["field_t"],
     )
     modes = tuple(
         PhononMode(index=i, omega_cm1=float(w)) for i, w in enumerate(echo["bath"]["modes_cm1"])
@@ -509,9 +519,10 @@ def resolve(raw: dict) -> RunConfig:
     return RunConfig(
         model=model,
         modes=modes,
-        coupling_specs=specs,
+        couplings_cm1=couplings,
+        coupling_bases=bases,
         temperatures_k=tuple(float(t) for t in sweep["temperatures_k"]),
-        fields_t=tuple(tuple(float(x) for x in f) for f in fields) if fields else None,
+        fields_t=tuple(tuple(float(x) for x in f) for f in fields) if fields else (model.field_t,),
         orders=_orders_tuple(sweep["orders"]),
         rates_csv=echo["outputs"]["rates_csv"],
         fit_report=echo["outputs"]["fit_report"],
@@ -542,7 +553,7 @@ _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _ROW_NUMBER = r"(?:[-+]?[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][-+][0-9]+)?"
 # a float row: a flow sequence of such entries on one line
 _FLOAT_ROW = re.compile(rf"\[ *{_ROW_NUMBER}(?: *, *{_ROW_NUMBER})* *\]")
-# what _read puts in place of float row i: this tag and the scalar i
+# what _parse puts in place of float row i: this tag and the scalar i
 _ROW_TAG = "!spinphonon-row"
 
 
@@ -558,24 +569,9 @@ def _parse(text: str, stats: dict | None = None):
     leading byte-order mark, which libyaml leaves out of its marks) the
     safe loader reads the unchanged text, so data and errors are its own.
 
-    The cyclic collector is paused while the floats are allocated (they
-    make no cycles) and restored however the load ends. If stats is
-    given, stats["float_rows"] is set to the number of rows read directly.
+    If stats is given, stats["float_rows"] is set to the number of rows
+    read directly.
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        data, rows = _read(text)
-    finally:
-        if enabled:
-            gc.enable()
-    if stats is not None:
-        stats["float_rows"] = rows
-    return data
-
-
-def _read(text: str):
-    """_parse's data and the number of float rows it read directly."""
     # per row: where it starts in text, where its scalar ends in the tagged
     # text, and whether it was constructed
     starts, ends, built = array("q"), array("q"), bytearray()
@@ -611,11 +607,12 @@ def _read(text: str):
         finally:
             loader.dispose()
     except Exception:  # whatever it was, the stock loader raises it below
-        pass
-    else:
-        if all(built):
-            return data, len(built)
-    return yaml.load(text, Loader=_LOADER), 0
+        built.append(0)  # so that the text is read again
+    if not all(built):
+        data, built = yaml.load(text, Loader=_LOADER), b""
+    if stats is not None:
+        stats["float_rows"] = len(built)
+    return data
 
 
 def load_config(path: str) -> RunConfig:

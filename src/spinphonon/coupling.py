@@ -2,7 +2,7 @@
 
 Every coupling matrix enters through from_raw_matrices, given in the M_J
 or the eigen basis. A deck's derivative sets of Stevens coefficients are
-summed first, V = sum dB_l^m O_l^m, by stevens_sum in runner.PointEngine.
+summed once, V = sum dB_l^m O_l^m, by stevens_sum in config.resolve.
 Each operator carries the content tag of the eigensystem it was expressed
 in, so generator assembly can refuse mixed bases.
 """

@@ -194,8 +194,11 @@ def extract_tau(sup: Superoperator, pair: KramersPair) -> TauResult:
         tau = 1.0 / -lam.real
     if score < OVERLAP_THRESHOLD:
         table = sorted(zip(w, np.abs(amps)), key=lambda t: -t[1])
+        top = ", ".join(f"({-w_n.real:.4g}, {amp:.3f})" for w_n, amp in table[:3])
         raise AmbiguousEigenvectorError(
-            f"best magnetization-mode amplitude {score:.3f} < {OVERLAP_THRESHOLD}", table
+            f"best magnetization-mode amplitude {score:.3f} < {OVERLAP_THRESHOLD}; "
+            f"largest (rate s^-1, weight): {top}",
+            table,
         )
     return TauResult(tau_s=tau, overlap_score=score, eigenvalue_per_s=lam)
 

@@ -21,6 +21,7 @@ failed: a point (in this process or a worker, which sends it back as it
 is), a field that could not be prepared, a worker that died, or a fit.
 """
 
+import errno
 import logging
 import math
 import multiprocessing
@@ -42,13 +43,7 @@ from .constants import C_CM_S, KB_CM1_PER_K, MU_B_CM1_PER_T
 from .coupling import CouplingOperator, from_raw_matrices
 from .dynamics import FitResult, RateReport, extract_tau, fit_regimes, pair_sums_to_times
 from .generators import PairRateSums, build_generator, secular_partition
-from .spin_model import (
-    easy_axis_of,
-    eigensystem_for,
-    frame_rotation,
-    fundamental_pair,
-    stevens_sum,
-)
+from .spin_model import easy_axis_of, eigensystem_for, frame_rotation, fundamental_pair
 
 log = logging.getLogger(__name__)
 
@@ -85,20 +80,19 @@ class SweepResult:
 class PointEngine:
     """Eigensystem, couplings and secular blocks prepared for one field.
 
-    The easy axis is turned onto z before any rates are computed, so tau,
-    T1 and T2* do not depend on the frame the deck was written in: frame
-    is the unitary D of spin_model.frame_rotation (None when the axis is
+    field_t defaults to the deck's first field, config.fields_t[0]. The
+    easy axis is turned onto z before any rates are computed, so tau, T1
+    and T2* do not depend on the frame the deck was written in: frame is
+    the unitary D of spin_model.frame_rotation (None when the axis is
     already z), the eigensystem is that of D H D^dagger, and every M_J
-    coupling, a Stevens derivative set summed to its M_J matrix included,
-    is conjugated by the same D. Eigenbasis couplings ride along with the
-    basis itself.
+    coupling in config.couplings_cm1 (where resolve summed each Stevens
+    derivative set) is conjugated by the same D. Eigenbasis couplings ride
+    along with the basis itself.
     """
 
     def __init__(self, config: RunConfig, field_t=None):
         t0 = time.perf_counter()
-        model = config.model
-        if field_t is not None:
-            model = replace(model, field_t=tuple(float(x) for x in field_t))
+        model = replace(config.model, field_t=config.fields_t[0] if field_t is None else field_t)
         es = eigensystem_for(model)
         axis, quality = easy_axis_of(es, model)
         frame = frame_rotation(axis, model.angular_momentum)
@@ -126,25 +120,18 @@ class PointEngine:
         self.counts = Counter()
 
     def _coupling(self) -> tuple[CouplingOperator, ...]:
-        """Every coupling operator in the eigenbasis, in one stacked pass per basis."""
-        specs = self.config.coupling_specs
-        matrices, by_basis = [], {}
-        for i, spec in enumerate(specs):
-            if spec.terms is not None:
-                matrix, basis = stevens_sum(spec.terms, self.model.angular_momentum), "mj"
-            else:
-                matrix, basis = spec.matrix, spec.matrix_basis
-            matrices.append(matrix)
-            by_basis.setdefault(basis, []).append(i)
-        out = [None] * len(specs)
-        for basis, picked in by_basis.items():
-            stack = np.stack([matrices[i] for i in picked])
+        """Every coupling operator in the eigenbasis, in one stacked pass per basis.
+
+        A deck of one basis passes couplings_cm1 itself, not a copy.
+        """
+        matrices, bases = self.config.couplings_cm1, self.config.coupling_bases
+        out = [None] * len(bases)
+        for basis in dict.fromkeys(bases):
+            picked = [i for i, b in enumerate(bases) if b == basis]
+            stack = matrices if len(picked) == len(bases) else matrices[picked]
             if basis == "mj" and self.frame is not None:
                 stack = self.frame @ stack @ self.frame.conj().T
-            ops = from_raw_matrices(
-                stack, basis, self.es, mode_indices=[specs[i].mode_index for i in picked]
-            )
-            for i, op in zip(picked, ops):
+            for i, op in zip(picked, from_raw_matrices(stack, basis, self.es, mode_indices=picked)):
                 out[i] = op
         return tuple(out)
 
@@ -387,13 +374,12 @@ def _write_rates_csv(path: str, rows, config: RunConfig, with_fields: bool):
 def _run_fits(config: RunConfig, rows) -> list[tuple[FitRequest, FitResult]]:
     if not config.fits:
         return []
-    base_field = rows[0].field_t if rows else None
     out = []
     for i, req in enumerate(config.fits):
         pts = [
             (r.report.temperature_k, _RATE_OF[req.quantity](r.report))
             for r in rows
-            if r.report.order == req.order and r.field_t == base_field
+            if r.report.order == req.order and r.field_t == config.fields_t[0]
         ]
         if req.window_k is not None:
             lo, hi = req.window_k
@@ -427,20 +413,31 @@ def _write_fit_report(path: str, fits, config: RunConfig, field_note: str):
         fh.write("\n".join(lines) + "\n")
 
 
+def output_paths(output_dir: str, names) -> list[str]:
+    """The paths of the files names under output_dir, each file's directory
+    made. Raises OSError naming a path that cannot be made or that names a
+    directory."""
+    paths = [os.path.join(output_dir, name) for name in names]
+    for path in paths:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    return paths
+
+
 def run_sweep(config: RunConfig, *, output_dir: str = ".", workers: int | None = None) -> SweepResult:
     """Execute the deck's sweep and write the rates CSV and fit report.
 
     workers is accepted and ignored, like the deck's numeric.workers: how
     many processes compute a field's points is compute_points' choice.
     """
-    fields = config.fields_t if config.fields_t is not None else (config.model.field_t,)
-    sweeping_fields = config.fields_t is not None
-    # an unusable output directory fails before any point is computed
-    os.makedirs(output_dir, exist_ok=True)
+    sweeping_fields = "fields_t" in config.resolved["sweep"]
+    # an unusable output path fails before any point is computed
+    csv_path, report_path = output_paths(output_dir, (config.rates_csv, config.fit_report))
 
     rows: list[SweepRow] = []
     timers, counts = Counter(), Counter()
-    for field in fields:
+    for field in config.fields_t:
         try:
             engine = PointEngine(config, field)
         except SweepPointError:
@@ -457,13 +454,11 @@ def run_sweep(config: RunConfig, *, output_dir: str = ".", workers: int | None =
         counts.update(engine.counts)
 
     t0 = time.perf_counter()
-    csv_path = os.path.join(output_dir, config.rates_csv)
-    report_path = os.path.join(output_dir, config.fit_report)
     # the rows are all valid here, so they reach disk even if a fit fails
     _write_rates_csv(csv_path, rows, config, sweeping_fields)
     fits = _run_fits(config, rows)
     field_note = (
-        f"fits use the first swept field value only: field_T={list(fields[0])}"
+        f"fits use the first swept field value only: field_T={list(config.fields_t[0])}"
         if sweeping_fields and config.fits
         else ""
     )

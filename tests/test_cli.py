@@ -133,6 +133,57 @@ def test_an_unusable_path_exits_2_naming_it_before_any_point(
     assert not prepared
 
 
+def _deck_with(tmp_path, name, edit):
+    deck = yaml.safe_load(DECK_PATHS[name].read_text())
+    edit(deck)
+    path = tmp_path / "deck.yaml"
+    path.write_text(yaml.safe_dump(deck))
+    return str(path)
+
+
+def test_a_fit_report_that_is_the_rates_csv_exits_2(tmp_path, capsys):
+    # the fit report would overwrite every rate row
+    name = "spin_half_rates.csv"
+    deck = _deck_with(tmp_path, "spin_half", lambda d: d["outputs"].update(fit_report=name))
+    for args in (["validate", deck], ["run", deck, "--output-dir", str(tmp_path / "out")]):
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"outputs.fit_report: {name!r} is also outputs.rates_csv")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, taken",
+    [
+        (["run"], None),
+        (["run"], "nodir/x.csv"),
+        (["scan-regularizer", "--values", "1.0"], "scan_regularizer.csv"),
+    ],
+    ids=["run-new_directory", "run-names_a_directory", "scan-names_a_directory"],
+)
+def test_an_output_files_directory_is_made_or_its_path_refused_before_any_point(
+    tmp_path, monkeypatch, capsys, command, taken
+):
+    deck = _deck_with(tmp_path, "spin_half", lambda d: d["outputs"].update(rates_csv="nodir/x.csv"))
+    out = tmp_path / "out"
+    args = command[:1] + [deck] + command[1:] + ["--output-dir", str(out)]
+    if taken is None:
+        assert main(args) == 0
+        lines = (out / "nodir" / "x.csv").read_text().splitlines()
+        # four provenance lines, the header, then one row a temperature and order
+        assert lines[4].startswith("temperature_K,order,")
+        assert len(lines) == 5 + 2 * len(load_config(deck).temperatures_k)
+        return
+    (out / taken).mkdir(parents=True)
+
+    def spy(self, *args):
+        raise AssertionError("a point was prepared")
+
+    monkeypatch.setattr(PointEngine, "__init__", spy)
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"output path not usable: {out / taken}: Is a directory\n"
+
+
 def test_validate_unparseable_yaml(tmp_path, capsys):
     deck = tmp_path / "broken.yaml"
     deck.write_text("model: [unclosed\n")
@@ -284,6 +335,24 @@ def test_run_ambiguous_doublet_exits_3(tmp_path, capsys):
     assert not (tmp_path / "four_level_rates.csv").exists()
 
 
+def test_a_refused_tau_names_the_overlap_tables_largest_entries(tmp_path, capsys):
+    # at 77 K no single eigenmode of the j15_2 generator owns the decay
+    def at_77_k(deck):
+        deck["sweep"]["temperatures_k"] = [77.0]
+        del deck["fits"]
+
+    deck = _deck_with(tmp_path, "j15_2", at_77_k)
+    assert main(["run", deck, "--output-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    prefix = "numeric failure: at temperature_K=77.0, field_T=[0.0, 0.0, 0.0]: "
+    assert err.startswith(prefix + "best magnetization-mode amplitude 0.460 < 0.5; ")
+    top = re.fullmatch(r".*; largest \(rate s\^-1, weight\): (.*)\n", err)[1]
+    pairs = [tuple(map(float, p.split(", "))) for p in re.findall(r"\(([^()]*)\)", top)]
+    assert len(pairs) == 3 and pairs[0][1] == 0.46
+    assert all(rate > 0 for rate, _ in pairs)
+    assert [w for _, w in pairs] == sorted((w for _, w in pairs), reverse=True)
+
+
 def test_run_fit_failure_exits_3(tmp_path, capsys):
     # tau is blocked (inf) at 6-8 K, so a tau_rate fit over 6-9 K keeps no point
     deck = yaml.safe_load(DECK_PATHS["j15_2"].read_text())
@@ -421,6 +490,20 @@ def test_scan_verbose_logs_where_the_time_went(tmp_path, caplog):
     assert "scan finished: 2 rows; prepare" in caplog.text
     assert "generate" in caplog.text and "extract" in caplog.text
     assert re.search(r"scan finished: .*, write \d+\.\d{3} s", caplog.text)
+
+
+def test_a_scan_runs_at_the_decks_first_swept_field(tmp_path):
+    # not at model.field_t (0.05 T), which the sweep never computes
+    deck = _deck_with(
+        tmp_path, "four_level", lambda d: d["sweep"].update(fields_t=[[0, 0, 0.3], [0, 0, 0.5]])
+    )
+    assert main(["run", deck, "--output-dir", str(tmp_path)]) == 0
+    args = ["scan-regularizer", deck, "--values", "1.0", "--temperature-k", "2.0", "--order", "4"]
+    assert main(args + ["--output-dir", str(tmp_path)]) == 0
+    rows = (tmp_path / "four_level_rates.csv").read_text().splitlines()
+    run_row = next(r for r in rows if r.startswith("2.0,4,") and r.endswith(",0.0,0.0,0.3"))
+    scan_row = (tmp_path / "scan_regularizer.csv").read_text().splitlines()[-1]
+    assert scan_row.split(",")[1:] == run_row.split(",")[2:7]
 
 
 def test_scan_prepares_one_engine_and_matches_fresh_engines(tmp_path, monkeypatch):

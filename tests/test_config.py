@@ -71,6 +71,27 @@ def test_minimal_deck_resolves_with_documented_defaults():
         assert any(key in d for d in validate_deck(deck))
 
 
+def test_fields_t_is_the_fields_a_deck_runs_at_and_never_none():
+    for cfg in [*map(load_config, sorted(DECKS.glob("*.yaml"))), resolve(deep(MIXED))]:
+        assert "fields_t" not in cfg.resolved["sweep"]
+        assert cfg.fields_t == (cfg.model.field_t,)
+    deck = deep(MINIMAL)
+    deck["model"]["field_t"] = [0.0, 0.0, 0.05]
+    deck["sweep"]["fields_t"] = [[0, 0, 1], [0.5, 0.0, 2.0]]
+    assert resolve(deck).fields_t == ((0.0, 0.0, 1.0), (0.5, 0.0, 2.0))
+
+
+def test_a_fit_report_that_is_the_rates_csv_is_diagnosed():
+    same = ({"rates_csv": "out.csv", "fit_report": "./out.csv"}, {"fit_report": "rates.csv"})
+    for outputs in same:
+        deck = deep(MINIMAL)
+        deck["outputs"] = outputs
+        assert [d for d in validate_deck(deck) if d.startswith("outputs")] == [
+            f"outputs.fit_report: {outputs['fit_report']!r} is also outputs.rates_csv; "
+            "the fit report would overwrite the rates"
+        ]
+
+
 def test_validation_collects_all_diagnostics_not_just_first():
     bad = deep(MINIMAL)
     bad["model"]["two_j"] = 0
@@ -242,9 +263,9 @@ def test_config_hash_is_hashlibs_sha256():
     for cfg in [*configs, resolve(deep(MIXED))]:
         text = json.dumps(cfg.resolved, sort_keys=True, separators=(",", ":"))
         want = hashlib.sha256(text.encode())
-        for spec in cfg.coupling_specs:
-            if spec.matrix is not None:
-                want.update(spec.matrix.astype("<c16").tobytes())
+        for op, matrix in zip(cfg.resolved["coupling"]["operators"], cfg.couplings_cm1):
+            if "matrix_cm1" in op:
+                want.update(matrix.astype("<c16").tobytes())
         assert cfg.config_hash == want.hexdigest()[:16]
 
 
@@ -401,7 +422,7 @@ def test_finite_matrix_resolves_and_one_bad_entry_is_named(deck, data):
     mat = deck["coupling"]["operators"][0]["matrix_cm1"]
     assert validate_deck(deck) == []
     expected = np.array(mat["real"]) + 1j * np.array(mat["imag"])
-    np.testing.assert_array_equal(resolve(deck).coupling_specs[0].matrix, expected)
+    np.testing.assert_array_equal(resolve(deck).couplings_cm1[0], expected)
 
     d = len(mat["real"])
     part = data.draw(st.sampled_from(("real", "imag")))
@@ -734,36 +755,6 @@ def test_load_config_leaves_the_callers_collector_as_it_was(tmp_path, enabled, t
         (gc.enable if was else gc.disable)()
 
 
-def test_no_cyclic_collection_runs_while_yaml_parses_a_deck(tmp_path, monkeypatch):
-    path = tmp_path / "deck.yaml"
-    path.write_text(_matrix_deck_text(20, seed=6))
-    parsing, starts = [False], []
-
-    def parse(*args, **kwargs):
-        parsing[0] = True
-        try:
-            return _parse(*args, **kwargs)
-        finally:
-            parsing[0] = False
-
-    def record(phase, info):
-        if phase == "start" and parsing[0]:
-            starts.append(info["generation"])
-
-    monkeypatch.setattr(config, "_parse", parse)
-    # a collection every few new containers, were the collector running
-    threshold = gc.get_threshold()
-    gc.set_threshold(10, 10, 10)
-    gc.callbacks.append(record)
-    try:
-        cfg = load_config(path)
-    finally:
-        gc.callbacks.remove(record)
-        gc.set_threshold(*threshold)
-    assert len(cfg.modes) == 20
-    assert starts == []
-
-
 def _reachable(root) -> list:
     """The objects reachable from root, not descending into code: types,
     modules and functions."""
@@ -806,4 +797,4 @@ def test_a_loaded_config_holds_no_row_of_its_decks_matrices(tmp_path, monkeypatc
     assert rows_in(_reachable(cfg)) == 0
     ops = cfg.resolved["coupling"]["operators"]
     assert ops == [{"matrix_cm1": {"basis": "mj"}}] * 20
-    assert len(cfg.coupling_specs) == 20
+    assert cfg.couplings_cm1.shape == (20, 16, 16)

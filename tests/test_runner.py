@@ -1,15 +1,20 @@
+import copy
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import yaml
 
 from conftest import DECK_PATHS, GOLDEN, bath_for
+from test_config import MIXED
 
 from spinphonon import runner
 from spinphonon.config import DeckValidationError, load_config, resolve
+from spinphonon.coupling import from_raw_matrices
 from spinphonon.generators import build_generator
 from spinphonon.runner import CSV_COLUMNS, PointEngine, SweepPointError, run_sweep
+from spinphonon.spin_model import StevensTerm, stevens_sum
 
 
 def read_rates_csv(path):
@@ -101,6 +106,41 @@ def test_field_sweep_appends_field_columns(tmp_path):
     assert "field_T_z" in rows[0]
     z = sorted({r["field_T_z"] for r in rows})
     assert z == ["1.0", "2.0"]
+
+
+def test_mixed_coupling_forms_match_each_mode_summed_and_transformed_alone():
+    deck = copy.deepcopy(MIXED)
+    deck["model"].update(stevens_terms_cm1=[[2, 0, -2.0]], field_t=[0.1, 0.0, 0.2])
+    deck["coupling"]["operators"][1]["matrix_cm1"]["basis"] = "eigen"
+    cfg = resolve(deck)
+    assert cfg.coupling_bases == ("mj", "eigen", "mj")
+    eng = PointEngine(cfg)
+    assert eng.frame is not None  # the tilted field rotates the M_J couplings
+    j = cfg.model.angular_momentum
+    for i, op in enumerate(deck["coupling"]["operators"]):
+        if "stevens_derivatives_cm1" in op:
+            terms = [StevensTerm(l, m, v) for l, m, v in op["stevens_derivatives_cm1"]]
+            matrix, basis = stevens_sum(terms, j), "mj"
+        else:
+            mat = op["matrix_cm1"]
+            real = np.array(mat["real"], dtype=float)
+            matrix = real + 1j * np.array(mat.get("imag", np.zeros_like(real)), dtype=float)
+            basis = mat.get("basis", "mj")
+        np.testing.assert_array_equal(cfg.couplings_cm1[i], matrix, strict=True)
+        stack = matrix[None]
+        if basis == "mj":
+            stack = eng.frame @ stack @ eng.frame.conj().T
+        (want,) = from_raw_matrices(stack, basis, eng.es, mode_indices=[i])
+        assert eng.couplings[i].mode_index == i
+        np.testing.assert_array_equal(eng.couplings[i].matrix, want.matrix, strict=True)
+
+
+def test_run_sweep_makes_each_output_files_directory(tmp_path, spin_half_config):
+    cfg = replace(spin_half_config, rates_csv="a/rates.csv", fit_report="b/c/fits.txt")
+    result = run_sweep(cfg, output_dir=tmp_path / "out")
+    assert (tmp_path / "out" / "a" / "rates.csv").is_file()
+    assert (tmp_path / "out" / "b" / "c" / "fits.txt").is_file()
+    assert result.rates_csv_path == str(tmp_path / "out" / "a" / "rates.csv")
 
 
 def test_sweep_error_names_the_point(tmp_path):
