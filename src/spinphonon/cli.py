@@ -20,14 +20,14 @@ from .bath import DEFAULT_CUTOFF_SIGMAS, BroadeningPolicy
 from .config import DeckValidationError, load_config, load_echo
 from .runner import (
     Point,
-    PointEngine,
     SweepPointError,
     _fmt,
-    _provenance,
     compute_points,
     log_stage_times,
     output_paths,
+    prepare_field,
     run_sweep,
+    write_output,
 )
 
 SCAN_COLUMNS = ("tau_s", "t1_s", "t2_s", "t2star_s", "overlap_score")
@@ -120,8 +120,8 @@ def _scan(config, values, label, out_name, args) -> int:
 
     The knobs (regularizer, kernel width) change no eigensystem, coupling
     or secular block, so the engine is prepared once for the whole scan,
-    at the deck's first field, and runner.compute_points computes its
-    points as it does a sweep's.
+    at the deck's first field (which the "# scan at" line names), and the
+    runner prepares, computes and writes it as it does a sweep's field.
     """
     order = args.order if args.order is not None else max(config.orders)
     temperature = (
@@ -131,12 +131,10 @@ def _scan(config, values, label, out_name, args) -> int:
         print(f"--temperature-k must be finite and positive, got {temperature!r}", file=sys.stderr)
         return 2
     (path,) = _output_paths(args.output_dir, (out_name,))
-    lines = [f"# scan at temperature_K={temperature!r}, order={order}"]
+    field = config.fields_t[0]
+    lines = [f"# scan at temperature_K={temperature!r}, order={order}, field_T={list(field)}"]
     lines.append(",".join((label,) + SCAN_COLUMNS))
-    try:
-        engine = PointEngine(config)
-    except Exception as exc:
-        raise SweepPointError(f"preparing the scan: {exc}") from exc
+    engine = prepare_field(config, field)
     points = [
         Point(temperature, (order,), f"{label}={value!r}, temperature_K={temperature!r}", cfg)
         for value, cfg in values
@@ -146,8 +144,7 @@ def _scan(config, values, label, out_name, args) -> int:
         lines.append(",".join([_fmt(value)] + [_fmt(getattr(rep, f)) for f in SCAN_COLUMNS]))
     # the provenance lines (config_hash) are part of the timed write
     t0 = time.perf_counter()
-    with open(path, "w") as fh:
-        fh.write("\n".join(_provenance(config) + lines) + "\n")
+    write_output(path, config, lines)
     timers = {**engine.timers, "write_s": time.perf_counter() - t0}
     log_stage_times("scan", len(values), timers, engine.counts)
     print(f"wrote {path}")

@@ -232,24 +232,11 @@ def fit_regimes(curve: Sequence[tuple[float, float]], model: str) -> FitResult:
     log_r = np.log([r for _, r in kept])
     window = (float(temps.min()), float(temps.max()))
 
-    if model == "arrhenius":
-        x = 1.0 / temps
-        slope, intercept = np.polyfit(x, log_r, 1)
-        resid = float(np.sqrt(np.mean((log_r - (slope * x + intercept)) ** 2)))
-        return FitResult(
-            model=model,
-            residual=resid,
-            window_k=window,
-            u_cm1=float(-slope * KB_CM1_PER_K),
-            prefactor_per_s=float(np.exp(intercept)),
-        )
-    x = np.log(temps)
+    x = 1.0 / temps if model == "arrhenius" else np.log(temps)
     slope, intercept = np.polyfit(x, log_r, 1)
     resid = float(np.sqrt(np.mean((log_r - (slope * x + intercept)) ** 2)))
-    return FitResult(
-        model=model,
-        residual=resid,
-        window_k=window,
-        exponent=float(slope),
-        scale=float(np.exp(intercept)),
-    )
+    if model == "arrhenius":
+        params = dict(u_cm1=float(-slope * KB_CM1_PER_K), prefactor_per_s=float(np.exp(intercept)))
+    else:
+        params = dict(exponent=float(slope), scale=float(np.exp(intercept)))
+    return FitResult(model=model, residual=resid, window_k=window, **params)

@@ -5,10 +5,11 @@ temperature deck with orders=both yields 20 CSV rows. The order-4 row is
 cumulative: R = R2 + R4, and the T1/T2*/T2 rate sums are added the same
 way before inversion.
 
-The points of one field (its temperatures, or a scan's knob values) are
-independent, and compute_points is the one place they are computed.
-When a field has two or more points and the process may use two or more
-CPUs, it forks min(CPUs, points) workers, which inherit the prepared
+The sweep and the CLI's scans take one path from a field to a file:
+prepare_field, then compute_points, the one place a field's independent
+points (temperatures, or a scan's knob values) are computed, then
+write_output. With two or more points and two or more usable CPUs,
+compute_points forks min(CPUs, points) workers, which inherit the prepared
 PointEngine and compute every point by index; otherwise it computes them
 all itself. Each point is the same one-BLAS-thread computation on the
 same inputs in whichever process runs it, so the results, returned in
@@ -191,6 +192,17 @@ class PointEngine:
         )
 
 
+def prepare_field(config: RunConfig, field_t) -> PointEngine:
+    """PointEngine(config, field_t); a failure is raised as a SweepPointError
+    naming the field."""
+    try:
+        return PointEngine(config, field_t)
+    except SweepPointError:
+        raise
+    except Exception as exc:
+        raise SweepPointError(f"preparing field_T={list(field_t)}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class Point:
     """One point of a sweep or scan on a prepared engine.
@@ -240,50 +252,42 @@ def _in_workers(
 ) -> list[dict[int, RateReport]]:
     """Every point of points from a pool of forked workers, in point order.
 
-    Workers inherit engine and points when they fork and are sent only
-    indices. "fork" is asked for by name: spawn would pickle the engine
-    into each worker, and the default start method is not fork everywhere.
-    With fork the executor starts every worker before its own thread, so
-    no fork happens while a thread of it runs. multiprocessing and the
-    executor are imported with this module, so that the sweep does not pay
-    for loading them.
+    Workers inherit engine and points through _adopted, set before they
+    fork, and are sent only indices; map returns their results in point
+    order. "fork" is asked for by name: spawn would pickle the engine into
+    each worker, and the default start method is not fork everywhere. With
+    fork the executor starts every worker on the first submit, before its
+    own thread, so no fork happens while a thread of it runs.
+    multiprocessing and the executor are imported with this module, so
+    that the sweep does not pay for loading them.
     """
-    pool = ProcessPoolExecutor(
-        workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_adopt,
-        initargs=(engine, points),
-    )
+    global _adopted
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    # set once the executor exists, so that the finally resets it
+    _adopted = engine, points
+    out = []
     try:
-        futures = [pool.submit(_worker_point, i) for i in range(len(points))]
-        out = []
-        for point, future in zip(points, futures):
-            try:
-                reports, timers, counts = future.result()
-            except BrokenProcessPool as exc:
-                # a worker died (killed by the OOM killer, say) and every
-                # point not yet done is lost; which point it ran is unknown
-                message = f"a worker process died; results from {point.where} on were lost"
-                raise SweepPointError(f"{message}: {exc}") from exc
+        for reports, timers, counts in pool.map(_worker_point, range(len(points))):
             for key, seconds in timers.items():
                 engine.timers[key] += seconds
             engine.counts.update(counts)
             out.append(reports)
         return out
+    except BrokenProcessPool as exc:
+        # a worker died (killed by the OOM killer, say) and every point not
+        # yet done is lost; which point it ran is unknown
+        message = f"a worker process died; results from {points[len(out)].where} on were lost"
+        raise SweepPointError(f"{message}: {exc}") from exc
     finally:
+        _adopted = None
         # the points not yet started are dropped, and every worker is joined
         pool.shutdown(wait=True, cancel_futures=True)
         engine.counts["workers"] += workers
 
 
-# (engine, points) inside a forked worker, set once by _adopt; the parent
-# never sets it
+# (engine, points) of the pool being run: set by _in_workers before its
+# workers fork, so each worker inherits it, and None outside that call
 _adopted: tuple[PointEngine, Sequence[Point]] | None = None
-
-
-def _adopt(engine: PointEngine, points: Sequence[Point]) -> None:
-    global _adopted
-    _adopted = engine, points
 
 
 def _worker_point(index: int):
@@ -349,10 +353,9 @@ def _provenance(config: RunConfig) -> list[str]:
     ]
 
 
-def _write_rates_csv(path: str, rows, config: RunConfig, with_fields: bool):
+def _rates_lines(rows, with_fields: bool) -> list[str]:
     cols = CSV_COLUMNS + (FIELD_COLUMNS if with_fields else ())
-    lines = _provenance(config)
-    lines.append(",".join(cols))
+    lines = [",".join(cols)]
     for row in rows:
         rep = row.report
         vals = [
@@ -367,8 +370,14 @@ def _write_rates_csv(path: str, rows, config: RunConfig, with_fields: bool):
         if with_fields:
             vals.extend(_fmt(x) for x in row.field_t)
         lines.append(",".join(vals))
+    return lines
+
+
+def write_output(path: str, config: RunConfig, lines: list[str]) -> None:
+    """Write the deck's provenance lines, then lines, to path: every output
+    file (rates CSV, fit report, scan CSV) is written here."""
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(_provenance(config) + lines) + "\n")
 
 
 def _run_fits(config: RunConfig, rows) -> list[tuple[FitRequest, FitResult]]:
@@ -393,10 +402,8 @@ def _run_fits(config: RunConfig, rows) -> list[tuple[FitRequest, FitResult]]:
     return out
 
 
-def _write_fit_report(path: str, fits, config: RunConfig, field_note: str):
-    lines = _provenance(config)
-    if field_note:
-        lines.append(f"# {field_note}")
+def _fit_lines(fits, field_note: str) -> list[str]:
+    lines = [f"# {field_note}"] if field_note else []
     if not fits:
         lines.append("no fits requested")
     for i, (req, res) in enumerate(fits, start=1):
@@ -409,8 +416,7 @@ def _write_fit_report(path: str, fits, config: RunConfig, field_note: str):
             lines.append(f"  exponent = {_fmt(res.exponent)}")
             lines.append(f"  scale = {_fmt(res.scale)}")
         lines.append(f"  rms_log_residual = {_fmt(res.residual)}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return lines
 
 
 def output_paths(output_dir: str, names) -> list[str]:
@@ -438,12 +444,7 @@ def run_sweep(config: RunConfig, *, output_dir: str = ".", workers: int | None =
     rows: list[SweepRow] = []
     timers, counts = Counter(), Counter()
     for field in config.fields_t:
-        try:
-            engine = PointEngine(config, field)
-        except SweepPointError:
-            raise
-        except Exception as exc:
-            raise SweepPointError(f"preparing field_T={list(field)}: {exc}") from exc
+        engine = prepare_field(config, field)
         points = [
             Point(t, config.orders, f"temperature_K={t}, field_T={list(field)}")
             for t in config.temperatures_k
@@ -455,14 +456,14 @@ def run_sweep(config: RunConfig, *, output_dir: str = ".", workers: int | None =
 
     t0 = time.perf_counter()
     # the rows are all valid here, so they reach disk even if a fit fails
-    _write_rates_csv(csv_path, rows, config, sweeping_fields)
+    write_output(csv_path, config, _rates_lines(rows, sweeping_fields))
     fits = _run_fits(config, rows)
     field_note = (
         f"fits use the first swept field value only: field_T={list(config.fields_t[0])}"
         if sweeping_fields and config.fits
         else ""
     )
-    _write_fit_report(report_path, fits, config, field_note)
+    write_output(report_path, config, _fit_lines(fits, field_note))
     timers["write_s"] = time.perf_counter() - t0
 
     log_stage_times("sweep", len(rows), timers, counts)

@@ -214,7 +214,7 @@ def test_run_numeric_failure_exits_3(tmp_path, capsys):
     "command, where",
     [
         (["run"], "preparing field_T=[0.0, 0.0, 0.05]"),
-        (["scan-regularizer", "--values", "0.5,1.0"], "preparing the scan"),
+        (["scan-regularizer", "--values", "0.5,1.0"], "preparing field_T=[0.0, 0.0, 0.05]"),
     ],
     ids=["run", "scan"],
 )
@@ -502,19 +502,22 @@ def test_a_scan_runs_at_the_decks_first_swept_field(tmp_path):
     assert main(args + ["--output-dir", str(tmp_path)]) == 0
     rows = (tmp_path / "four_level_rates.csv").read_text().splitlines()
     run_row = next(r for r in rows if r.startswith("2.0,4,") and r.endswith(",0.0,0.0,0.3"))
-    scan_row = (tmp_path / "scan_regularizer.csv").read_text().splitlines()[-1]
-    assert scan_row.split(",")[1:] == run_row.split(",")[2:7]
+    scan_lines = (tmp_path / "scan_regularizer.csv").read_text().splitlines()
+    assert scan_lines[-1].split(",")[1:] == run_row.split(",")[2:7]
+    # and its header says so
+    (header,) = [line for line in scan_lines if line.startswith("# scan at ")]
+    assert header.endswith(", field_T=[0.0, 0.0, 0.3]")
 
 
 def test_scan_prepares_one_engine_and_matches_fresh_engines(tmp_path, monkeypatch):
     prepared = []
 
-    class CountingEngine(cli.PointEngine):
+    class CountingEngine(runner.PointEngine):
         def __init__(self, *args, **kwargs):
             prepared.append(args)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "PointEngine", CountingEngine)
+    monkeypatch.setattr(runner, "PointEngine", CountingEngine)
     values = (0.5, 1.0, 2.0)
     args = ["scan-regularizer", str(DECK_PATHS["four_level"]), "--values", "0.5,1.0,2.0"]
     assert main(args + ["--order", "4", "--output-dir", str(tmp_path)]) == 0

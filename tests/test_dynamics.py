@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 
 import oracles
+from conftest import bath_for
 
 from spinphonon import dynamics
 from spinphonon.dynamics import (
@@ -181,6 +182,32 @@ def test_pair_t2_two_state_closed_form():
     assert t2 == pytest.approx(2.0 / (up + down), rel=1e-12)
     coherence = -oracles.lindblad_from_jumps(jumps, 2)[1, 1].real
     assert coherence == pytest.approx((up + down) / 2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "engine, temperature_k", [("four_level_engine", 4.0), ("spin_half_engine", 2.0)]
+)
+def test_t2_is_the_e_folding_time_of_the_pairs_coherence(request, engine, temperature_k):
+    # where the (a, b) coherence is a 1x1 secular block it decays as one
+    # exponential, so |rho_ab| falls from 1/2 to exp(-1)/2 at t = t2_s
+    eng = request.getfixturevalue(engine)
+    cfg, dim = eng.config, eng.es.dim
+    bath = bath_for(cfg, temperature_k)
+    vmats = oracles.coupling_matrices(eng.couplings, bath)
+    energies = eng.es.energies_cm1
+    jumps = oracles.jumps_2(vmats, energies, bath, cfg.secular_tol_cm1) + oracles.jumps_4(
+        vmats, energies, bath, cfg.secular_tol_cm1, channels=cfg.channels,
+        allow_same_mode=cfg.allow_same_mode, eta_cm1=cfg.regularizer_cm1,
+    )
+    generator = oracles.lindblad_from_jumps(jumps, dim)
+    a, b = eng.pair.indices
+    psi = np.zeros(dim)
+    psi[[a, b]] = 1.0 / np.sqrt(2.0)
+    rho0 = np.outer(psi, psi).astype(complex).ravel()
+    t2 = eng.rates(temperature_k, (4,))[4].t2_s
+    for periods in (1.0, 10.0):
+        rho = scipy.linalg.expm(generator * periods * t2) @ rho0
+        assert abs(rho[a * dim + b]) == pytest.approx(np.exp(-periods) / 2.0, rel=1e-10)
 
 
 def test_propagate_matches_two_state_analytics():
