@@ -1,7 +1,7 @@
 """Print one sha256 per generator build, so two checkouts' bits can be diffed.
 
 Each line names a deck, field, temperature, order and channel set, and
-hashes what build_generator returns there: dense(), weights, dephasing,
+hashes what PointEngine.build returns there: dense(), weights, dephasing,
 jump_count and prefilter_tasks. Order 2 is built once per point; order 4
 with the deck's channels, with every channel, and with every channel
 and same-mode pairs. "The bits did not change" is then an empty diff:
@@ -28,7 +28,6 @@ from dataclasses import replace
 import numpy as np
 
 from spinphonon import generators
-from spinphonon.bath import BathConfig
 from spinphonon.config import load_config
 from spinphonon.runner import PointEngine
 
@@ -51,26 +50,17 @@ def deck_lines(path: pathlib.Path, args):
     fields = [tuple(args.field_t)] if args.field_t else cfg.fields_t
     temperatures = args.temperatures or cfg.temperatures_k
     channel_sets = {
-        "deck": (cfg.channels, cfg.allow_same_mode),
-        "all": (ALL_CHANNELS, False),
-        "all+same": (ALL_CHANNELS, True),
+        "deck": cfg,
+        "all": replace(cfg, channels=ALL_CHANNELS, allow_same_mode=False),
+        "all+same": replace(cfg, channels=ALL_CHANNELS, allow_same_mode=True),
     }
     for field in fields:
         eng = PointEngine(cfg, field)
         for t_k in temperatures:
-            bath = BathConfig(modes=cfg.modes, temperature_k=t_k, broadening=cfg.broadening)
-            kw = dict(
-                blocks=eng.blocks, secular_tol_cm1=cfg.secular_tol_cm1,
-                regularizer_cm1=cfg.regularizer_cm1,
-            )
             point = f"{path.name} field={list(field)} T={t_k}"
-            res = generators.build_generator(2, eng.couplings, bath, eng.es, **kw)
-            yield f"{point} order=2 {digest(res)}"
-            for name, (channels, same) in channel_sets.items():
-                res = generators.build_generator(
-                    4, eng.couplings, bath, eng.es, channels=channels, allow_same_mode=same, **kw
-                )
-                yield f"{point} order=4 channels={name} {digest(res)}"
+            yield f"{point} order=2 {digest(eng.build(2, t_k))}"
+            for name, channel_cfg in channel_sets.items():
+                yield f"{point} order=4 channels={name} {digest(eng.build(4, t_k, channel_cfg))}"
 
 
 def main(argv=None) -> None:

@@ -26,7 +26,6 @@ import numpy as np
 # spinphonon first: it sets the one BLAS thread before oracles loads scipy
 from spinphonon.bath import BathConfig
 from spinphonon.config import load_config
-from spinphonon.generators import build_generator
 from spinphonon.runner import PointEngine, run_sweep
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -55,12 +54,6 @@ def verify_against_oracle(cfg) -> None:
     for t in cfg.temperatures_k:
         bath = BathConfig(modes=cfg.modes, temperature_k=t, broadening=cfg.broadening)
         vmats = oracles.coupling_matrices(eng.couplings, bath)
-        kw = dict(
-            secular_tol_cm1=tol,
-            regularizer_cm1=cfg.regularizer_cm1,
-            channels=cfg.channels,
-            allow_same_mode=cfg.allow_same_mode,
-        )
         jumps = {
             2: oracles.jumps_2(vmats, energies, bath, tol),
             4: oracles.jumps_4(
@@ -74,7 +67,7 @@ def verify_against_oracle(cfg) -> None:
             ),
         }
         for order, order_jumps in jumps.items():
-            res = build_generator(order, eng.couplings, bath, eng.es, **kw)
+            res = eng.build(order, t)
             ref = oracles.lindblad_from_jumps(order_jumps, eng.es.dim)
             err = np.abs(res.superoperator.dense() - ref).max() / np.abs(ref).max()
             sums = res.pair_sums(*eng.pair.indices)

@@ -151,30 +151,29 @@ def _scan(config, values, label, out_name, args) -> int:
     return 0
 
 
+def _knob_values(text: str, flag: str, ok, rule: str) -> list[float]:
+    """A scan flag's comma separated numbers; exits 2 unless each is finite and ok."""
+    try:
+        values = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        print(f"{flag} must be comma separated numbers, got {text!r}", file=sys.stderr)
+        raise SystemExit(2)
+    if not values or not all(math.isfinite(v) and ok(v) for v in values):
+        print(f"{flag} needs {rule}", file=sys.stderr)
+        raise SystemExit(2)
+    return values
+
+
 def _cmd_scan_regularizer(args) -> int:
     config = _load(args.deck)
-    try:
-        values = [float(v) for v in args.values.split(",") if v.strip()]
-    except ValueError:
-        print(f"--values must be comma separated numbers, got {args.values!r}", file=sys.stderr)
-        return 2
-    if not values or not all(math.isfinite(v) and v >= 0 for v in values):
-        print("--values needs finite numbers >= 0", file=sys.stderr)
-        return 2
+    values = _knob_values(args.values, "--values", lambda v: v >= 0, "finite numbers >= 0")
     cases = [(v, replace(config, regularizer_cm1=v)) for v in values]
     return _scan(config, cases, "regularizer_cm1", "scan_regularizer.csv", args)
 
 
 def _cmd_scan_broadening(args) -> int:
     config = _load(args.deck)
-    try:
-        widths = [float(v) for v in args.widths.split(",") if v.strip()]
-    except ValueError:
-        print(f"--widths must be comma separated numbers, got {args.widths!r}", file=sys.stderr)
-        return 2
-    if not widths or not all(math.isfinite(w) and w > 0 for w in widths):
-        print("--widths needs finite positive numbers", file=sys.stderr)
-        return 2
+    widths = _knob_values(args.widths, "--widths", lambda w: w > 0, "finite positive numbers")
     kind, cutoff = config.broadening.kind, config.broadening.cutoff_sigmas
     if kind == "exact":
         # the exact selector's cutoff (1) is no kernel truncation to carry over

@@ -136,9 +136,13 @@ _ANNOTATIONS = {"$schema", "$defs", "title", "description"}
 
 
 def _equal(a, b) -> bool:
-    """JSON equality of a scalar enum or const value: True is not 1, 1.0 is 1."""
-    if isinstance(a, bool) or isinstance(b, bool):
+    """JSON equality, as jsonschema tests it: True is not 1, 1.0 is 1, at any depth."""
+    if a is b or isinstance(a, bool) or isinstance(b, bool):
         return a is b
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_equal(a[k], b[k]) for k in a)
     return a == b
 
 
@@ -203,6 +207,10 @@ def _schema_errors(value, node: dict, path: tuple = ()):
         elif key == "maximum":
             if _TYPES["number"](value) and value > arg:
                 yield path, f"{value!r} is greater than the maximum of {arg!r}"
+        elif key == "uniqueItems" and arg:
+            pairs = itertools.combinations(value, 2) if isinstance(value, list) else ()
+            if any(_equal(x, y) for x, y in pairs):
+                yield path, f"{value!r} has non-unique elements"
         elif key == "enum":
             if not any(_equal(e, value) for e in arg):
                 yield path, f"{value!r} is not one of {arg!r}"
@@ -304,13 +312,13 @@ def _semantic_diagnostics(raw: dict) -> list[str]:
         idx = [i for i, t in enumerate(_array(terms)) if isinstance(t, list) and len(t) == 3]
         for i in idx:
             l, m = terms[i][0], terms[i][1]
-            if l in (2, 4, 6) and isinstance(m, int) and abs(m) > l:
+            if l in (2, 4, 6) and _TYPES["integer"](m) and abs(m) > l:
                 out.append(f"{_json_path((*parts, i))}: |m| = {abs(m)} exceeds l = {l}")
         check(parts, [terms[i][2] for i in idx], where=lambda k: (idx[k], 2))
 
     model = _mapping(raw.get("model"))
     two_j = model.get("two_j")
-    dim = two_j + 1 if isinstance(two_j, int) and two_j >= 1 else None
+    dim = int(two_j) + 1 if _TYPES["integer"](two_j) and two_j >= 1 else None
     if _TYPES["integer"](two_j) and two_j >= 1 and two_j % 2 == 0:
         out.append(
             f"model.two_j: {two_j!r} is even; rate sweeps need a Kramers system "
@@ -400,7 +408,7 @@ def _resolved_echo(raw: dict) -> dict:
 
     Each matrix_cm1 is reduced to its basis.
     """
-    model = dict(raw["model"])
+    model = dict(raw["model"], two_j=int(raw["model"]["two_j"]))  # 3.0 runs and hashes as 3
     model.setdefault("g_j", 2.0)
     model.setdefault("stevens_terms_cm1", [])
     model.setdefault("field_t", [0.0, 0.0, 0.0])
@@ -488,7 +496,7 @@ def resolve(raw: dict) -> RunConfig:
     diags = validate_deck(raw)
     if diags:
         raise DeckValidationError(diags)
-    j = AngularMomentum(two_j=raw["model"]["two_j"])
+    j = AngularMomentum(two_j=int(raw["model"]["two_j"]))
     couplings, bases = _couplings(raw["coupling"]["operators"], j)
     echo = _resolved_echo(raw)
     # where the caller holds no other reference (load_config), the deck's

@@ -3,17 +3,16 @@
 Every coupling matrix enters through from_raw_matrices, given in the M_J
 or the eigen basis. A deck's derivative sets of Stevens coefficients are
 summed once, V = sum dB_l^m O_l^m, by stevens_sum in config.resolve.
-Each operator carries the content tag of the eigensystem it was expressed
-in, so generator assembly can refuse mixed bases.
+Each operator holds the Eigensystem it was expressed in, so generator
+assembly can refuse an operator of another eigensystem.
 """
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .digest import sha256
 from .spin_model import Eigensystem
 
 log = logging.getLogger(__name__)
@@ -26,21 +25,13 @@ RAW_BASES = ("mj", "eigen")
 STACK_MODES = 16
 
 
-def basis_tag(es: Eigensystem) -> str:
-    """Content hash identifying a concrete gauge-fixed eigenbasis."""
-    h = sha256()
-    h.update(np.ascontiguousarray(es.energies_cm1).tobytes())
-    h.update(np.ascontiguousarray(es.eigenvectors).tobytes())
-    return h.hexdigest()[:16]
-
-
 @dataclass(frozen=True)
 class CouplingOperator:
-    """Hermitian V^alpha (cm^-1 per unit displacement) in the eigenbasis."""
+    """Hermitian V^alpha (cm^-1 per unit displacement) in the eigenbasis of basis."""
 
     mode_index: int
     matrix: NDArray[np.complex128]
-    basis: str
+    basis: Eigensystem = field(compare=False, repr=False)
 
 
 def from_raw_matrices(
@@ -64,7 +55,7 @@ def from_raw_matrices(
     m = np.asarray(matrices, dtype=complex)
     if m.shape != (len(mode_indices), es.dim, es.dim):
         raise ValueError(f"matrix shape {m.shape[1:]} does not match dimension {es.dim}")
-    tag, u = basis_tag(es), es.eigenvectors
+    u = es.eigenvectors
     ops = []
     # a few modes at a time, which bounds the temporaries
     for first in range(0, len(mode_indices), STACK_MODES):
@@ -85,5 +76,5 @@ def from_raw_matrices(
         if basis == "mj":
             part = u.conj().T @ part @ u
             part = 0.5 * (part + part.conj().transpose(0, 2, 1))  # scrub basis-change round-off
-        ops.extend(CouplingOperator(mode_index=i, matrix=v, basis=tag) for i, v in zip(modes, part))
+        ops.extend(CouplingOperator(mode_index=i, matrix=v, basis=es) for i, v in zip(modes, part))
     return tuple(ops)

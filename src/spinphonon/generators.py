@@ -79,7 +79,7 @@ from numpy.typing import NDArray
 
 from .bath import BathConfig, channel_occupation, channel_signs, channel_target, delta, g2
 from .constants import CM1_TO_RAD_S
-from .coupling import CouplingOperator, basis_tag
+from .coupling import CouplingOperator
 from .spin_model import Eigensystem, split_at_gaps
 
 RATE_PREFACTOR = 2.0 * np.pi * CM1_TO_RAD_S
@@ -110,7 +110,7 @@ class SingularityError(ZeroDivisionError):
 
 
 class BasisMismatchError(ValueError):
-    """Operators from different eigenbases were mixed."""
+    """A coupling operator was made in another eigensystem than the build's."""
 
 
 @dataclass(frozen=True)
@@ -260,12 +260,12 @@ def secular_partition(
 def _aligned_couplings(
     couplings: Sequence[CouplingOperator], bath: BathConfig, es: Eigensystem
 ) -> NDArray[np.complex128]:
-    """Stack coupling matrices in bath-mode order; enforce es's basis."""
+    """Stack coupling matrices in bath-mode order; each must be in es's basis."""
     if not couplings:
         raise ValueError("no coupling operators supplied")
-    tags = {c.basis for c in couplings}
-    if tags != {basis_tag(es)}:
-        raise BasisMismatchError(f"coupling bases {sorted(tags)} are not {basis_tag(es)}")
+    foreign = [c.mode_index for c in couplings if c.basis is not es]
+    if foreign:
+        raise BasisMismatchError(f"couplings of modes {foreign} are not in this eigenbasis")
     by_index = {c.mode_index: c for c in couplings}
     try:
         return np.stack([by_index[m.index].matrix for m in bath.modes])
@@ -523,14 +523,8 @@ def build_generator(
     PAIR_CHUNK. In a chunk, each run of tasks sharing alpha and its sign
     costs one BLAS product per amplitude term, each block-size class one
     gather per term and one keep mask, each block run one Gram product,
-    and the kernel weights one array delta call. A task's products are
-    computed only at the rows that the blocks of its window read
-    (_row_windows), so a run's product is a stack of those rows; a run of
-    one row is multiplied as two rows, because numpy sends a one-row
-    product down another BLAS path whose bits differ. That the rows are
-    bit for bit those of the full products rests on a row of
-    np.matmul(A, B) not depending on the other rows of A (two rows or
-    more; tests/test_generators.py checks it on the BLAS at hand). Each
+    and the kernel weights one array delta call; products are computed
+    only at the rows a task's window reads (Row windows, above). Each
     secular block sums its Grams in a dense accumulator, off which
     _finalize reads R (by block), K and the pair 1/T1 sums; the
     pure-dephasing matrix D of the pair 1/T2* sums is added as the w = 0
@@ -540,7 +534,8 @@ def build_generator(
     jump_count counts the jumps whose rate gamma ||L||^2 is positive and
     prefilter_tasks the order-4 tasks whose target hits a block window.
     blocks given as a SecularPartition (as secular_partition returns it)
-    keep their index maps from build to build.
+    keep their index maps from build to build. Every coupling must have
+    been made in es itself (its basis is es), or BasisMismatchError.
     """
     if order not in (2, 4):
         raise ValueError("order must be 2 or 4")

@@ -7,14 +7,11 @@ way before inversion.
 
 The sweep and the CLI's scans take one path from a field to a file:
 prepare_field, then compute_points, the one place a field's independent
-points (temperatures, or a scan's knob values) are computed, then
-write_output. With two or more points and two or more usable CPUs,
-compute_points forks min(CPUs, points) workers, which inherit the prepared
-PointEngine and compute every point by index; otherwise it computes them
-all itself. Each point is the same one-BLAS-thread computation on the
-same inputs in whichever process runs it, so the results, returned in
-point order, are bitwise the same whether or not a pool ran; stage times
-are summed over processes.
+points (temperatures, or a scan's knob values) are computed, in forked
+workers or not, then write_output. Each point is the same
+one-BLAS-thread computation on the same inputs in whichever process runs
+it, so the results are bitwise the same whether or not a pool ran; every
+generator is built by PointEngine.build.
 
 A numeric failure leaves this module as a SweepPointError, the one
 exception the CLI turns into exit 3. Its message names where the sweep
@@ -43,7 +40,7 @@ from .config import FitRequest, RunConfig
 from .constants import C_CM_S, KB_CM1_PER_K, MU_B_CM1_PER_T
 from .coupling import CouplingOperator, from_raw_matrices
 from .dynamics import FitResult, RateReport, extract_tau, fit_regimes, pair_sums_to_times
-from .generators import PairRateSums, build_generator, secular_partition
+from .generators import GeneratorResult, PairRateSums, build_generator, secular_partition
 from .spin_model import easy_axis_of, eigensystem_for, frame_rotation, fundamental_pair
 
 log = logging.getLogger(__name__)
@@ -136,45 +133,53 @@ class PointEngine:
                 out[i] = op
         return tuple(out)
 
+    def build(
+        self, order: int, temperature_k: float, config: RunConfig | None = None
+    ) -> GeneratorResult:
+        """The order-2 or order-4 generator at one temperature, built from the
+        settings of config (the engine's deck if None): its kernel,
+        regularizer and channels. The engine was prepared with the deck's
+        model, modes, couplings_cm1 and coupling_bases, which config must
+        share as objects (dataclasses.replace keeps them), and with its
+        secular_tol_cm1; a ValueError names the first field that differs.
+        """
+        cfg = self.config if config is None else config
+        shared = ("model", "modes", "couplings_cm1", "coupling_bases")
+        differ = [n for n in shared if getattr(cfg, n) is not getattr(self.config, n)]
+        if cfg.secular_tol_cm1 != self.config.secular_tol_cm1:
+            differ.append("secular_tol_cm1")
+        if differ:
+            raise ValueError(f"config.{differ[0]} is not the one the engine was prepared with")
+        bath = BathConfig(modes=cfg.modes, temperature_k=temperature_k, broadening=cfg.broadening)
+        t0 = time.perf_counter()
+        res = build_generator(
+            order, self.couplings, bath, self.es, blocks=self.blocks,
+            regularizer_cm1=cfg.regularizer_cm1, channels=cfg.channels,
+            allow_same_mode=cfg.allow_same_mode,
+        )
+        self.timers["generate_s"] += time.perf_counter() - t0
+        if order == 4:
+            self.counts.update(order4_tasks=res.prefilter_tasks, order4_jumps=res.jump_count)
+        return res
+
     def rates(
         self, temperature_k: float, orders, config: RunConfig | None = None
     ) -> dict[int, RateReport]:
-        """Rate reports per order at one temperature.
-
-        config, if given, supplies the bath and numeric settings in place of
-        the prepared deck's; it must share that deck's model, couplings and
-        secular tolerance, which the engine was prepared with.
-        """
-        cfg = config if config is not None else self.config
-        bath = BathConfig(
-            modes=cfg.modes, temperature_k=temperature_k, broadening=cfg.broadening
-        )
-        common = dict(
-            blocks=self.blocks,
-            regularizer_cm1=cfg.regularizer_cm1,
-            channels=cfg.channels,
-            allow_same_mode=cfg.allow_same_mode,
-        )
-        t0 = time.perf_counter()
-        res2 = build_generator(2, self.couplings, bath, self.es, **common)
-        res4 = build_generator(4, self.couplings, bath, self.es, **common) if 4 in orders else None
+        """Rate reports per order at one temperature, from self.build."""
+        res2 = self.build(2, temperature_k, config)
+        res4 = self.build(4, temperature_k, config) if 4 in orders else None
         t1 = time.perf_counter()
-        self.timers["generate_s"] += t1 - t0
-        if res4 is not None:
-            self.counts.update(order4_tasks=res4.prefilter_tasks, order4_jumps=res4.jump_count)
-
         out: dict[int, RateReport] = {}
-        key = self.pair.indices
+        s2 = res2.pair_sums(*self.pair.indices)
         if 2 in orders:
-            out[2] = self._report(res2.superoperator, res2.pair_sums(*key), temperature_k, 2)
+            out[2] = self._report(res2.superoperator, s2, temperature_k, 2)
         if 4 in orders:
-            cumulative = res2.superoperator + res4.superoperator
-            s2, s4 = res2.pair_sums(*key), res4.pair_sums(*key)
+            s4 = res4.pair_sums(*self.pair.indices)
             sums = PairRateSums(
                 half_t1_rate=s2.half_t1_rate + s4.half_t1_rate,
                 dephasing_rate=s2.dephasing_rate + s4.dephasing_rate,
             )
-            out[4] = self._report(cumulative, sums, temperature_k, 4)
+            out[4] = self._report(res2.superoperator + res4.superoperator, sums, temperature_k, 4)
         self.timers["extract_s"] += time.perf_counter() - t1
         return out
 

@@ -51,19 +51,6 @@ def _five(temps):
     return [temps[i] for i in idx]
 
 
-def _build(order, eng, t_k, **extra):
-    cfg = eng.config
-    kw = dict(
-        blocks=eng.blocks,
-        secular_tol_cm1=cfg.secular_tol_cm1,
-        regularizer_cm1=cfg.regularizer_cm1,
-    )
-    if order == 4:
-        kw.update(channels=cfg.channels, allow_same_mode=cfg.allow_same_mode)
-    kw.update(extra)
-    return build_generator(order, eng.couplings, bath_for(cfg, t_k), eng.es, **kw)
-
-
 def _cumulative(r2, r4):
     return r2.superoperator + r4.superoperator
 
@@ -103,8 +90,8 @@ def test_trace_spectrum_and_positivity_on_every_deck(
         v = np.ones(d, dtype=complex) / np.sqrt(d)
         rho0 = np.outer(v, v.conj())
         for t_k in _five(eng.config.temperatures_k):
-            r2 = _build(2, eng, t_k)
-            r4 = _build(4, eng, t_k)
+            r2 = eng.build(2, t_k)
+            r4 = eng.build(4, t_k)
             for sup in (r2.superoperator, _cumulative(r2, r4)):
                 assert sup.trace_defect() <= 1e-10
                 w = np.linalg.eigvals(sup.dense())
@@ -133,7 +120,7 @@ def test_population_blocks_and_decay_match_brute_force(
         vmats = oracles.coupling_matrices(eng.couplings, bath)
         w2 = oracles.population_rates_2(vmats, energies, bath)
         ref2 = oracles.rates_to_population_block(w2)
-        lib2 = _population_block(_build(2, eng, t_k).superoperator)
+        lib2 = _population_block(eng.build(2, t_k).superoperator)
         assert np.abs(lib2 - ref2).max() <= 1e-10 * np.abs(ref2).max()
         w4 = oracles.population_rates_4(
             vmats, energies, bath,
@@ -142,12 +129,12 @@ def test_population_blocks_and_decay_match_brute_force(
             eta_cm1=cfg.regularizer_cm1,
         )
         ref4 = oracles.rates_to_population_block(w4)
-        lib4 = _population_block(_build(4, eng, t_k).superoperator)
+        lib4 = _population_block(eng.build(4, t_k).superoperator)
         assert np.abs(lib4 - ref4).max() <= 1e-10 * np.abs(ref4).max()
 
     # decay constant read off a propagated trajectory vs the generator
     seng = spin_half_engine
-    sup = _build(2, seng, 2.0).superoperator
+    sup = seng.build(2, 2.0).superoperator
     res = extract_tau(sup, seng.pair)
     a, b = seng.pair.a, seng.pair.b
     rho0 = np.zeros((2, 2), dtype=complex)
@@ -171,7 +158,7 @@ def test_gibbs_state_is_stationary_on_exact_resonance(
 ):
     for eng in (exact_spin_half, exact_four_level):
         for t_k in (1.0, 3.0, 9.0):
-            block = _population_block(_build(2, eng, t_k).superoperator)
+            block = _population_block(eng.build(2, t_k).superoperator)
             g = oracles.gibbs_populations(eng.es.energies_cm1, t_k)
             resid = np.abs(block @ g).max()
             assert resid <= 1e-8 * np.abs(block).max()
@@ -200,7 +187,7 @@ def test_generator_coherence_decay_matches_the_pair_sums_everywhere(
         d = eng.es.dim
         for t_k in eng.config.temperatures_k:
             for order in (2, 4):
-                res = _build(order, eng, t_k)
+                res = eng.build(order, t_k)
                 decay = -res.superoperator.dense().diagonal().real.reshape(d, d)
                 tol = 16.0 * eps * res.weights.sum()
                 for a, b in permutations(range(d), 2):
@@ -213,7 +200,7 @@ def test_second_order_dephasing_vanishes_on_exact_resonance(
     exact_spin_half, exact_four_level
 ):
     for eng in (exact_spin_half, exact_four_level):
-        sums = _build(2, eng, 4.0).pair_sums(*eng.pair.indices)
+        sums = eng.build(2, 4.0).pair_sums(*eng.pair.indices)
         assert sums.dephasing_rate == 0.0
         assert sums.half_t1_rate > 0.0
 

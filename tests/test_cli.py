@@ -8,12 +8,11 @@ from dataclasses import replace
 import pytest
 import yaml
 
-from conftest import DECK_PATHS, bath_for
+from conftest import DECK_PATHS
 
 from spinphonon import cli, runner
 from spinphonon.cli import SCAN_COLUMNS, main
 from spinphonon.config import load_config
-from spinphonon.generators import build_generator
 from spinphonon.runner import PointEngine, _fmt, _provenance, peak_rss_mb
 from spinphonon.spin_model import DiagonalizationError
 
@@ -415,6 +414,15 @@ def _unswept_fit_order(deck):
     deck["fits"][0]["order"] = 4
 
 
+def _channel_listed_twice(deck):
+    # run each entry and the channel's rates would count twice
+    deck.setdefault("numeric", {})["channels"] = ["absorption_emission"] * 2
+
+
+def _m_as_float_beyond_l(deck):
+    deck["model"]["stevens_terms_cm1"].append([2, 3.0, 0.1])
+
+
 @pytest.mark.parametrize(
     "name, edit, diagnostic",
     [
@@ -424,8 +432,14 @@ def _unswept_fit_order(deck):
             "so two_j must be odd",
         ),
         ("four_level", _unswept_fit_order, "fits[0].order: 4 is not swept (sweep.orders: 2)"),
+        (
+            "four_level", _channel_listed_twice,
+            "numeric.channels: ['absorption_emission', 'absorption_emission'] "
+            "has non-unique elements",
+        ),
+        ("four_level", _m_as_float_beyond_l, "model.stevens_terms_cm1[1]: |m| = 3.0 exceeds l = 2"),
     ],
-    ids=["integer_j", "unswept_fit_order"],
+    ids=["integer_j", "unswept_fit_order", "channel_listed_twice", "m_as_float_beyond_l"],
 )
 def test_a_deck_no_sweep_can_finish_exits_2_before_any_point(
     tmp_path, capsys, name, edit, diagnostic
@@ -442,6 +456,19 @@ def test_a_deck_no_sweep_can_finish_exits_2_before_any_point(
     assert not out_dir.exists()
 
 
+def test_an_integer_valued_float_two_j_runs_as_that_integer(tmp_path):
+    # 3.0 is an integer to the schema, so it must run, and hash, as 3 does
+    deck = yaml.safe_load(DECK_PATHS["four_level"].read_text())
+    written = []
+    for two_j in (3, 3.0):
+        deck["model"]["two_j"] = two_j
+        path, out = tmp_path / f"{two_j!r}.yaml", tmp_path / f"out_{two_j!r}"
+        path.write_text(yaml.safe_dump(deck))
+        assert main(["run", str(path), "--output-dir", str(out)]) == 0
+        written.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert written[0] == written[1]
+
+
 def test_run_verbose_logs_where_setup_went(tmp_path, caplog):
     caplog.set_level(logging.INFO)
     assert main(["-v", "run", str(DECK_PATHS["spin_half"]), "--output-dir", str(tmp_path)]) == 0
@@ -453,14 +480,7 @@ def test_run_verbose_logs_where_setup_went(tmp_path, caplog):
     # the deck's temperatures
     cfg = load_config(DECK_PATHS["spin_half"])
     eng = PointEngine(cfg)
-    builds = [
-        build_generator(
-            4, eng.couplings, bath_for(cfg, t), eng.es, blocks=eng.blocks,
-            regularizer_cm1=cfg.regularizer_cm1, channels=cfg.channels,
-            allow_same_mode=cfg.allow_same_mode,
-        )
-        for t in cfg.temperatures_k
-    ]
+    builds = [eng.build(4, t) for t in cfg.temperatures_k]
     tasks, jumps = (sum(getattr(r, f) for r in builds) for f in ("prefilter_tasks", "jump_count"))
     assert 0 < jumps and 0 < tasks
     assert f"s; order-4 prefilter tasks {tasks}, jumps {jumps}; peak RSS " in caplog.text

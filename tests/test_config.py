@@ -452,11 +452,14 @@ def _containers(node, out):
 
 
 def _mutate(deck, rng):
-    """One seeded edit: set a value, delete a key, add an unknown key, or append."""
+    """One seeded edit: set a value, delete a key, add an unknown key, append,
+    or append a copy of a list's own entry."""
     target = rng.choice(_containers(deck, []))
     keys = list(target) if isinstance(target, dict) else range(len(target))
-    kind = rng.choice(("set", "delete", "unknown", "append"))
-    if kind == "set" and keys:
+    kind = rng.choice(("set", "delete", "unknown", "append", "repeat"))
+    if kind == "repeat" and isinstance(target, list) and keys:
+        target.append(copy.deepcopy(target[rng.choice(keys)]))
+    elif kind == "set" and keys:
         target[rng.choice(keys)] = copy.deepcopy(rng.choice(MUTANT_VALUES))
     elif kind == "delete" and isinstance(target, dict) and keys:
         del target[rng.choice(keys)]
@@ -467,7 +470,10 @@ def _mutate(deck, rng):
 
 
 def _mutated_decks(n_per_base: int, seed: int):
-    bases = [yaml.safe_load(path.read_text()) for path in DECK_PATHS.values()] + [deep(MINIMAL)]
+    bases = [yaml.safe_load(path.read_text()) for path in DECK_PATHS.values()] + [
+        deep(MINIMAL),
+        dict(deep(MINIMAL), numeric={"channels": ["absorption_emission", "double_emission"]}),
+    ]
     rng = random.Random(seed)
     for base in bases:
         for _ in range(n_per_base):
@@ -479,7 +485,7 @@ def _mutated_decks(n_per_base: int, seed: int):
 
 def test_schema_interpreter_matches_jsonschema_on_mutated_decks():
     validator = Draft202012Validator(_schema())
-    n_decks = n_invalid = 0
+    n_decks = n_invalid = n_repeated = 0
     for deck in _mutated_decks(n_per_base=500, seed=8):
         ours = sorted(_schema_errors(deck, _schema()), key=repr)
         reference = sorted(
@@ -488,7 +494,8 @@ def test_schema_interpreter_matches_jsonschema_on_mutated_decks():
         assert ours == reference, deck
         n_decks += 1
         n_invalid += bool(reference)
-    assert n_decks >= 2000 and n_invalid >= n_decks // 2
+        n_repeated += any(m.endswith("has non-unique elements") for _, m in reference)
+    assert n_decks >= 2000 and n_invalid >= n_decks // 2 and n_repeated > 0
 
 
 @pytest.mark.parametrize(
@@ -507,6 +514,10 @@ def test_schema_interpreter_matches_jsonschema_on_mutated_decks():
         (("outputs",), {"b": 1, "a": 2}, [
             "Additional properties are not allowed ('a', 'b' were unexpected)"
         ]),
+        (("numeric",), {"channels": ["double_emission"] * 2}, [
+            "['double_emission', 'double_emission'] has non-unique elements"
+        ]),
+        (("numeric",), {"channels": ["double_emission", "double_absorption"]}, []),
     ],
 )
 def test_schema_interpreter_words_and_types(path, value, expected):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spinphonon.angular import AngularMomentum
-from spinphonon.coupling import STACK_MODES, basis_tag, from_raw_matrices
+from spinphonon.coupling import STACK_MODES, from_raw_matrices
 from spinphonon.spin_model import SpinModel, StevensTerm, eigensystem_for, stevens_sum
 from spinphonon.stevens import build_stevens_operator
 
@@ -68,7 +68,7 @@ def test_raw_matrices_in_one_stack_match_each_matrix_alone():
                 ref = u.conj().T @ ref @ u
                 ref = 0.5 * (ref + ref.conj().T)
             assert np.array_equal(op.matrix, ref)
-            assert op.basis == basis_tag(ES)
+            assert op.basis is ES
 
 
 def test_raw_matrices_name_the_mode_they_warn_about_or_refuse(caplog):
@@ -82,17 +82,6 @@ def test_raw_matrices_name_the_mode_they_warn_about_or_refuse(caplog):
     mats[2, 1, 0] += 1e-3
     with pytest.raises(ValueError, match="mode 9"):
         from_raw_matrices(mats, "mj", ES, mode_indices=[4, 7, 9])
-
-
-def test_basis_tag_distinguishes_eigensystems():
-    other = eigensystem_for(
-        SpinModel(
-            angular_momentum=AngularMomentum(3),
-            stevens_terms=(StevensTerm(2, 0, -1.0),),
-        )
-    )
-    assert basis_tag(ES) != basis_tag(other)
-    assert basis_tag(ES) == basis_tag(ES)
 
 
 def test_mode_index_recorded():

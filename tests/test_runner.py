@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 import yaml
 
-from conftest import DECK_PATHS, GOLDEN, bath_for
+from conftest import DECK_PATHS, GOLDEN
 from test_config import MIXED
 
 from spinphonon import runner
+from spinphonon.bath import BathConfig
 from spinphonon.config import DeckValidationError, load_config, resolve
 from spinphonon.coupling import from_raw_matrices
+from spinphonon.dynamics import extract_tau
 from spinphonon.generators import build_generator
 from spinphonon.runner import CSV_COLUMNS, PointEngine, SweepPointError, run_sweep
 from spinphonon.spin_model import StevensTerm, stevens_sum
@@ -70,29 +72,71 @@ def test_sweep_is_reproducible_byte_for_byte(tmp_path, spin_half_config):
         assert fa.read() == fb.read()
 
 
-def test_order4_rows_are_cumulative(four_level_config, four_level_engine):
+def test_order4_rows_are_cumulative(four_level_engine):
     eng = four_level_engine
     t = 2.0
     reports = eng.rates(t, (2, 4))
-    kw = dict(
-        secular_tol_cm1=four_level_config.secular_tol_cm1,
-        regularizer_cm1=four_level_config.regularizer_cm1,
-    )
-    bath = bath_for(four_level_config, t)
-    r2 = build_generator(2, eng.couplings, bath, eng.es, **kw)
-    r4 = build_generator(
-        4, eng.couplings, bath, eng.es,
-        channels=four_level_config.channels,
-        allow_same_mode=four_level_config.allow_same_mode, **kw,
-    )
-    cumulative = r2.superoperator + r4.superoperator
-    from spinphonon.dynamics import extract_tau
-
-    tau = extract_tau(cumulative, eng.pair)
-    assert reports[4].tau_s == pytest.approx(tau.tau_s, rel=1e-12)
+    r2, r4 = eng.build(2, t), eng.build(4, t)
+    tau = extract_tau(r2.superoperator + r4.superoperator, eng.pair)
+    assert reports[4].tau_s == tau.tau_s
     # and the order-2 row is untouched by the order-4 contribution
-    tau2 = extract_tau(r2.superoperator, eng.pair)
-    assert reports[2].tau_s == pytest.approx(tau2.tau_s, rel=1e-12)
+    assert reports[2].tau_s == extract_tau(r2.superoperator, eng.pair).tau_s
+
+
+def _bits(r):
+    return r.superoperator.dense(), r.weights, r.dephasing, r.jump_count, r.prefilter_tasks
+
+
+def test_build_passes_every_deck_setting_to_build_generator(
+    spin_half_engine, four_level_engine, j15_2_engine
+):
+    # the one build assembled by hand from a deck's settings, with the
+    # blocks left for build_generator to partition: engine.build must give
+    # its bits with the deck's settings and with each setting overridden
+    for eng in (spin_half_engine, four_level_engine, j15_2_engine):
+        cfg = eng.config
+        t = cfg.temperatures_k[-1]
+        width = replace(cfg.broadening, width_cm1=2.0 * cfg.broadening.width_cm1)
+        channels = ("absorption_emission", "double_absorption", "double_emission")
+        for c in (
+            cfg,
+            replace(cfg, regularizer_cm1=0.3),
+            replace(cfg, broadening=width),
+            replace(cfg, channels=channels, allow_same_mode=True),
+        ):
+            bath = BathConfig(modes=c.modes, temperature_k=t, broadening=c.broadening)
+            for order in (2, 4):
+                want = build_generator(
+                    order, eng.couplings, bath, eng.es, secular_tol_cm1=c.secular_tol_cm1,
+                    regularizer_cm1=c.regularizer_cm1, channels=c.channels,
+                    allow_same_mode=c.allow_same_mode,
+                )
+                for x, y in zip(_bits(eng.build(order, t, c)), _bits(want)):
+                    np.testing.assert_array_equal(x, y, strict=True)
+
+
+def test_build_refuses_a_config_the_engine_was_not_prepared_with(
+    four_level_engine, spin_half_config
+):
+    eng = four_level_engine
+    cfg = eng.config
+    # equal values in new objects are refused too: the engine was prepared
+    # from the objects themselves
+    for other, name in (
+        (spin_half_config, "model"),
+        (load_config(DECK_PATHS["four_level"]), "model"),
+        (replace(cfg, modes=tuple(list(cfg.modes))), "modes"),
+        (replace(cfg, couplings_cm1=cfg.couplings_cm1.copy()), "couplings_cm1"),
+        (replace(cfg, coupling_bases=tuple(list(cfg.coupling_bases))), "coupling_bases"),
+        (replace(cfg, secular_tol_cm1=2.0 * cfg.secular_tol_cm1), "secular_tol_cm1"),
+    ):
+        message = f"config.{name} is not the one the engine was prepared with"
+        with pytest.raises(ValueError, match=message):
+            eng.build(4, 2.0, other)
+        with pytest.raises(ValueError, match=message):
+            eng.rates(2.0, (2,), other)
+    # what the scans change, through replace, passes
+    eng.build(2, 2.0, replace(cfg, regularizer_cm1=0.5))
 
 
 def test_field_sweep_appends_field_columns(tmp_path):
