@@ -23,7 +23,8 @@ import tempfile
 
 import numpy as np
 
-# spinphonon first: it sets the one BLAS thread before oracles loads scipy
+# the import order moves no bit: the tau solve pins its own one BLAS thread,
+# and the scipy that oracles loads brings an OpenBLAS the package never calls
 from spinphonon.bath import BathConfig
 from spinphonon.config import load_config
 from spinphonon.runner import PointEngine, run_sweep

@@ -7,17 +7,12 @@ magnetization relaxation time tau and the pairwise T1 / T2* / T2 times.
 
 import os
 
-# Whether the caller chose OpenBLAS's thread count (these are the variables
-# it reads), before the defaults below fill one in: dynamics warns when
-# scipy's OpenBLAS was loaded before this package with no count chosen.
-_blas_threads_chosen = any(
-    name in os.environ for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-)
-
 # One BLAS thread unless the caller chose: the thread count sets the
 # summation order inside BLAS, so it moves the bits of the CSV, and on a
-# few cores the order-4 build and the tau eigensolve run faster on one.
-# BLAS reads these when numpy loads it, so they are set before any import.
+# few cores the order-4 build runs faster on one. OpenBLAS reads these when
+# numpy loads it, so they are set before any import; a caller that imported
+# numpy first keeps its count here. The tau solve does not depend on them:
+# dynamics.eig pins its zgeev to one thread around each call.
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
 del _name

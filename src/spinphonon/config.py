@@ -408,13 +408,17 @@ def _resolved_echo(raw: dict) -> dict:
 
     Each matrix_cm1 is reduced to its basis.
     """
-    model = dict(raw["model"], two_j=int(raw["model"]["two_j"]))  # 3.0 runs and hashes as 3
+    # an integer the deck spells as a float (3.0) runs as the integer, so it
+    # is echoed, and hashed, as one
+    model = dict(raw["model"], two_j=int(raw["model"]["two_j"]))
     model.setdefault("g_j", 2.0)
-    model.setdefault("stevens_terms_cm1", [])
+    model["stevens_terms_cm1"] = _int_lm(model.get("stevens_terms_cm1", []))
     model.setdefault("field_t", [0.0, 0.0, 0.0])
 
     sweep = dict(raw["sweep"])
     sweep.setdefault("orders", DEFAULT_ORDERS)
+    if not isinstance(sweep["orders"], str):
+        sweep["orders"] = int(sweep["orders"])
 
     outputs = dict(raw.get("outputs") or {})
     outputs.setdefault("rates_csv", DEFAULT_RATES_CSV)
@@ -437,14 +441,14 @@ def _resolved_echo(raw: dict) -> dict:
     fits = []
     for fit in raw.get("fits") or []:
         fit = dict(fit)
-        fit.setdefault("order", max(_orders_tuple(sweep["orders"])))
+        fit["order"] = int(fit.get("order", max(_orders_tuple(sweep["orders"]))))
         fit.setdefault("window_k", None)
         fits.append(fit)
 
     operators = [
         dict(op, matrix_cm1={"basis": op["matrix_cm1"].get("basis", "mj")})
         if "matrix_cm1" in op
-        else op
+        else dict(op, stevens_derivatives_cm1=_int_lm(op["stevens_derivatives_cm1"]))
         for op in raw["coupling"]["operators"]
     ]
     return {
@@ -456,6 +460,11 @@ def _resolved_echo(raw: dict) -> dict:
         "numeric": numeric,
         "fits": fits,
     }
+
+
+def _int_lm(rows: list) -> list:
+    """Stevens rows [l, m, value] with l and m as int."""
+    return [[int(l), int(m), value] for l, m, value in rows]
 
 
 def _orders_tuple(orders) -> tuple[int, ...]:

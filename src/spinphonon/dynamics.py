@@ -11,61 +11,73 @@ map, not a second read path; the oracle tests check each rate
 independently.
 """
 
-import importlib.machinery
-import importlib.util
+import ctypes
+import glob
 import logging
 import os
-import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
-from . import _blas_threads_chosen
 from .constants import KB_CM1_PER_K
 from .generators import PairRateSums, Superoperator
 from .spin_model import KramersPair
 
 log = logging.getLogger(__name__)
 
+# numpy's wheel bundles an ILP64 OpenBLAS under this name, with its
+# LAPACKE symbols prefixed and suffixed to match
+_OPENBLAS = "libscipy_openblas64_"
+_ZGEEV = "scipy_LAPACKE_zgeev_work64_"
+_THREADS = "openblas_set_num_threads_local"
+_MAPS = "/proc/self/maps"
+_NUMPY_LIBS = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
 
-def _load_lapack():
-    """scipy's LAPACK extension module, loaded without running any scipy package.
 
-    find_spec("scipy") names the package's directory without running
-    scipy/__init__.py, and the extension is searched for in its linalg
-    subdirectory. Neither scipy nor scipy.linalg enters sys.modules:
-    scipy/__init__.py would add about 0.9 MB to the resident set, and
-    scipy/linalg/__init__.py would also load its array-API layer
-    (numpy.f2py, numpy.testing, unittest). A later import of scipy.linalg
-    reuses the module loaded here.
+def _load_openblas(maps: str = _MAPS, libs: str = _NUMPY_LIBS):
+    """(zgeev, set_threads) of the OpenBLAS that numpy loaded: its
+    LAPACKE_zgeev_work and openblas_set_num_threads_local.
+
+    The library is the one mapped into this process by numpy, else the
+    one in numpy's wheel directory, so the tau solve runs on the same
+    OpenBLAS as numpy's own eigh and matmul and no second LAPACK is
+    loaded. A numpy built on another BLAS is refused.
     """
-    name = "scipy.linalg._flapack"
-    package = importlib.util.find_spec("scipy")
-    if package is None:
-        raise ImportError(f"{name} not found: no scipy package on {sys.path}", name=name)
-    where = [os.path.join(path, "linalg") for path in package.submodule_search_locations]
-    spec = importlib.machinery.PathFinder.find_spec(name, where)
-    if spec is None:
-        raise ImportError(f"{name} not found in {where}", name=name)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    try:
+        with open(maps) as fh:
+            # the sixth field is the path, which may hold spaces
+            mapped = [line.split(None, 5)[5].strip() for line in fh if f"/{_OPENBLAS}" in line]
+    except OSError:
+        mapped = []
+    found = mapped or sorted(glob.glob(os.path.join(libs, _OPENBLAS + "*")))
+    if not found:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"].get("name")
+        raise ImportError(
+            f"no {_OPENBLAS}* library mapped in {maps} or present in {libs}; "
+            f"numpy was built on BLAS {blas!r}, and the tau solve needs the OpenBLAS "
+            "of numpy's wheel"
+        )
+    lib = ctypes.CDLL(found[0])
+    missing = [name for name in (_ZGEEV, _THREADS) if not hasattr(lib, name)]
+    if missing:
+        raise ImportError(f"{found[0]} has no {', '.join(missing)}")
+    zgeev = getattr(lib, _ZGEEV)
+    zgeev.restype = ctypes.c_int64
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    zgeev.argtypes = [
+        ctypes.c_int, ctypes.c_char, ctypes.c_char, i64, ptr, i64, ptr, ptr, i64, ptr, i64,
+        ptr, i64, ptr,
+    ]
+    set_threads = getattr(lib, _THREADS)
+    set_threads.restype = ctypes.c_int
+    set_threads.argtypes = [ctypes.c_int]
+    return zgeev, set_threads
 
 
-# A caller that imported scipy.linalg first has loaded scipy's OpenBLAS,
-# which runs the tau solve, and it read its thread count then: the one
-# thread the package sets by default came too late for it.
-if "scipy.linalg" in sys.modules and not _blas_threads_chosen:
-    log.warning(
-        "scipy.linalg was imported before spinphonon with OPENBLAS_NUM_THREADS unset, so "
-        "the tau solve runs on OpenBLAS's default thread count: tau_s and overlap_score "
-        "may differ from a run that set OPENBLAS_NUM_THREADS=1"
-    )
-
-# loaded at import, so that the first tau solve of a sweep does not pay for it
-_lapack = _load_lapack()
+# bound at import, so that the first tau solve of a sweep does not pay for it
+_zgeev, _set_threads = _load_openblas()
 
 OVERLAP_THRESHOLD = 0.5
 # decay rates below this fraction of the fastest eigenvalue are not
@@ -118,18 +130,37 @@ def eig(a):
     """(w, vl, vr) of a square complex matrix, bit for bit as
     scipy.linalg.eig(a, left=True, right=True, overwrite_a=True) gives them.
 
-    The same zgeev is called with the workspace scipy asks for (its size
-    selects LAPACK's blocked code paths). a is overwritten when it is a
-    Fortran-ordered complex128 array. A non-finite or non-square a raises
-    ValueError, and a solve that does not converge LinAlgError.
+    LAPACK's zgeev is called as scipy calls it: left and right vectors,
+    column-major, with the workspace zgeev asks for (its size selects
+    LAPACK's blocked code paths), on one OpenBLAS thread whatever the
+    caller set, since the thread count moves the bits. a is overwritten
+    when it is a writable Fortran-ordered complex128 array. A non-finite or
+    non-square a raises ValueError, and a solve that does not converge
+    LinAlgError.
     """
     a = np.asarray_chkfinite(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected square matrix")
-    lwork = int(_lapack.zgeev_lwork(a.shape[0], compute_vl=1, compute_vr=1)[0].real)
-    w, vl, vr, info = _lapack.zgeev(a, lwork=lwork, compute_vl=1, compute_vr=1, overwrite_a=1)
+    a = np.require(a, np.complex128, ["F", "W"])
+    n = a.shape[0]
+    ld = max(1, n)
+    w = np.empty(n, dtype=np.complex128)
+    vl = np.empty((n, n), dtype=np.complex128, order="F")
+    vr = np.empty((n, n), dtype=np.complex128, order="F")
+    rwork = np.empty(max(1, 2 * n))
+    query = np.empty(1, dtype=np.complex128)
+    args = (a.ctypes.data, ld, w.ctypes.data, vl.ctypes.data, ld, vr.ctypes.data, ld)
+    previous = _set_threads(1)
+    try:
+        info = _zgeev(102, b"V", b"V", n, *args, query.ctypes.data, -1, rwork.ctypes.data)
+        if info == 0:
+            work = np.empty(max(1, int(query[0].real)), dtype=np.complex128)
+            info = _zgeev(102, b"V", b"V", n, *args, work.ctypes.data, work.size, rwork.ctypes.data)
+    finally:
+        _set_threads(previous)
     if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of internal eig algorithm (geev)")
+        # LAPACKE counts its layout argument, one ahead of zgeev's own
+        raise ValueError(f"illegal value in argument {-info - 1} of internal eig algorithm (geev)")
     if info > 0:
         raise np.linalg.LinAlgError(
             f"eig algorithm (geev) did not converge (only eigenvalues with order >= {info} "

@@ -288,6 +288,24 @@ def test_config_hash_of_the_bundled_decks():
     assert done.stdout.strip() == expected
 
 
+def test_integer_valued_floats_hash_as_their_integers():
+    # the schema reads 2.0 as the integer 2, and so do the run and the hash
+    deck = yaml.safe_load(DECK_PATHS["four_level"].read_text())
+    floats = deep(deck)
+    rows = [floats["model"]["stevens_terms_cm1"]]
+    rows += [op["stevens_derivatives_cm1"] for op in floats["coupling"]["operators"]]
+    for row in (row for group in rows for row in group):
+        row[0], row[1] = float(row[0]), float(row[1])
+    floats["fits"][0]["order"] = 2.0
+    assert resolve(floats).resolved == resolve(deep(deck)).resolved
+    assert resolve(floats).config_hash == "6673480d3c3df761"
+    hashes = []
+    for orders in (2, 2.0, "both"):
+        deck["sweep"]["orders"] = orders
+        hashes.append(resolve(deep(deck)).config_hash)
+    assert hashes[0] == hashes[1] != hashes[2]
+
+
 def test_hash_ignores_key_order():
     reordered = {k: MINIMAL[k] for k in reversed(list(MINIMAL))}
     assert resolve(deep(reordered)).config_hash == resolve(deep(MINIMAL)).config_hash

@@ -1,6 +1,3 @@
-import importlib.machinery
-import importlib.util
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -115,20 +112,46 @@ def test_eig_keeps_scipys_checks_and_its_zgeev():
             dynamics.eig(a)
     with pytest.raises(ValueError):
         dynamics.eig(np.zeros((4, 2), dtype=complex))
-    # scipy.linalg, whenever it is imported, reuses the extension eig loaded
-    assert scipy.linalg.lapack.zgeev is dynamics._lapack.zgeev
+    # a writable Fortran-ordered complex128 matrix is solved in place, and
+    # any other input is copied first and left as it was
+    given = np.array([[1.0, 2.0], [3.0, 4.0]])
+    want = scipy.linalg.eig(given.astype(complex), left=True, right=True)
+    frozen = np.asfortranarray(given, dtype=complex)
+    frozen.setflags(write=False)
+    inputs = [(np.asfortranarray(given, dtype=complex), False), (given.copy(), True), (frozen, True)]
+    for a, kept in inputs:
+        got = dynamics.eig(a)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert np.array_equal(a, given) == kept
+    # zgeev runs on one thread, and the caller's thread count is restored
+    previous = dynamics._set_threads(2)
+    try:
+        dynamics.eig(np.eye(3, dtype=complex))
+        assert dynamics._set_threads(previous) == 2
+    finally:
+        dynamics._set_threads(previous)
 
 
-def test_lapack_loader_names_where_it_looked(monkeypatch):
-    monkeypatch.setattr(
-        importlib.machinery.PathFinder, "find_spec", classmethod(lambda cls, *args: None)
-    )
-    with pytest.raises(ImportError, match=r"scipy\.linalg\._flapack not found in \['.+linalg'\]"):
-        dynamics._load_lapack()
-    # no scipy package at all: the loader names the path it searched
-    monkeypatch.setattr(importlib.util, "find_spec", lambda *args: None)
-    with pytest.raises(ImportError, match=r"_flapack not found: no scipy package on \["):
-        dynamics._load_lapack()
+def test_lapack_loader_names_where_it_looked(tmp_path):
+    # nothing mapped and nothing in the wheel's directory: the error names
+    # both places and the BLAS numpy was built on
+    maps, libs = tmp_path / "maps", tmp_path / "numpy.libs"
+    maps.write_text("")
+    libs.mkdir()
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    with pytest.raises(ImportError) as err:
+        dynamics._load_openblas(maps=str(maps), libs=str(libs))
+    assert str(maps) in str(err.value) and str(libs) in str(err.value)
+    assert f"numpy was built on BLAS {blas!r}" in str(err.value)
+    # an unreadable maps file falls back to the directory
+    with pytest.raises(ImportError, match="numpy.libs"):
+        dynamics._load_openblas(maps=str(tmp_path / "absent"), libs=str(libs))
+    # a library of that name without the two symbols is refused by name
+    with open("/proc/self/maps") as fh:
+        libm = next(line.split()[-1] for line in fh if "/libm.so" in line)
+    (libs / f"{dynamics._OPENBLAS}stand-in.so").symlink_to(libm)
+    with pytest.raises(ImportError, match=f"has no {dynamics._ZGEEV}, {dynamics._THREADS}"):
+        dynamics._load_openblas(maps=str(maps), libs=str(libs))
 
 
 # the oracle's jump-level pair sums are the reference for the generator
@@ -184,8 +207,16 @@ def test_pair_t2_two_state_closed_form():
     assert coherence == pytest.approx((up + down) / 2.0, rel=1e-12)
 
 
+@pytest.fixture(scope="module")
+def j15_2_weak_field_engine(j15_2_config):
+    # 0.01 T along z splits the doublets, so the fundamental pair's
+    # coherence is a 1x1 secular block
+    return PointEngine(j15_2_config, (0.0, 0.0, 0.01))
+
+
 @pytest.mark.parametrize(
-    "engine, temperature_k", [("four_level_engine", 4.0), ("spin_half_engine", 2.0)]
+    "engine, temperature_k",
+    [("four_level_engine", 4.0), ("spin_half_engine", 2.0), ("j15_2_weak_field_engine", 13.0)],
 )
 def test_t2_is_the_e_folding_time_of_the_pairs_coherence(request, engine, temperature_k):
     # where the (a, b) coherence is a 1x1 secular block it decays as one
@@ -201,6 +232,8 @@ def test_t2_is_the_e_folding_time_of_the_pairs_coherence(request, engine, temper
     )
     generator = oracles.lindblad_from_jumps(jumps, dim)
     a, b = eng.pair.indices
+    [block] = [k for k in eng.blocks if any((k.rows == a) & (k.cols == b))]
+    assert block.rows.size == 1
     psi = np.zeros(dim)
     psi[[a, b]] = 1.0 / np.sqrt(2.0)
     rho0 = np.outer(psi, psi).astype(complex).ravel()
