@@ -96,12 +96,23 @@ PAIR_CHUNK = 512
 # modes per step of the virtual-state factors W: bounds their temporaries
 VIRT_MODES = 8
 
-# Each jump amplitude carries round-off of about eps ||L||, so a pure
-# dephasing sum (non-negative by construction) below this multiple of
-# eps^2 sum_k gamma_k ||L_k||^2 is not resolved and reads as 0. The
-# vanishing order-2 sums of four_level written in a rotated frame measure
-# at most 2e-3 of eps^2 sum_k gamma_k ||L_k||^2 and the bundled decks'
-# nonzero sums at least 5e21 of it, so 16 sits well clear of both.
+# Each jump entry carries round-off of about eps times the norm of what it
+# was computed from, so a pure dephasing sum (non-negative by construction)
+# below a multiple of eps^2 times the rate that norm would carry is not
+# resolved and reads as 0 (GeneratorResult.dephasing_floor). An order-2
+# jump is one block of a coupling V_k in the eigenbasis, and the change of
+# basis mixes every entry of V_k into it, so the order-2 scale is
+# sum_k gamma_k(0) ||V_k||_F^2, at the w = 0 block where D is summed. The
+# vanishing order-2 sums of Kramers doublets at zero field (1,500 random
+# decks: J = 3/2 to 15/2, time-even Stevens couplings of rank 2 to 6, a
+# third of them in a rotated frame) measure at most 53 of it, and the
+# bundled decks' nonzero sums at least 2e30, so 1024 sits clear of both.
+# Measured against the block norms instead, the sum of the weights, the
+# same vanishing sums reach 1.6e7.
+DEPHASING_FLOOR_EPS2_ORDER2 = 1024.0
+# The order-4 scale is the sum of the weights, sum_p gamma_p ||L_p||^2 over
+# the jumps' block entries; the bundled decks' nonzero order-4 sums measure
+# at least 5e21 of eps^2 times it.
 DEPHASING_FLOOR_EPS2 = 16.0
 
 
@@ -203,9 +214,10 @@ class GeneratorResult:
 
     weights[r, a] = sum_k gamma_k |L_k,ra|^2 (s^-1) are diagonal entries
     of the Gram matrix M1 and dephasing[a, b] = 1/2 sum_k gamma_k
-    |L_k,aa - L_k,bb|^2 (s^-1). pair_sums is the one place T1 and T2*
-    rates are read. prefilter_tasks counts the order-4 (channel, alpha,
-    beta) tasks that passed the prefilter (0 at order 2), of which the
+    |L_k,aa - L_k,bb|^2 (s^-1), whose round-off reaches about
+    dephasing_floor (s^-1). pair_sums is the one place T1 and T2* rates
+    are read. prefilter_tasks counts the order-4 (channel, alpha, beta)
+    tasks that passed the prefilter (0 at order 2), of which the
     jump_count jumps that carry rate are made.
     """
 
@@ -213,6 +225,7 @@ class GeneratorResult:
     jump_count: int
     weights: NDArray[np.float64]
     dephasing: NDArray[np.float64]
+    dephasing_floor: float
     prefilter_tasks: int
 
     def pair_sums(self, a: int, b: int) -> PairRateSums:
@@ -220,12 +233,12 @@ class GeneratorResult:
 
         1/(2 T1) = 1/2 (sum_{r != a} W_ra + sum_{r != b} W_rb) and
         1/T2* = dephasing[a, b]; a 1/T2* below the round-off floor
-        (DEPHASING_FLOOR_EPS2) reads as 0.
+        (dephasing_floor) reads as 0.
         """
         w = self.weights
         half_t1 = 0.5 * (np.delete(w[:, a], a).sum() + np.delete(w[:, b], b).sum())
         dephasing = self.dephasing[a, b]
-        if dephasing < DEPHASING_FLOOR_EPS2 * np.finfo(float).eps ** 2 * w.sum():
+        if dephasing < self.dephasing_floor:
             dephasing = 0.0
         return PairRateSums(half_t1_rate=float(half_t1), dephasing_rate=float(dephasing))
 
@@ -563,7 +576,10 @@ def build_generator(
             )
             for i, (block, gam_block) in enumerate(zip(blocks, gam))
         )
-        return _result_from(blocks, acc, dephasing, jumps)
+        w0 = next(i for i, pop in enumerate(blocks.pops) if pop.size)
+        scale = gam[w0] @ (vstack.real**2 + vstack.imag**2).sum(axis=(1, 2))
+        floor = DEPHASING_FLOOR_EPS2_ORDER2 * np.finfo(float).eps ** 2 * scale
+        return _result_from(blocks, acc, dephasing, jumps, floor=floor)
 
     ja, jb, target, key, occ = _prefilter(
         channels, allow_same_mode, w_modes, n_bar, pol.window_cm1, block_freqs
@@ -661,13 +677,18 @@ def build_generator(
 
 
 def _result_from(
-    blocks: Sequence[SecularBlock], acc, dephasing, jumps: int, prefilter_tasks: int = 0
+    blocks: Sequence[SecularBlock], acc, dephasing, jumps: int, prefilter_tasks: int = 0,
+    floor: float | None = None,
 ) -> GeneratorResult:
+    """The build's GeneratorResult; floor None takes the order-4 round-off
+    floor, read off the weights."""
     sup, weights = _finalize(_partition(blocks), acc)
     defect = sup.trace_defect()
     if defect > 1e-10:
         raise RuntimeError(f"generator violates trace preservation: {defect:.3e}")
+    if floor is None:
+        floor = DEPHASING_FLOOR_EPS2 * np.finfo(float).eps ** 2 * weights.sum()
     return GeneratorResult(
         superoperator=sup, jump_count=jumps, weights=weights, dephasing=dephasing,
-        prefilter_tasks=prefilter_tasks,
+        dephasing_floor=float(floor), prefilter_tasks=prefilter_tasks,
     )

@@ -7,28 +7,31 @@ way before inversion.
 
 The sweep and the CLI's scans take one path from a field to a file:
 prepare_field, then compute_points, the one place a field's independent
-points (temperatures, or a scan's knob values) are computed, in forked
-workers or not, then write_output. Each point is the same
-one-BLAS-thread computation on the same inputs in whichever process runs
-it, so the results are bitwise the same whether or not a pool ran; every
+points (temperatures, or a scan's knob values) are computed, in this
+process or in workers forked with os.fork that send each point's result
+down a pipe, then write_output. Each point is the same one-BLAS-thread
+computation on the same inputs in whichever process runs it, so the
+results are bitwise the same whether or not workers ran; every
 generator is built by PointEngine.build.
 
 A numeric failure leaves this module as a SweepPointError, the one
 exception the CLI turns into exit 3. Its message names where the sweep
-failed: a point (in this process or a worker, which sends it back as it
-is), a field that could not be prepared, a worker that died, or a fit.
+failed: a point (in this process or a worker, which sends its message
+back), a field that could not be prepared, a worker that died, or a fit.
 """
 
 import errno
+import io
 import logging
 import math
-import multiprocessing
 import os
+import pickle
 import resource
+import select
+import signal
 import sys
 import time
 from collections import Counter
-from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -226,12 +229,13 @@ def compute_points(engine: PointEngine, points: Sequence[Point]) -> list[dict[in
     """Each point's rate reports, in point order.
 
     With two or more points and two or more usable CPUs, min(CPUs, points)
-    forked workers compute every point; otherwise this process computes
-    them all. Either way the first failure in point order is raised as a
-    SweepPointError naming its point, and no worker outlives the call.
-    Worker time and counts are added to engine.timers and engine.counts,
-    and counts["workers"] counts the workers started. Every platform that
-    reports usable CPUs (sched_getaffinity) has fork.
+    forked workers compute every point (_in_workers); otherwise this
+    process computes them all. Either way the first failure in point order
+    is raised as a SweepPointError naming its point, and no worker
+    outlives the call. Worker time and counts are added to engine.timers
+    and engine.counts, and counts["workers"] counts the workers started.
+    Every platform that reports usable CPUs (sched_getaffinity) has
+    os.fork.
     """
     workers = min(usable_cpus(), len(points))
     if workers >= 2:
@@ -255,56 +259,118 @@ def usable_cpus() -> int:
 def _in_workers(
     engine: PointEngine, points: Sequence[Point], workers: int
 ) -> list[dict[int, RateReport]]:
-    """Every point of points from a pool of forked workers, in point order.
+    """Every point of points from workers forked workers, in point order.
 
-    Workers inherit engine and points through _adopted, set before they
-    fork, and are sent only indices; map returns their results in point
-    order. "fork" is asked for by name: spawn would pickle the engine into
-    each worker, and the default start method is not fork everywhere. With
-    fork the executor starts every worker on the first submit, before its
-    own thread, so no fork happens while a thread of it runs.
-    multiprocessing and the executor are imported with this module, so
-    that the sweep does not pay for loading them.
+    Worker k inherits engine and points through fork and computes points
+    k, k + workers, ... (_work); the parent computes none of them. It reads
+    every worker's pipe to EOF, reaps every worker, and then returns the
+    reports in point order or raises the first failure in point order. A
+    worker that ends before it has sent all its records (killed by the OOM
+    killer, say) loses its points from the first one it did not send, and
+    the error names that point and how the worker ended. On any early
+    exit, an interrupt say, the workers still running are killed, so no
+    worker outlives the call.
     """
-    global _adopted
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    # set once the executor exists, so that the finally resets it
-    _adopted = engine, points
-    out = []
+    pids, fds, statuses = [], [], []
     try:
-        for reports, timers, counts in pool.map(_worker_point, range(len(points))):
-            for key, seconds in timers.items():
-                engine.timers[key] += seconds
-            engine.counts.update(counts)
-            out.append(reports)
-        return out
-    except BrokenProcessPool as exc:
-        # a worker died (killed by the OOM killer, say) and every point not
-        # yet done is lost; which point it ran is unknown
-        message = f"a worker process died; results from {points[len(out)].where} on were lost"
-        raise SweepPointError(f"{message}: {exc}") from exc
+        for k in range(workers):
+            r, w = os.pipe()
+            fds.append(r)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    # the worker leaves only through os._exit, so none of
+                    # the parent's exit handlers or buffered output run twice
+                    status = 1
+                    try:
+                        _work(engine, points[k::workers], w)
+                        status = 0
+                    finally:
+                        os._exit(status)
+                pids.append(pid)
+            finally:
+                os.close(w)
+        sent = _read_to_eof(fds)
+        for pid in pids:
+            statuses.append(os.waitpid(pid, 0)[1])
     finally:
-        _adopted = None
-        # the points not yet started are dropped, and every worker is joined
-        pool.shutdown(wait=True, cancel_futures=True)
+        for fd in fds:
+            os.close(fd)
+        left = pids[len(statuses):]
+        for pid in left:
+            os.kill(pid, signal.SIGKILL)
+        for pid in left:
+            os.waitpid(pid, 0)
         engine.counts["workers"] += workers
 
+    records = [None] * len(points)
+    for k, (data, status) in enumerate(zip(sent, statuses)):
+        stream = io.BytesIO(data)
+        for i in range(k, len(points), workers):
+            try:
+                record = pickle.load(stream)
+            except (EOFError, pickle.UnpicklingError):
+                # the worker ended before it sent this point's record whole
+                code = os.waitstatus_to_exitcode(status)
+                how = f"by signal {-code}" if code < 0 else f"with exit status {code}"
+                records[i] = SweepPointError(
+                    f"a worker process died; results from {points[i].where} on were lost: "
+                    f"worker {k + 1} of {workers} terminated abruptly {how}"
+                )
+                break
+            if isinstance(record, str):
+                records[i] = SweepPointError(record)
+                break
+            records[i] = record
+    # a worker sends nothing after its failure, so the first record in
+    # point order that is not a result is a failure
+    out = []
+    for record in records:
+        if isinstance(record, SweepPointError):
+            raise record
+        reports, timers, counts = record
+        for key, seconds in timers.items():
+            engine.timers[key] += seconds
+        engine.counts.update(counts)
+        out.append(reports)
+    return out
 
-# (engine, points) of the pool being run: set by _in_workers before its
-# workers fork, so each worker inherits it, and None outside that call
-_adopted: tuple[PointEngine, Sequence[Point]] | None = None
+
+def _work(engine: PointEngine, points: Sequence[Point], fd: int):
+    """Compute points in a forked worker and send one pickled record a point
+    down the pipe fd as soon as it is done: the point's reports with what
+    it added to engine.timers and engine.counts, or, for a point that
+    fails, _compute's message, after which the worker stops."""
+    with open(fd, "wb") as out:
+        for point in points:
+            timers, counts = dict(engine.timers), Counter(engine.counts)
+            try:
+                reports = _compute(engine, point)
+            except SweepPointError as exc:
+                pickle.dump(str(exc), out)
+                return
+            spent = {key: engine.timers[key] - timers[key] for key in timers}
+            pickle.dump((reports, spent, engine.counts - counts), out)
+            out.flush()
 
 
-def _worker_point(index: int):
-    """Run points[index] in a worker through _compute: its reports and what
-    it added to the engine's timers and counts. A failure reaches the
-    parent as _compute's SweepPointError, which holds one string and so
-    always unpickles: pickling keeps its message and drops its __cause__."""
-    engine, points = _adopted
-    timers, counts = dict(engine.timers), Counter(engine.counts)
-    reports = _compute(engine, points[index])
-    spent = {key: engine.timers[key] - timers[key] for key in timers}
-    return reports, spent, engine.counts - counts
+def _read_to_eof(fds: Sequence[int]) -> list[bytes]:
+    """Everything sent down each pipe of fds, read as it comes until every
+    writer has closed its end, so that no worker waits on a full pipe."""
+    chunks = {fd: [] for fd in fds}
+    poller = select.poll()
+    for fd in fds:
+        poller.register(fd, select.POLLIN)
+    open_fds = len(fds)
+    while open_fds:
+        for fd, _ in poller.poll():
+            data = os.read(fd, 1 << 16)
+            if data:
+                chunks[fd].append(data)
+            else:
+                poller.unregister(fd)
+                open_fds -= 1
+    return [b"".join(chunks[fd]) for fd in fds]
 
 
 def log_stage_times(what: str, n_rows: int, timers: dict[str, float], counts: Counter):

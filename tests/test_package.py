@@ -99,6 +99,27 @@ def test_cli_runs_without_jsonschema_or_scipy_special(tmp_path):
     assert (tmp_path / "j15_2_rates.csv").exists()
 
 
+def test_a_pooled_run_loads_neither_multiprocessing_nor_concurrent_futures(tmp_path):
+    # a fresh interpreter, because pytest imports both; two usable CPUs send
+    # the points to forked workers, which -v counts
+    code = (
+        "import sys\n"
+        "from spinphonon import runner\n"
+        "from spinphonon.cli import main\n"
+        "runner.usable_cpus = lambda: 2\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))))\n"
+    )
+    args = ["-v", "run", str(DECK_PATHS["j15_2"]), "--output-dir", str(tmp_path)]
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "summed over 3 processes" in done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
 def test_run_writes_the_same_bytes_whether_or_not_the_blas_threads_are_set(tmp_path, pinned_j15_2):
     # BLAS reads its thread count at load, so each run is a fresh interpreter;
     # the package sets one thread where the caller set none

@@ -2,12 +2,12 @@
 
 Each test forces the path it checks through runner.usable_cpus alone (two
 CPUs give a pool, one keeps the points serial) and runs under a deadline,
-so a pool that hangs fails the test instead of the suite.
+so a pool that hangs fails the test instead of the suite, and that no
+worker process or pipe outlives the call.
 """
 
 import contextlib
 import logging
-import multiprocessing
 import os
 import pathlib
 import re
@@ -28,11 +28,19 @@ from spinphonon.runner import SweepPointError, run_sweep
 DEADLINE_S = 60
 
 
+def assert_no_child_left():
+    # waitpid raises ChildProcessError only when this process has no child,
+    # running or unreaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @contextlib.contextmanager
 def deadline(seconds=DEADLINE_S):
     def expire(signum, frame):
         raise TimeoutError(f"no result within {seconds} s")
 
+    open_fds = len(os.listdir("/proc/self/fd"))
     previous = signal.signal(signal.SIGALRM, expire)
     signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
@@ -40,7 +48,8 @@ def deadline(seconds=DEADLINE_S):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
+    assert len(os.listdir("/proc/self/fd")) == open_fds
 
 
 @pytest.fixture
@@ -179,10 +188,15 @@ def test_an_error_the_parent_cannot_unpickle_still_names_its_point(
     )
 
 
-def _run_with_a_dying_worker(tmp_path, monkeypatch, capsys, paths, index):
+def _exit_1(engine, temperature_k):
+    os._exit(1)
+
+
+def _run_with_a_dying_worker(tmp_path, monkeypatch, capsys, paths, index, die=_exit_1):
     """Exit code and stderr of `run` on four_level when the worker that
-    computes temperature index ends without a result, as from a worker the
-    OOM killer ends."""
+    computes temperature index ends without a result through
+    die(engine, temperature_k), by default an exit with status 1, as from
+    a worker the OOM killer ends."""
     deck = DECK_PATHS["four_level"]
     doomed = load_config(deck).temperatures_k[index]
     parent = os.getpid()
@@ -190,14 +204,14 @@ def _run_with_a_dying_worker(tmp_path, monkeypatch, capsys, paths, index):
 
     def dying(self, temperature_k, *args):
         if temperature_k == doomed and os.getpid() != parent:
-            os._exit(1)
+            die(self, temperature_k)
         return rates(self, temperature_k, *args)
 
     monkeypatch.setattr(runner.PointEngine, "rates", dying)
     paths.pool(True)
     with deadline():
         code = main(["run", str(deck), "--output-dir", str(tmp_path)])
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
     assert paths.started == [2]
     return code, capsys.readouterr().err
 
@@ -213,14 +227,55 @@ def test_a_worker_that_dies_exits_3_naming_its_point(tmp_path, monkeypatch, caps
     assert "terminated abruptly" in err
 
 
+def test_a_worker_killed_in_the_middle_of_a_point_exits_3_naming_its_point(
+    tmp_path, monkeypatch, capsys, paths
+):
+    # the OOM killer's signal, after the point's first build
+    def killed_in_the_middle(engine, temperature_k):
+        engine.build(2, temperature_k)
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    code, err = _run_with_a_dying_worker(
+        tmp_path, monkeypatch, capsys, paths, 3, die=killed_in_the_middle
+    )
+    assert code == 3
+    # the worker sent index 1 and died at index 3, its second point
+    assert re.search(LOST, err)[1] == "2.83"
+    assert "terminated abruptly by signal 9" in err
+
+
 def test_a_later_worker_death_is_not_blamed_on_the_first_unread_point(
     tmp_path, monkeypatch, capsys, paths
 ):
-    # the worker of the fifth pooled point dies; the parent may be reading
-    # any point up to it, and names that one only as the first result lost
+    # the worker of the fifth pooled point dies; the first result lost is
+    # that point's, or, were the points shared out otherwise, an earlier one
     code, err = _run_with_a_dying_worker(tmp_path, monkeypatch, capsys, paths, 4)
     assert code == 3
     assert re.search(LOST, err)[1] in ("1.0", "1.41", "2.0", "2.83", "4.0")
+
+
+def test_an_interrupted_pool_kills_its_workers(tmp_path, monkeypatch, paths):
+    # the parent is interrupted while its workers are still busy: the
+    # workers are killed and reaped at once, not waited for
+    parent = os.getpid()
+    rates = runner.PointEngine.rates
+
+    def stuck(self, *args):
+        if os.getpid() != parent:
+            time.sleep(30)
+        return rates(self, *args)
+
+    monkeypatch.setattr(runner.PointEngine, "rates", stuck)
+    paths.pool(True)
+    open_fds = len(os.listdir("/proc/self/fd"))
+    start = time.monotonic()
+    with pytest.raises(TimeoutError):
+        with deadline(1):
+            run_sweep(load_config(DECK_PATHS["four_level"]), output_dir=tmp_path)
+    assert time.monotonic() - start < 10
+    assert_no_child_left()
+    assert len(os.listdir("/proc/self/fd")) == open_fds
+    assert paths.started == [2]
 
 
 def test_a_first_point_failure_reads_the_same_from_the_pool(tmp_path, paths):
