@@ -261,73 +261,81 @@ def _in_workers(
 ) -> list[dict[int, RateReport]]:
     """Every point of points from workers forked workers, in point order.
 
-    Worker k inherits engine and points through fork and computes points
-    k, k + workers, ... (_work); the parent computes none of them. It reads
-    every worker's pipe to EOF, reaps every worker, and then returns the
-    reports in point order or raises the first failure in point order. A
-    worker that ends before it has sent all its records (killed by the OOM
-    killer, say) loses its points from the first one it did not send, and
-    the error names that point and how the worker ended. On any early
+    The workers inherit engine and points through fork and take the
+    points one at a time, in point order, as each finishes its last
+    (_work), so a worker held up by a costly point or a busy CPU takes
+    fewer; the parent computes none of them. It reads every worker's
+    pipe to EOF, reaps every worker, and then returns the reports in
+    point order or raises the first failure in point order. A point that
+    fails, or a worker that dies, stops every worker from taking another
+    point. A worker that ends before it has sent its record whole (killed
+    by the OOM killer, say) loses the point it was computing, and the
+    error names that point and how each dead worker ended. On any early
     exit, an interrupt say, the workers still running are killed, so no
     worker outlives the call.
     """
     pids, fds, statuses = [], [], []
-    try:
-        for k in range(workers):
-            r, w = os.pipe()
-            fds.append(r)
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    # the worker leaves only through os._exit, so none of
-                    # the parent's exit handlers or buffered output run twice
-                    status = 1
-                    try:
-                        _work(engine, points[k::workers], w)
-                        status = 0
-                    finally:
-                        os._exit(status)
-                pids.append(pid)
-            finally:
-                os.close(w)
-        sent = _read_to_eof(fds)
-        for pid in pids:
-            statuses.append(os.waitpid(pid, 0)[1])
-    finally:
-        for fd in fds:
-            os.close(fd)
-        left = pids[len(statuses):]
-        for pid in left:
-            os.kill(pid, signal.SIGKILL)
-        for pid in left:
-            os.waitpid(pid, 0)
-        engine.counts["workers"] += workers
+    # the points' indices, which the workers take by reading them through
+    # one shared file offset (on Linux a read moves a shared offset
+    # atomically, so each index is read once)
+    with open(os.memfd_create("points"), "w+b") as todo:
+        todo.write(np.arange(len(points), dtype="<u4").tobytes())
+        todo.seek(0)
+        try:
+            for k in range(workers):
+                r, w = os.pipe()
+                fds.append(r)
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        # the worker leaves only through os._exit, so none of
+                        # the parent's exit handlers or buffered output run twice
+                        status = 1
+                        try:
+                            _work(engine, points, todo.fileno(), w)
+                            status = 0
+                        finally:
+                            os._exit(status)
+                    pids.append(pid)
+                finally:
+                    os.close(w)
+            sent = _read_to_eof(fds, todo.fileno())
+            for pid in pids:
+                statuses.append(os.waitpid(pid, 0)[1])
+        finally:
+            for fd in fds:
+                os.close(fd)
+            left = pids[len(statuses):]
+            for pid in left:
+                os.kill(pid, signal.SIGKILL)
+            for pid in left:
+                os.waitpid(pid, 0)
+            engine.counts["workers"] += len(pids)
 
     records = [None] * len(points)
-    for k, (data, status) in enumerate(zip(sent, statuses)):
+    for data in sent:
         stream = io.BytesIO(data)
-        for i in range(k, len(points), workers):
-            try:
-                record = pickle.load(stream)
-            except (EOFError, pickle.UnpicklingError):
-                # the worker ended before it sent this point's record whole
-                code = os.waitstatus_to_exitcode(status)
-                how = f"by signal {-code}" if code < 0 else f"with exit status {code}"
-                records[i] = SweepPointError(
-                    f"a worker process died; results from {points[i].where} on were lost: "
-                    f"worker {k + 1} of {workers} terminated abruptly {how}"
-                )
-                break
-            if isinstance(record, str):
-                records[i] = SweepPointError(record)
-                break
-            records[i] = record
-    # a worker sends nothing after its failure, so the first record in
-    # point order that is not a result is a failure
+        try:
+            while stream.tell() < len(data):
+                i, record = pickle.load(stream)
+                records[i] = record
+        except (EOFError, pickle.UnpicklingError):
+            pass  # the worker died while it sent its last record
+    # the points are taken in order and a failure stops the taking, so a
+    # point taken by no worker comes after every failure and every point
+    # a dead worker lost
     out = []
-    for record in records:
-        if isinstance(record, SweepPointError):
-            raise record
+    for point, record in zip(points, records):
+        if record is None:
+            died = "; ".join(
+                f"worker {k + 1} of {workers} terminated abruptly {_ended(status)}"
+                for k, status in enumerate(statuses) if status
+            )
+            raise SweepPointError(
+                f"a worker process died; results from {point.where} on were lost: {died}"
+            )
+        if isinstance(record, str):
+            raise SweepPointError(record)
         reports, timers, counts = record
         for key, seconds in timers.items():
             engine.timers[key] += seconds
@@ -336,27 +344,39 @@ def _in_workers(
     return out
 
 
-def _work(engine: PointEngine, points: Sequence[Point], fd: int):
-    """Compute points in a forked worker and send one pickled record a point
-    down the pipe fd as soon as it is done: the point's reports with what
-    it added to engine.timers and engine.counts, or, for a point that
-    fails, _compute's message, after which the worker stops."""
+def _ended(status: int) -> str:
+    code = os.waitstatus_to_exitcode(status)
+    return f"by signal {-code}" if code < 0 else f"with exit status {code}"
+
+
+def _work(engine: PointEngine, points: Sequence[Point], todo: int, fd: int):
+    """Compute points in a forked worker, taking the index of each next
+    point from the file todo, and send one pickled record (index, result) a
+    point down the pipe fd as soon as it is done: the result is the point's
+    reports with what it added to engine.timers and engine.counts, or, for
+    a point that fails, _compute's message, after which the worker stops
+    (and, as it closes fd, the parent stops the others)."""
     with open(fd, "wb") as out:
-        for point in points:
+        while index := os.read(todo, 4):
+            i = int.from_bytes(index, "little")
             timers, counts = dict(engine.timers), Counter(engine.counts)
             try:
-                reports = _compute(engine, point)
+                reports = _compute(engine, points[i])
             except SweepPointError as exc:
-                pickle.dump(str(exc), out)
+                pickle.dump((i, str(exc)), out)
                 return
             spent = {key: engine.timers[key] - timers[key] for key in timers}
-            pickle.dump((reports, spent, engine.counts - counts), out)
+            pickle.dump((i, (reports, spent, engine.counts - counts)), out)
             out.flush()
 
 
-def _read_to_eof(fds: Sequence[int]) -> list[bytes]:
+def _read_to_eof(fds: Sequence[int], todo: int) -> list[bytes]:
     """Everything sent down each pipe of fds, read as it comes until every
-    writer has closed its end, so that no worker waits on a full pipe."""
+    writer has closed its end, so that no worker waits on a full pipe.
+    A worker closes its pipe when no point is left, after a point failed,
+    or when it dies, so at each close the points left in the file todo
+    are dropped: a failure or a dead worker stops the others from taking
+    another point."""
     chunks = {fd: [] for fd in fds}
     poller = select.poll()
     for fd in fds:
@@ -368,6 +388,7 @@ def _read_to_eof(fds: Sequence[int]) -> list[bytes]:
             if data:
                 chunks[fd].append(data)
             else:
+                os.lseek(todo, 0, os.SEEK_END)
                 poller.unregister(fd)
                 open_fds -= 1
     return [b"".join(chunks[fd]) for fd in fds]

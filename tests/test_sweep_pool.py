@@ -13,6 +13,7 @@ import pathlib
 import re
 import signal
 import time
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -276,6 +277,68 @@ def test_an_interrupted_pool_kills_its_workers(tmp_path, monkeypatch, paths):
     assert_no_child_left()
     assert len(os.listdir("/proc/self/fd")) == open_fds
     assert paths.started == [2]
+
+
+class StubEngine:
+    """Stands in for a PointEngine: a point's report is its temperature and
+    the process that computed it, each point takes delay_s, the point at
+    temperature fail_at raises, the worker that computes the point at
+    exit_at exits with status 1, and log, if given, gets a line a point."""
+
+    def __init__(self, delay_s=0.001, fail_at=None, exit_at=None, log=None):
+        self.timers = {"extract_s": 0.0}
+        self.counts = Counter()
+        self.delay_s, self.fail_at, self.exit_at, self.log = delay_s, fail_at, exit_at, log
+
+    def rates(self, temperature_k, orders, config):
+        if self.log:
+            with open(self.log, "a") as fh:
+                fh.write(f"{temperature_k}\n")
+        time.sleep(self.delay_s)
+        if temperature_k == self.fail_at:
+            raise RuntimeError("no rates here")
+        if temperature_k == self.exit_at:
+            os._exit(1)
+        self.counts["points"] += 1
+        return {orders[0]: (temperature_k, os.getpid())}
+
+
+def _stub_points(n):
+    return [runner.Point(float(i), (2,), f"point {i}") for i in range(n)]
+
+
+def test_more_workers_than_cpus_take_every_point_once():
+    # eight workers take 400 points from one shared offset, on however
+    # many CPUs: a point taken twice or by no worker leaves a slot empty
+    engine = StubEngine()
+    with deadline():
+        out = runner._in_workers(engine, _stub_points(400), 8)
+    assert [r[2][0] for r in out] == [float(i) for i in range(400)]
+    assert engine.counts["points"] == 400
+    assert engine.counts["workers"] == 8
+    assert len({r[2][1] for r in out}) > 1
+
+
+@pytest.mark.parametrize(
+    "how, error",
+    [
+        ("fail_at", "^at point 5: no rates here$"),
+        (
+            "exit_at",
+            "^a worker process died; results from point 5 on were lost: "
+            "worker [12] of 2 terminated abruptly with exit status 1$",
+        ),
+    ],
+)
+def test_a_failed_point_or_a_dead_worker_stops_every_worker(tmp_path, how, error):
+    log = tmp_path / "taken.txt"
+    engine = StubEngine(delay_s=0.01, log=log, **{how: 5.0})
+    with deadline():
+        with pytest.raises(SweepPointError, match=error):
+            runner._in_workers(engine, _stub_points(200), 2)
+    # points 0-5 and the few the other worker took while point 5 ended,
+    # not all 200
+    assert len(log.read_text().split()) < 40
 
 
 def test_a_first_point_failure_reads_the_same_from_the_pool(tmp_path, paths):
